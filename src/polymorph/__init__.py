@@ -1,8 +1,10 @@
 """Analysis, testing, rounding and correction of approximate generalized
-polymorphisms of predicates on finite product spaces."""
+polymorphisms of predicates on finite product spaces.
 
-from .cli import (ExperimentConfig, main, parse_experiment_config,
-                  plant_and_perturb, run_experiment)
+The command line front end and the batch experiment harness live in
+polymorph.cli, which the package root does not import.
+"""
+
 from .corrector import (AgreementReport, BlrDecoding, CharacterFit,
                         CorrectionResult, FractionalCorrection,
                         PeelingResult, TransitionChain, blr_decode_uniform,
@@ -13,7 +15,7 @@ from .corrector import (AgreementReport, BlrDecoding, CharacterFit,
                         round_general_cell, second_eigenvalue)
 from .errors import (DomainError, PolymorphError, ResourceError,
                      UnsupportedError, ValidationError)
-from .funcspace import (Character, FunctionTable, Measure, PartialAssignment,
+from .funcspace import (FunctionTable, Measure, PartialAssignment,
                         ProductMeasure, character, constant, dictator,
                         distance, expectation, from_values, load_function,
                         save_function)
@@ -34,30 +36,27 @@ from .regularity import (RegularityCertificate, build_junta_lowdeg,
                          potential, regular_cell_mask)
 
 __all__ = [
-    "AgreementReport", "BlrDecoding", "Character", "CharacterFit",
-    "ColumnRestriction", "CorrectionResult", "Counterexample",
-    "Decomposition", "DomainError", "ExperimentConfig",
-    "FractionalCorrection", "FunctionTable", "Measure",
-    "PartialAssignment", "PeelingResult", "PolymorphError", "Predicate",
-    "ProductMeasure", "RegularityCertificate", "ResourceError", "StarLaw",
-    "TransitionChain", "UnsupportedError", "ValidationError",
-    "ViolationReport", "affine_relations", "blr_decode_uniform",
-    "build_junta_lowdeg", "build_junta_noisy", "cell_regular_fraction",
-    "character", "classify_short_relations", "constant",
-    "correct_alphabet", "correct_fractional_nand", "correct_general",
-    "correct_monotone", "dictator", "distance", "draw_restriction",
-    "expectation", "flexible_coordinates", "fourier_expand",
-    "friedgut_regev_lift", "from_values", "full_predicate",
-    "is_generalized_polymorphism", "joint_output_distribution",
-    "joint_value_probability", "load_function", "load_predicate",
-    "low_degree_influence", "main", "markov_agreement", "maxterms",
-    "nae_predicate", "nand_predicate", "nearest_character",
-    "noise_stability", "noisy_influence", "one_hot_predicate",
-    "parity_predicate", "parse_experiment_config", "peel_affine_relations",
-    "plant_and_perturb", "potential", "regular_cell_mask",
-    "round_general_cell", "run_experiment", "save_function",
-    "save_predicate", "second_eigenvalue", "star_law", "validate",
-    "violation_exact", "violation_mc", "violation_probability",
+    "AgreementReport", "BlrDecoding", "CharacterFit", "ColumnRestriction",
+    "CorrectionResult", "Counterexample", "Decomposition", "DomainError",
+    "FractionalCorrection", "FunctionTable", "Measure", "PartialAssignment",
+    "PeelingResult", "PolymorphError", "Predicate", "ProductMeasure",
+    "RegularityCertificate", "ResourceError", "StarLaw", "TransitionChain",
+    "UnsupportedError", "ValidationError", "ViolationReport",
+    "affine_relations", "blr_decode_uniform", "build_junta_lowdeg",
+    "build_junta_noisy", "cell_regular_fraction", "character",
+    "classify_short_relations", "constant", "correct_alphabet",
+    "correct_fractional_nand", "correct_general", "correct_monotone",
+    "dictator", "distance", "draw_restriction", "expectation",
+    "flexible_coordinates", "fourier_expand", "friedgut_regev_lift",
+    "from_values", "full_predicate", "is_generalized_polymorphism",
+    "joint_output_distribution", "joint_value_probability", "load_function",
+    "load_predicate", "low_degree_influence", "markov_agreement", "maxterms",
+    "nae_predicate", "nand_predicate", "nearest_character", "noise_stability",
+    "noisy_influence", "one_hot_predicate", "parity_predicate",
+    "peel_affine_relations", "potential", "regular_cell_mask",
+    "round_general_cell", "save_function", "save_predicate",
+    "second_eigenvalue", "star_law", "validate", "violation_exact",
+    "violation_mc", "violation_probability",
 ]
 
 __version__ = "0.1.0"

@@ -16,6 +16,7 @@ import hashlib
 import io
 import sys
 import time
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -64,9 +65,11 @@ def _parse_measure(spec: str, n: int, s: int) -> fs.ProductMeasure:
     if spec.startswith("p:"):
         if s != 2:
             raise DomainError("p-biased measures need a binary alphabet")
-        return fs.ProductMeasure.p_biased(float(spec[2:]), n)
+        p = fs.parse_numbers([spec[2:]], float, "measure p")[0]
+        return fs.ProductMeasure.p_biased(p, n)
     if spec.startswith("probs:"):
-        probs = [float(t) for t in spec[len("probs:"):].split(",")]
+        probs = fs.parse_numbers(spec[len("probs:"):].split(","), float,
+                                 "measure probs")
         if len(probs) != s:
             raise DomainError("measure needs one probability per symbol")
         return fs.ProductMeasure.iid(fs.Measure(probs), n)
@@ -86,9 +89,7 @@ def _print_counterexample(out, ce):
 
 
 def _decision_counts(decisions) -> str:
-    counts = {}
-    for d in decisions:
-        counts[d] = counts.get(d, 0) + 1
+    counts = Counter(decisions)
     return " ".join(f"{k}:{counts[k]}" for k in sorted(counts))
 
 
@@ -101,35 +102,29 @@ def _decision_counts(decisions) -> str:
 #   assign <1-based factor index per coordinate>
 
 def parse_chain(text: str) -> co.TransitionChain:
-    lines = [ln.strip() for ln in text.splitlines()
-             if ln.strip() and not ln.strip().startswith("#")]
+    lines = fs.text_lines(text)
     if not lines or not lines[0].startswith("chain"):
         raise ValidationError("chain file must start with a 'chain' header")
-    header = {}
-    for tok in lines[0].split()[1:]:
-        k, _, v = tok.partition("=")
-        header[k] = int(v)
-    if "y" not in header or "factors" not in header:
-        raise ValidationError("chain header needs y=<states> factors=<count>")
-    y, count = header["y"], header["factors"]
+    head = fs.read_fields(lines[0].split()[1:], {"y": int, "factors": int},
+                          "chain header", required=("y", "factors"))
+    y = head["y"]
     factors, assignment = [], None
     i = 1
     while i < len(lines):
         if lines[i] == "factor":
-            rows = []
-            for r in range(y):
-                row = [float(t) for t in lines[i + 1 + r].split()]
-                if len(row) != y:
-                    raise ValidationError("factor row has the wrong width")
-                rows.append(row)
+            rows = [fs.parse_numbers(ln.split(), float, "factor row")
+                    for ln in lines[i + 1:i + 1 + y]]
+            if len(rows) != y or any(len(row) != y for row in rows):
+                raise ValidationError(f"factor needs {y} rows of {y} numbers")
             factors.append(rows)
             i += 1 + y
         elif lines[i].startswith("assign"):
-            assignment = [int(t) - 1 for t in lines[i].split()[1:]]
+            assignment = [k - 1 for k in fs.parse_numbers(
+                lines[i].split()[1:], int, "assign line")]
             i += 1
         else:
             raise ValidationError(f"unexpected chain line {lines[i]!r}")
-    if len(factors) != count:
+    if len(factors) != head["factors"]:
         raise ValidationError("factor count does not match the header")
     if assignment is None:
         raise ValidationError("chain file is missing the assign line")
@@ -152,20 +147,23 @@ class PlantedInstance:
 def _parse_plant(spec: str, P: pr.Predicate, n: int) -> list:
     """dictator:<i> | character:<S>:<offsets> | constant:<v>, 1-based coords."""
     kind, _, rest = spec.partition(":")
+    where = f"plant spec {spec!r}"
     if kind == "dictator":
-        i = int(rest) - 1
+        i = fs.parse_numbers([rest], int, where)[0] - 1
         if not 0 <= i < n:
             raise DomainError("dictator coordinate out of range")
         return [fs.dictator(n, i, P.s) for _ in range(P.m)]
     if kind == "constant":
-        v = int(rest)
+        v = fs.parse_numbers([rest], int, where)[0]
         return [fs.constant(n, v, P.s) for _ in range(P.m)]
     if kind == "character":
         if P.s != 2:
             raise DomainError("characters need a binary alphabet")
         s_part, _, b_part = rest.partition(":")
-        support = [int(t) - 1 for t in s_part.split(",")]
-        offs = [int(t) for t in b_part.split(",")] if b_part else [0] * P.m
+        support = [t - 1 for t in fs.parse_numbers(s_part.split(","), int,
+                                                   where)]
+        offs = fs.parse_numbers(b_part.split(","), int, where) if b_part \
+            else [0] * P.m
         if len(offs) == 1:
             offs = offs * P.m
         if len(offs) != P.m:
@@ -211,7 +209,9 @@ def plant_and_perturb(P: pr.Predicate, n: int, spec: str, eta: float,
 # are resolved relative to the config file.
 
 RUN_DEFAULTS = {"flip": 0.0, "repeats": 1, "d": 2, "tau": 0.1,
-                "attempts": 64, "eta": None}
+                "attempts": 64}
+RUN_TYPES = {"n": int, "flip": float, "repeats": int, "eps": float,
+             "d": int, "tau": float, "attempts": int}
 PIPELINES = ("monotone", "general", "alphabet", "polytest")
 
 
@@ -239,83 +239,68 @@ class ExperimentConfig:
     base_dir: str
 
 
+def _run_spec(label: str, lines, base: Path) -> RunSpec:
+    where = f"run {label}"
+    kv = fs.read_fields(lines, RUN_TYPES, where)
+    pipeline = kv.get("pipeline")
+    if pipeline not in PIPELINES:
+        raise ValidationError(f"{where}: unknown pipeline {pipeline!r}")
+    if "pred" not in kv:
+        raise ValidationError(f"{where}: missing pred")
+    pred_path = base / kv["pred"]
+    P = pr.load_predicate(pred_path)
+    pr.validate(P)
+    plant = kv.get("plant")
+    fns = tuple(kv["fn"].split(",")) if "fn" in kv else ()
+    if bool(plant) == bool(fns):
+        raise ValidationError(f"{where}: give exactly one of plant or fn")
+    if plant and "n" not in kv:
+        raise ValidationError(f"{where}: plant needs n")
+    for rel in fns:
+        if fs.load_function(base / rel).s != P.s:
+            raise ValidationError(f"{where}: function alphabet does not "
+                                  "match the predicate")
+    opts = {**RUN_DEFAULTS, **kv}
+    if not 0 <= opts["flip"] < 0.5:
+        raise ValidationError(f"{where}: flip rate must lie in [0, 1/2)")
+    if "eps" not in kv and pipeline != "polytest":
+        raise ValidationError(f"{where}: missing eps")
+    # an empty eta keeps the pipeline default, so it is read here
+    eta = fs.parse_numbers([kv["eta"]], float, f"{where}: eta")[0] \
+        if kv.get("eta") else None
+    return RunSpec(label=label, pipeline=pipeline, pred=str(pred_path),
+                   n=kv.get("n"), plant=plant,
+                   fn=tuple(str(base / rel) for rel in fns),
+                   flip=opts["flip"], repeats=opts["repeats"],
+                   eps=kv.get("eps", 0.0), eta=eta, d=opts["d"],
+                   tau=opts["tau"], attempts=opts["attempts"])
+
+
 def parse_experiment_config(path) -> ExperimentConfig:
     path = Path(path)
-    base = path.parent
-    seed = 0
-    runs = []
-    section = None
-
-    def close(sec):
-        if sec is None:
-            return
-        label, kv = sec
-        pipeline = kv.get("pipeline")
-        if pipeline not in PIPELINES:
-            raise ValidationError(f"run {label}: unknown pipeline "
-                                  f"{pipeline!r}")
-        if "pred" not in kv:
-            raise ValidationError(f"run {label}: missing pred")
-        pred_path = base / kv["pred"]
-        P = pr.load_predicate(pred_path)
-        pr.validate(P)
-        plant = kv.get("plant")
-        fns = tuple(kv["fn"].split(",")) if "fn" in kv else ()
-        if bool(plant) == bool(fns):
-            raise ValidationError(f"run {label}: give exactly one of "
-                                  "plant or fn")
-        n = int(kv["n"]) if "n" in kv else None
-        if plant and n is None:
-            raise ValidationError(f"run {label}: plant needs n")
-        for rel in fns:
-            f = fs.load_function(base / rel)
-            if f.s != P.s:
-                raise ValidationError(f"run {label}: function alphabet "
-                                      "does not match the predicate")
-        flip = float(kv.get("flip", RUN_DEFAULTS["flip"]))
-        if not 0 <= flip < 0.5:
-            raise ValidationError(f"run {label}: flip rate must lie in "
-                                  "[0, 1/2)")
-        if "eps" not in kv and pipeline != "polytest":
-            raise ValidationError(f"run {label}: missing eps")
-        runs.append(RunSpec(
-            label=label, pipeline=pipeline, pred=str(pred_path), n=n,
-            plant=plant, fn=tuple(str(base / rel) for rel in fns),
-            flip=flip, repeats=int(kv.get("repeats",
-                                          RUN_DEFAULTS["repeats"])),
-            eps=float(kv.get("eps", 0.0)),
-            eta=float(kv["eta"]) if kv.get("eta") not in (None, "")
-            else None,
-            d=int(kv.get("d", RUN_DEFAULTS["d"])),
-            tau=float(kv.get("tau", RUN_DEFAULTS["tau"])),
-            attempts=int(kv.get("attempts", RUN_DEFAULTS["attempts"]))))
-
+    sections = [(None, [])]   # the global lines, then one entry per run
     for raw in path.read_text().splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if line.startswith("[run ") and line.endswith("]"):
-            close(section)
             label = line[len("[run "):-1].strip()
             if not label:
                 raise ValidationError("run section needs a label")
-            section = (label, {})
-            continue
-        key, sep, value = line.partition("=")
-        if not sep:
-            raise ValidationError(f"cannot parse config line {raw!r}")
-        key, value = key.strip(), value.strip()
-        if section is None:
-            if key != "seed":
-                raise ValidationError(f"unknown global key {key!r}")
-            seed = int(value)
+            sections.append((label, []))
         else:
-            section[1][key] = value
-    close(section)
+            sections[-1][1].append(line)
+    head = fs.read_fields(sections[0][1], {"seed": int}, "config")
+    for key in head:
+        if key != "seed":
+            raise ValidationError(f"unknown global key {key!r}")
+    runs = [_run_spec(label, lines, path.parent)
+            for label, lines in sections[1:]]
     labels = [r.label for r in runs]
     if len(set(labels)) != len(labels):
         raise ValidationError("run labels must be unique")
-    return ExperimentConfig(seed=seed, runs=tuple(runs), base_dir=str(base))
+    return ExperimentConfig(seed=head.get("seed", 0), runs=tuple(runs),
+                            base_dir=str(path.parent))
 
 
 def _derive_seed(root: int, label: str, repeat: int) -> int:
@@ -323,30 +308,64 @@ def _derive_seed(root: int, label: str, repeat: int) -> int:
     return int.from_bytes(digest[:8], "big") % (2 ** 63)
 
 
-def _instance_functions(run: RunSpec, P: pr.Predicate, seed: int):
+def _correct(pipeline: str, P: pr.Predicate, tables, opts, seed: int):
+    """Run a correction pipeline; opts carries eps, eta, d, tau, attempts
+    (a RunSpec or the parsed arguments of the correct subcommand)."""
+    if pipeline == "monotone":
+        return co.correct_monotone(P, tables, opts.eps, d=opts.d, tau=opts.tau)
+    correct = co.correct_general if pipeline == "general" \
+        else co.correct_alphabet
+    return correct(P, tables, opts.eps, eta=opts.eta, d=opts.d, tau=opts.tau,
+                   attempts=opts.attempts, seed=seed)
+
+
+def _csv_row(instance: str, pipeline: str, seed: int, P: pr.Predicate,
+             n: int, flip, opts, before: float, after, res) -> dict:
+    """One CSV row by column name; res and after are None for polytest."""
+    row = {"instance": instance, "pipeline": pipeline, "seed": seed, "n": n,
+           "m": P.m, "s": P.s, "flip": flip,
+           "eps": "" if pipeline == "polytest" else opts.eps,
+           "eta": "" if opts.eta is None else opts.eta,
+           "d": opts.d, "tau": opts.tau,
+           "attempts": opts.attempts
+           if pipeline in ("general", "alphabet") else "",
+           "violation_before": before}
+    if res is None:
+        row.update({"violation_after": "", "total_distance": "",
+                    "max_distance": "", "junta_size": "", "accepted": "",
+                    "exact": before == 0.0})
+    else:
+        row.update({"violation_after": after,
+                    "total_distance": float(sum(res.distances)),
+                    "max_distance": float(max(res.distances)),
+                    "junta_size": len(res.trace.junta),
+                    "accepted": res.accepted, "exact": res.exact})
+    return row
+
+
+def _run_one(run: RunSpec, P: pr.Predicate, seed: int, out_dir, r: int):
+    """The CSV row of one batch item."""
     if run.plant:
         inst = plant_and_perturb(P, run.n, run.plant, run.flip, seed)
-        return list(inst.fs), inst.violation
-    tables = _load_functions(run.fn)
-    return tables, pt.violation_probability(P, tables)
-
-
-def _run_one(run: RunSpec, P: pr.Predicate, seed: int):
-    """Returns (result or None, before, fs) for one batch item."""
-    tables, before = _instance_functions(run, P, seed)
-    if run.pipeline == "polytest":
-        return None, before, tables
-    if run.pipeline == "monotone":
-        res = co.correct_monotone(P, tables, run.eps, d=run.d, tau=run.tau)
-    elif run.pipeline == "general":
-        res = co.correct_general(P, tables, run.eps, eta=run.eta,
-                                 d=run.d, tau=run.tau,
-                                 attempts=run.attempts, seed=seed)
+        tables, before = list(inst.fs), inst.violation
     else:
-        res = co.correct_alphabet(P, tables, run.eps, eta=run.eta,
-                                  d=run.d, tau=run.tau,
-                                  attempts=run.attempts, seed=seed)
-    return res, before, tables
+        tables = _load_functions(run.fn)
+        before = pt.violation_probability(P, tables)
+    res = after = None
+    if run.pipeline != "polytest":
+        res = _correct(run.pipeline, P, tables, run, seed)
+        after = pt.violation_probability(P, res.gs)
+        if out_dir is not None and res.accepted:
+            Path(out_dir).mkdir(parents=True, exist_ok=True)
+            saved = []
+            for j, g in enumerate(res.gs):
+                p = Path(out_dir) / f"{run.label}-{r}-g{j + 1}.fn"
+                fs.save_function(p, g)
+                saved.append(fs.load_function(p))
+            if not pt.is_generalized_polymorphism(P, saved)[0]:
+                raise ValidationError("saved functions do not re-verify")
+    return _csv_row(f"{run.label}#{r}", run.pipeline, seed, P, tables[0].n,
+                    run.flip, run, before, after, res)
 
 
 def run_experiment(config: ExperimentConfig, out_dir=None,
@@ -367,45 +386,11 @@ def run_experiment(config: ExperimentConfig, out_dir=None,
             seed = _derive_seed(config.seed, run.label, r)
             start = time.perf_counter()
             try:
-                res, before, tables = _run_one(run, P, seed)
+                row = _run_one(run, P, seed, out_dir, r)
             except PolymorphError as exc:
                 raise type(exc)(f"run {run.label}#{r}: {exc}") from exc
-            wall = (time.perf_counter() - start) * 1000.0
-            n = tables[0].n
-            row = {"instance": f"{run.label}#{r}",
-                   "pipeline": run.pipeline, "seed": seed, "n": n,
-                   "m": P.m, "s": P.s, "flip": run.flip,
-                   "eps": run.eps if run.pipeline != "polytest" else "",
-                   "eta": "" if run.eta is None else run.eta,
-                   "d": run.d, "tau": run.tau,
-                   "attempts": run.attempts
-                   if run.pipeline in ("general", "alphabet") else "",
-                   "violation_before": before}
-            if res is None:
-                row.update({"violation_after": "", "total_distance": "",
-                            "max_distance": "", "junta_size": "",
-                            "accepted": "", "exact": before == 0.0})
-            else:
-                after = pt.violation_probability(P, res.gs)
-                row.update({
-                    "violation_after": after,
-                    "total_distance": float(sum(res.distances)),
-                    "max_distance": float(max(res.distances)),
-                    "junta_size": len(res.trace.junta),
-                    "accepted": res.accepted, "exact": res.exact})
-                if out_dir is not None and res.accepted:
-                    Path(out_dir).mkdir(parents=True, exist_ok=True)
-                    saved = []
-                    for j, g in enumerate(res.gs):
-                        p = Path(out_dir) / f"{run.label}-{r}-g{j + 1}.fn"
-                        fs.save_function(p, g)
-                        saved.append(fs.load_function(p))
-                    if not pt.is_generalized_polymorphism(P, saved)[0]:
-                        raise ValidationError(
-                            f"run {run.label}#{r}: saved functions do not "
-                            "re-verify")
             if timings:
-                row["wall_ms"] = f"{wall:.3f}"
+                row["wall_ms"] = f"{(time.perf_counter() - start) * 1000.0:.3f}"
             rows.append([_fmt(row[c]) for c in header])
     return header, rows
 
@@ -517,28 +502,15 @@ def _cmd_polytest(args, out) -> int:
     return 0
 
 
-def _print_correction(out, pipeline, res, P, tables) -> None:
+def _print_correction(out, pipeline, res, fields) -> None:
+    """Flags and junta of a correction run, then fields as (key, value)
+    pairs, then the counterexample if there is one."""
     _emit(out, "pipeline", pipeline)
     _emit(out, "accepted", res.accepted)
     _emit(out, "exact", res.exact)
-    tr = res.trace
-    _emit(out, "junta", _ints1(tr.junta))
-    _emit(out, "eta", tr.eta)
-    before = pt.violation_probability(P, tables)
-    after = pt.violation_probability(P, res.gs)
-    _emit(out, "violation_before", before)
-    _emit(out, "violation_after", after)
-    for j, dist in enumerate(res.distances):
-        _emit(out, f"distance[{j + 1}]", float(dist))
-    for j, role in enumerate(tr.roles):
-        _emit(out, f"role[{j + 1}]", role)
-    for j, dec in enumerate(tr.decisions):
-        if dec:
-            _emit(out, f"decisions[{j + 1}]", _decision_counts(dec))
-    if tr.negated:
-        _emit(out, "negated", _ints1(tr.negated))
-    for note in tr.notes:
-        _emit(out, "note", note)
+    _emit(out, "junta", _ints1(res.trace.junta))
+    for key, value in fields:
+        _emit(out, key, value)
     if res.counterexample is not None:
         _print_counterexample(out, res.counterexample)
 
@@ -564,44 +536,32 @@ def _cmd_correct(args, out) -> int:
         f1, f2 = _load_functions(args.fn)
         res = co.correct_fractional_nand(f1, f2, args.p, args.eps,
                                          d=args.d, tau=args.tau)
-        _emit(out, "pipeline", "fractional")
-        _emit(out, "accepted", res.accepted)
-        _emit(out, "exact", res.exact)
-        _emit(out, "junta", _ints1(res.trace.junta))
-        for j, loss in enumerate(res.losses):
-            _emit(out, f"loss[{j + 1}]", float(loss))
-        if res.counterexample is not None:
-            _print_counterexample(out, res.counterexample)
+        _print_correction(out, "fractional", res,
+                          [(f"loss[{j + 1}]", float(loss))
+                           for j, loss in enumerate(res.losses)])
         _emit_functions(out, res.gs, args.out_dir, "fractional")
         return 0 if res.accepted else 2
 
     P = pr.load_predicate(args.pred)
     tables = _load_functions(args.fn)
-    if args.mode == "monotone":
-        res = co.correct_monotone(P, tables, args.eps, d=args.d,
-                                  tau=args.tau)
-    elif args.mode == "general":
-        res = co.correct_general(P, tables, args.eps, eta=args.eta,
-                                 d=args.d, tau=args.tau,
-                                 attempts=args.attempts, seed=args.seed)
-    else:
-        res = co.correct_alphabet(P, tables, args.eps, eta=args.eta,
-                                  d=args.d, tau=args.tau,
-                                  attempts=args.attempts, seed=args.seed)
-    _print_correction(out, args.mode, res, P, tables)
+    res = _correct(args.mode, P, tables, args, args.seed)
+    before = pt.violation_probability(P, tables)
+    after = pt.violation_probability(P, res.gs)
+    tr = res.trace
+    fields = [("eta", tr.eta), ("violation_before", before),
+              ("violation_after", after)]
+    fields += [(f"distance[{j + 1}]", float(d))
+               for j, d in enumerate(res.distances)]
+    fields += [(f"role[{j + 1}]", role) for j, role in enumerate(tr.roles)]
+    fields += [(f"decisions[{j + 1}]", _decision_counts(dec))
+               for j, dec in enumerate(tr.decisions) if dec]
+    if tr.negated:
+        fields.append(("negated", _ints1(tr.negated)))
+    fields += [("note", note) for note in tr.notes]
+    _print_correction(out, args.mode, res, fields)
     _emit_functions(out, res.gs, args.out_dir, args.mode)
-    row = {"instance": "cli", "pipeline": args.mode, "seed": args.seed,
-           "n": tables[0].n, "m": P.m, "s": P.s, "flip": "",
-           "eps": args.eps, "eta": "" if args.eta is None else args.eta,
-           "d": args.d, "tau": args.tau,
-           "attempts": args.attempts
-           if args.mode in ("general", "alphabet") else "",
-           "violation_before": pt.violation_probability(P, tables),
-           "violation_after": pt.violation_probability(P, res.gs),
-           "total_distance": float(sum(res.distances)),
-           "max_distance": float(max(res.distances)),
-           "junta_size": len(res.trace.junta),
-           "accepted": res.accepted, "exact": res.exact}
+    row = _csv_row("cli", args.mode, args.seed, P, tables[0].n, "", args,
+                   before, after, res)
     values = [_fmt(row[c]) for c in CSV_COLUMNS]
     if args.csv:
         new = not Path(args.csv).exists()
@@ -641,7 +601,8 @@ def _cmd_agree(args, out) -> int:
 
 def _cmd_fr_lift(args, out) -> int:
     if args.sets:
-        family = [tuple(int(t) - 1 for t in part.split(","))
+        family = [tuple(t - 1 for t in fs.parse_numbers(part.split(","), int,
+                                                        "--sets"))
                   for part in args.sets.split(";") if part]
         lifted = co.friedgut_regev_lift(family, args.k, n=args.n)
     else:

@@ -27,16 +27,17 @@ from .errors import DomainError, ResourceError, UnsupportedError, ValidationErro
 from .funcspace import (FunctionTable, Measure, PartialAssignment,
                         ProductMeasure, character, constant, distance,
                         from_values)
+from .harmonics import _apply_along_axis
 from .predicates import (Predicate, affine_relations, classify_short_relations,
                          flexible_coordinates, maxterms, star_law)
-from .polytest import (ColumnRestriction, Counterexample, evaluate_columns,
+from .polytest import (ColumnRestriction, Counterexample,
                        is_generalized_polymorphism)
 from .regularity import (CELL_CAP, RegularityCertificate, _cell_view,
                          build_junta_lowdeg, regular_cell_mask)
 
 DECODE_N_CAP = 20          # exhaustive character decoding: 2^n * 2 candidates
 JUNTA_SEED_CAP = 14        # cap on the junta seeded from decoded supports
-DISTANCE_BUDGET = 0.25     # default per-function acceptance budget
+DISTANCE_BUDGET = 0.25     # per-function acceptance budget
 CHAIN_TOL = 1e-12          # symmetry / stochasticity tolerance for chains
 
 
@@ -85,12 +86,6 @@ class PeelingResult:
     relations: tuple
     conflicts: tuple
     unique_extension: bool
-
-    def character_for(self, j: int) -> DecodedCharacter | None:
-        for c in self.characters:
-            if c.coordinate == j:
-                return c
-        return None
 
 
 @dataclass(frozen=True)
@@ -205,35 +200,32 @@ def _free_weights(n: int, s: int, free, assignment: PartialAssignment,
                   marginal: Measure) -> np.ndarray:
     """Kronecker weights over the free axis of a cell view: fixed entries
     contribute a point mass, open entries (stars) the given marginal."""
-    vecs = []
-    for c in reversed(list(free)):
-        v = assignment.entries[c]
-        if v is None:
-            vecs.append(marginal.probs)
-        else:
-            e = np.zeros(s)
-            e[v] = 1.0
-            vecs.append(e)
+    entries = [assignment.entries[c] for c in reversed(list(free))]
+    vecs = [marginal.probs if v is None else np.eye(s)[v] for v in entries]
     return reduce(np.kron, vecs) if vecs else np.ones(1)
+
+
+def _cell_averages(values: np.ndarray, f: FunctionTable, J, assignment,
+                   marginal: Measure) -> np.ndarray:
+    """Average of a table on f's domain over every cell of sorted J under
+    the restriction; open coordinates outside J average against the
+    marginal."""
+    G, _, F = _cell_view(values, f.n, f.s, J)
+    return G @ _free_weights(f.n, f.s, F, assignment, marginal)
 
 
 def _restricted_cell_expectations(f: FunctionTable, J, assignment,
                                   marginal: Measure) -> np.ndarray:
-    """E[f | cell, restriction] for every cell of sorted J at once; open
-    coordinates outside J average against the marginal."""
-    G, _, F = _cell_view(f.as_real(), f.n, f.s, J)
-    return G @ _free_weights(f.n, f.s, F, assignment, marginal)
+    """E[f | cell, restriction] for every cell of sorted J at once."""
+    return _cell_averages(f.as_real(), f, J, assignment, marginal)
 
 
 def _restricted_value_probs(f: FunctionTable, J, assignment,
                             marginal: Measure) -> np.ndarray:
     """Shape (s, cells): probability of each output symbol per cell."""
-    rows = []
-    for sigma in range(f.s):
-        ind = (f.values == sigma).astype(float)
-        G, _, F = _cell_view(ind, f.n, f.s, J)
-        rows.append(G @ _free_weights(f.n, f.s, F, assignment, marginal))
-    return np.vstack(rows)
+    return np.vstack([_cell_averages((f.values == sigma).astype(float), f, J,
+                                     assignment, marginal)
+                      for sigma in range(f.s)])
 
 
 def _iid_marginal(P: Predicate, j: int, n: int) -> ProductMeasure:
@@ -253,14 +245,17 @@ def _negate_predicate(P: Predicate, N) -> Predicate:
     return Predicate(P.m, P.s, members, list(P.weights))
 
 
-def _all_member_counterexample(P: Predicate, fs) -> Counterexample:
-    """The column tuple repeating one member; useful when a function is
-    wrong on a forced constant input."""
-    n = fs[0].n
-    columns = [P.members[0]] * n
-    inputs = tuple(tuple(c[j] for c in columns) for j in range(P.m))
-    outputs = evaluate_columns(fs, columns)
-    return Counterexample(inputs=inputs, outputs=outputs)
+def _forced_input_rejection(P: Predicate, fs, eta: float, roles: tuple,
+                            note: str) -> CorrectionResult:
+    """Reject a run whose function is wrong on the forced input of a
+    constant coordinate.  The counterexample repeats one member in every
+    column, which pins each constant coordinate to its forced value."""
+    ce = Counterexample.from_columns(fs, [P.members[0]] * fs[0].n)
+    trace = CorrectionTrace(junta=(), eta=eta, restriction=None,
+                            decisions=tuple(() for _ in fs), roles=roles,
+                            notes=(note,))
+    return CorrectionResult(gs=tuple(fs), distances=(0.0,) * P.m, exact=False,
+                            accepted=False, counterexample=ce, trace=trace)
 
 
 def _symmetry_notes(P: Predicate, fs, gs) -> tuple:
@@ -275,10 +270,6 @@ def _symmetry_notes(P: Predicate, fs, gs) -> tuple:
 
 
 # -- character decoding --------------------------------------------------------
-
-def _apply_axis(M: np.ndarray, arr: np.ndarray, axis: int) -> np.ndarray:
-    return np.moveaxis(np.tensordot(M, arr, axes=([1], [axis])), 0, axis)
-
 
 def _pick_character(transform: np.ndarray, n: int) -> tuple[tuple, int, float]:
     """Largest |coefficient| wins; exact ties resolve to the smallest
@@ -310,7 +301,7 @@ def blr_decode_uniform(f: FunctionTable) -> BlrDecoding:
     arr = (1 - 2 * f.values.astype(np.int64)).reshape((2,) * n)
     H = np.array([[1, 1], [1, -1]], dtype=np.int64)
     for axis in range(n):
-        arr = _apply_axis(H, arr, axis)
+        arr = _apply_along_axis(H, arr, axis)
     W = arr.reshape(-1)
     sup, b, top = _pick_character(W, n)
     denom = 1 << n
@@ -336,7 +327,7 @@ def nearest_character(f: FunctionTable, nu: ProductMeasure) -> CharacterFit:
     for i in range(n):
         p0, p1 = nu.measures[i].probs
         M = np.array([[p0, p1], [p0, -p1]])
-        arr = _apply_axis(M, arr, n - 1 - i)
+        arr = _apply_along_axis(M, arr, n - 1 - i)
     T = arr.reshape(-1)
     sup, b, top = _pick_character(T, n)
     return CharacterFit(support=sup, offset=b, distance=(1.0 - top) / 2.0)
@@ -453,10 +444,36 @@ def round_general_cell(fs, J, rho, eta: float, P: Predicate) -> RoundedCells:
                         decisions=tuple(decisions))
 
 
+# -- cells kept by regularity and mass ----------------------------------------
+
+def _regular_heavy_cells(P: Predicate, fs, coords, d: int, tau: float,
+                         eps: float):
+    """Grow one regularity junta J for the functions at coords, then flag,
+    per function, the cells of J that are regular and have expectation
+    above eps / 2: the only cells the monotone and fractional rules keep.
+
+    Returns (certificate, point -> cell index map, one flag array per
+    function in coords).
+    """
+    n = fs[0].n
+    measures = [_iid_marginal(P, j, n) for j in coords]
+    cert = build_junta_lowdeg([fs[j] for j in coords], measures, d, tau, eps,
+                              cell_cap=CELL_CAP)
+    J = cert.junta
+    everywhere = PartialAssignment([None] * n, 2)
+    keep = []
+    for j, nu in zip(coords, measures):
+        regular = regular_cell_mask(fs[j], J, d, tau, nu, cap=CELL_CAP)
+        E = _restricted_cell_expectations(fs[j], J, everywhere,
+                                          P.marginal_measure(j))
+        keep.append(regular & (E > eps / 2))
+    return cert, _cell_index_map(n, 2, J), keep
+
+
 # -- monotone predicates -------------------------------------------------------
 
-def correct_monotone(P: Predicate, fs, eps: float, d: int, tau: float,
-                     cell_cap: int = CELL_CAP) -> CorrectionResult:
+def correct_monotone(P: Predicate, fs, eps: float, d: int,
+                     tau: float) -> CorrectionResult:
     """Correct an approximate polymorphism of a monotone binary predicate.
 
     Builds one junta J making every non-constant-coordinate function
@@ -473,55 +490,39 @@ def correct_monotone(P: Predicate, fs, eps: float, d: int, tau: float,
     if eps <= 0:
         raise DomainError("eps must be positive")
     consts = classify_short_relations(P).constants
+    roles = tuple("constant-coordinate" if j in consts else "cells"
+                  for j in range(P.m))
     for j, b in consts.items():
         if b != 0:
             raise ValidationError("monotone predicate with a constant-one "
                                   "coordinate")
         if fs[j].eval((0,) * n) != 0:
-            ce = _all_member_counterexample(P, fs)
-            trace = CorrectionTrace(junta=(), eta=eps / 2, restriction=None,
-                                    decisions=tuple(() for _ in fs),
-                                    roles=tuple("constant-coordinate" if i in consts
-                                                else "cells" for i in range(P.m)),
-                                    notes=(f"f_{j} is 1 on the forced all-zero "
-                                           f"input of constant coordinate {j}",))
-            return CorrectionResult(gs=tuple(fs), distances=(0.0,) * P.m,
-                                    exact=False, accepted=False,
-                                    counterexample=ce, trace=trace)
+            return _forced_input_rejection(
+                P, fs, eps / 2, roles, f"f_{j} is 1 on the forced all-zero "
+                f"input of constant coordinate {j}")
     rest = [j for j in range(P.m) if j not in consts]
     cert = None
     J: tuple = ()
     gs = list(fs)
     decisions: list[tuple] = [() for _ in fs]
     if rest:
-        measures = {j: _iid_marginal(P, j, n) for j in rest}
-        cert = build_junta_lowdeg([fs[j] for j in rest],
-                                  [measures[j] for j in rest],
-                                  d, tau, eps, cell_cap=cell_cap)
+        cert, cell_idx, keep = _regular_heavy_cells(P, fs, rest, d, tau, eps)
         J = cert.junta
-        cell_idx = _cell_index_map(n, 2, J)
-        empty = PartialAssignment([None] * n, 2)
-        for j in rest:
-            mask = regular_cell_mask(fs[j], J, d, tau, measures[j], cap=cell_cap)
-            E = _restricted_cell_expectations(fs[j], J, empty,
-                                              P.marginal_measure(j))
-            zero = (~mask) | (E <= eps / 2)
-            gvals = np.where(zero[cell_idx], 0, fs[j].values).astype(np.uint8)
+        for j, kept in zip(rest, keep):
+            gvals = np.where(kept[cell_idx], fs[j].values, 0).astype(np.uint8)
             gs[j] = from_values(n, 2, "bit", gvals)
-            decisions[j] = tuple("zeroed" if z else "kept" for z in zero)
+            decisions[j] = tuple("kept" if k else "zeroed" for k in kept)
     exact, ce = is_generalized_polymorphism(P, gs)
     dists = tuple(float(distance(fs[j], gs[j], _iid_marginal(P, j, n)))
                   for j in range(P.m))
     trace = CorrectionTrace(junta=tuple(J), eta=eps / 2, restriction=None,
-                            decisions=tuple(decisions),
-                            roles=tuple("constant-coordinate" if j in consts
-                                        else "cells" for j in range(P.m)),
+                            decisions=tuple(decisions), roles=roles,
                             certificate=cert)
     return CorrectionResult(gs=tuple(gs), distances=dists, exact=exact,
                             accepted=exact, counterexample=ce, trace=trace)
 
 
-# -- general binary predicates -------------------------------------------------
+# -- restriction search --------------------------------------------------------
 
 def _draw_outside(law, n: int, J, rng) -> ColumnRestriction:
     """Sample one star-law pattern per coordinate outside J; coordinates in
@@ -536,6 +537,58 @@ def _draw_outside(law, n: int, J, rng) -> ColumnRestriction:
     return ColumnRestriction(patterns, law.predicate.s)
 
 
+@dataclass(frozen=True)
+class _Rounding:
+    """The winning attempt of a restriction search."""
+
+    restriction: ColumnRestriction
+    gs: tuple
+    decisions: tuple
+    exact: bool
+    counterexample: Counterexample | None
+    preserved: bool
+    distances: tuple
+
+
+def _search_restrictions(P: Predicate, fs, measures, J, round_cells, *,
+                         seed: int, attempts: int, preserve: dict) -> tuple:
+    """The restriction loop shared by correct_general and correct_alphabet.
+
+    Attempt a draws a star-law restriction of P outside J from the
+    (seed, a) stream, and round_cells(restriction) turns it into
+    (tables, per-cell decisions).  The tables are checked exactly against
+    P, compared with the tables named in preserve (position -> table that
+    must come out unchanged), and measured against fs under measures.
+    Attempts rank by (not exact, not preserved, total distance, index); the
+    loop stops at the first exact, preserving attempt whose every distance
+    is within DISTANCE_BUDGET.  Returns (winning _Rounding, attempt log).
+    """
+    n = fs[0].n
+    law = star_law(P, "general")
+    best = None
+    log = []
+    for a in range(attempts):
+        restriction = _draw_outside(law, n, J, _attempt_rng(seed, a))
+        gs, decisions = round_cells(restriction)
+        ok, ce = is_generalized_polymorphism(P, gs)
+        preserved = all(gs[q].equals(g) for q, g in preserve.items())
+        dists = tuple(float(distance(f, g, nu))
+                      for f, g, nu in zip(fs, gs, measures))
+        total = math.fsum(dists)
+        log.append(RestrictionAttempt(index=a, exact=ok,
+                                      characters_preserved=preserved,
+                                      total_distance=total))
+        key = (not ok, not preserved, total, a)
+        if best is None or key < best[0]:
+            best = (key, _Rounding(restriction, tuple(gs), tuple(decisions),
+                                   ok, ce, preserved, dists))
+        if ok and preserved and all(t <= DISTANCE_BUDGET for t in dists):
+            break
+    return best[1], tuple(log)
+
+
+# -- general binary predicates -------------------------------------------------
+
 def _seed_junta(supports, cap: int) -> tuple:
     """Union of decoded supports, greedily by (size, lex) under a cap."""
     out: set = set()
@@ -547,9 +600,7 @@ def _seed_junta(supports, cap: int) -> tuple:
 
 def correct_general(P: Predicate, fs, eps: float, eta: float | None = None,
                     d: int = 2, tau: float = 0.1, attempts: int = 64,
-                    seed: int = 0, distance_budget: float = DISTANCE_BUDGET,
-                    cell_cap: int = CELL_CAP,
-                    junta_cap: int = JUNTA_SEED_CAP) -> CorrectionResult:
+                    seed: int = 0) -> CorrectionResult:
     """Correct an approximate polymorphism of a binary predicate.
 
     Pipeline: normalize short affine relations away (always-constant
@@ -558,9 +609,9 @@ def correct_general(P: Predicate, fs, eps: float, eta: float | None = None,
     grow it until the character-free functions are cell-regular, then
     sample restrictions from the star law until rounding the cells yields
     an exact polymorphism of the projected predicate that also preserves
-    the decoded characters and stays within the distance budget.  The
-    winner extends back over peeled, constant and duplicate coordinates
-    and is re-verified against the full predicate.
+    the decoded characters and keeps every distance within
+    DISTANCE_BUDGET.  The winner extends back over peeled, constant and
+    duplicate coordinates and is re-verified against the full predicate.
 
     Runs with no exact attempt are rejected and carry per-attempt
     diagnostics; symmetry between equal functions is reported when broken
@@ -583,23 +634,16 @@ def correct_general(P: Predicate, fs, eps: float, eta: float | None = None,
     # forced constant inputs are a hard premise, checked in original polarity
     for j, b in cls.constants.items():
         if fs[j].eval((b,) * n) != b:
-            ce = _all_member_counterexample(P, fs)
-            trace = CorrectionTrace(junta=(), eta=eta, restriction=None,
-                                    decisions=tuple(() for _ in fs),
-                                    roles=(None,) * m,
-                                    notes=(f"f_{j} disagrees with constant "
-                                           f"coordinate {j} on its forced "
-                                           f"input",))
-            return CorrectionResult(gs=tuple(fs), distances=(0.0,) * m,
-                                    exact=False, accepted=False,
-                                    counterexample=ce, trace=trace)
+            return _forced_input_rejection(
+                P, fs, eta, (None,) * m, f"f_{j} disagrees with constant "
+                f"coordinate {j} on its forced input")
 
     negated = {j for j, b in cls.constants.items() if b == 1}
-    dup_of: dict[int, tuple[int, int]] = {}
+    dup_of: dict[int, int] = {}
     for rep, members in cls.classes.items():
         for k, neg in members.items():
             if k != rep:
-                dup_of[k] = (rep, neg)
+                dup_of[k] = rep
                 if neg == 1:
                     negated.add(k)
     P_neg = _negate_predicate(P, negated) if negated else P
@@ -617,88 +661,62 @@ def correct_general(P: Predicate, fs, eps: float, eta: float | None = None,
     I_pos = list(peel.active)
     F_pos = list(peel.free)
     J0 = _seed_junta([char_of[r].support for r in I_pos if r in char_of],
-                     junta_cap)
+                     JUNTA_SEED_CAP)
     cert = None
     if F_pos:
         cert = build_junta_lowdeg([f_prime[r] for r in F_pos],
                                   [_iid_marginal(P_rep, r, n) for r in F_pos],
-                                  d, tau, eps, cell_cap=cell_cap, initial=J0)
+                                  d, tau, eps, cell_cap=CELL_CAP, initial=J0)
         J = tuple(cert.junta)
     else:
         J = J0
 
     P_I = P_rep.project(I_pos) if len(I_pos) < len(reps) else P_rep
     fs_I = [f_prime[r] for r in I_pos]
-    marg_I = [P_I.marginal_measure(q) for q in range(len(I_pos))]
-    law = star_law(P_I, "general")
 
-    best = None   # (sort key, attempt record, RoundedCells, restriction)
-    attempt_log = []
-    for a in range(attempts):
-        restriction = _draw_outside(law, n, J, _attempt_rng(seed, a))
+    def round_cells(restriction):
         rounded = round_general_cell(fs_I, J, restriction, eta, P_I)
-        ok, _ = is_generalized_polymorphism(P_I, rounded.gs)
-        preserved = all(
-            rounded.gs[q].equals(f_prime[r])
-            for q, r in enumerate(I_pos) if r in char_of)
-        dists = [float(distance(rounded.gs[q], fs_rep[r],
-                                ProductMeasure.iid(marg_I[q], n)))
-                 for q, r in enumerate(I_pos)]
-        total = math.fsum(dists)
-        rec = RestrictionAttempt(index=a, exact=ok,
-                                 characters_preserved=preserved,
-                                 total_distance=total)
-        attempt_log.append(rec)
-        key = (not ok, not preserved, total, a)
-        if best is None or key < best[0]:
-            best = (key, rec, rounded, restriction)
-        if ok and preserved and all(t <= distance_budget for t in dists):
-            break
-    _, win, rounded, restriction = best
+        return rounded.gs, rounded.decisions
+
+    win, attempt_log = _search_restrictions(
+        P_I, [fs_rep[r] for r in I_pos],
+        [_iid_marginal(P_I, q, n) for q in range(len(I_pos))], J, round_cells,
+        seed=seed, attempts=attempts,
+        preserve={q: f_prime[r] for q, r in enumerate(I_pos) if r in char_of})
 
     # extend over peeled coordinates, then duplicates and constants, then
     # undo the negation normalization
     gs_neg: list = [None] * m
+    roles: list = [None] * m
+    decisions: list = [()] * m
     for q, r in enumerate(I_pos):
-        gs_neg[reps[r]] = rounded.gs[q]
+        j = reps[r]
+        gs_neg[j], decisions[j] = win.gs[q], win.decisions[q]
+        roles[j] = "character" if r in char_of else "rounded"
     for r in range(len(reps)):
         if r not in I_pos:
-            gs_neg[reps[r]] = f_prime[r]
-    for k, (rep, _neg) in dup_of.items():
-        gs_neg[k] = gs_neg[rep]
-    for j in cls.constants:
-        gs_neg[j] = constant(n, 0, 2, "bit")
+            gs_neg[reps[r]], roles[reps[r]] = f_prime[r], "character"
+    for k, rep in dup_of.items():
+        gs_neg[k], roles[k] = gs_neg[rep], f"duplicate-of-{rep}"
+    for j, b in cls.constants.items():
+        gs_neg[j], roles[j] = constant(n, 0, 2, "bit"), f"constant-{b}"
     gs = tuple(_negate_table(g) if j in negated else g
                for j, g in enumerate(gs_neg))
 
     exact, ce = is_generalized_polymorphism(P, gs)
     dists = tuple(float(distance(fs[j], gs[j], _iid_marginal(P, j, n)))
                   for j in range(m))
-    accepted = (exact and win.exact and win.characters_preserved
-                and all(t <= distance_budget for t in dists))
-
-    roles: list = [None] * m
-    decisions: list = [()] * m
-    for q, r in enumerate(I_pos):
-        j = reps[r]
-        roles[j] = "character" if r in char_of else "rounded"
-        decisions[j] = rounded.decisions[q]
-    for r in range(len(reps)):
-        if r not in I_pos:
-            roles[reps[r]] = "character"
-    for k, (rep, _neg) in dup_of.items():
-        roles[k] = f"duplicate-of-{rep}"
-    for j in cls.constants:
-        roles[j] = f"constant-{cls.constants[j]}"
+    accepted = (exact and win.exact and win.preserved
+                and all(t <= DISTANCE_BUDGET for t in dists))
 
     notes = list(peel.conflicts)
     if not peel.unique_extension:
         notes.append("projection onto the active coordinates is not uniquely "
                      "extendable")
     notes.extend(_symmetry_notes(P, fs, gs))
-    trace = CorrectionTrace(junta=tuple(J), eta=eta, restriction=restriction,
+    trace = CorrectionTrace(junta=tuple(J), eta=eta, restriction=win.restriction,
                             decisions=tuple(decisions), roles=tuple(roles),
-                            attempts=tuple(attempt_log), peeling=peel,
+                            attempts=attempt_log, peeling=peel,
                             certificate=cert, negated=tuple(sorted(negated)),
                             notes=tuple(notes))
     return CorrectionResult(gs=gs, distances=dists, exact=exact,
@@ -709,9 +727,7 @@ def correct_general(P: Predicate, fs, eps: float, eta: float | None = None,
 
 def correct_alphabet(P: Predicate, fs, eps: float, eta: float | None = None,
                      d: int = 2, tau: float = 0.1, attempts: int = 64,
-                     seed: int = 0,
-                     distance_budget: float = DISTANCE_BUDGET,
-                     cell_cap: int = CELL_CAP) -> CorrectionResult:
+                     seed: int = 0) -> CorrectionResult:
     """Correct an approximate polymorphism over any alphabet, assuming
     every coordinate of P is flexible.
 
@@ -720,7 +736,7 @@ def correct_alphabet(P: Predicate, fs, eps: float, eta: float | None = None,
     probability reaches eta and remaps the rest to the most likely
     survivor (ties to the smallest symbol).  With eta at most 1/|Sigma|
     the survivor set is never empty.  Attempts are accepted exactly as in
-    correct_general.
+    correct_general; the winner's check is the run's verdict.
     """
     flex = flexible_coordinates(P)
     bad = [fc.coordinate for fc in flex if not fc.flexible]
@@ -740,16 +756,12 @@ def correct_alphabet(P: Predicate, fs, eps: float, eta: float | None = None,
         raise DomainError("need at least one restriction attempt")
     m = P.m
     measures = [_iid_marginal(P, j, n) for j in range(m)]
-    cert = build_junta_lowdeg(fs, measures, d, tau, eps, cell_cap=cell_cap)
+    cert = build_junta_lowdeg(fs, measures, d, tau, eps, cell_cap=CELL_CAP)
     J = tuple(cert.junta)
     cell_idx = _cell_index_map(n, s, J)
-    law = star_law(P, "general")
 
-    best = None
-    attempt_log = []
-    for a in range(attempts):
-        restriction = _draw_outside(law, n, J, _attempt_rng(seed, a))
-        gs_try, decs = [], []
+    def round_cells(restriction):
+        gs, decisions = [], []
         for j, f in enumerate(fs):
             probs = _restricted_value_probs(f, J, restriction.assignment_for(j),
                                             P.marginal_measure(j))
@@ -759,32 +771,23 @@ def correct_alphabet(P: Predicate, fs, eps: float, eta: float | None = None,
             gvals = np.where(keep, f.values, sigma0[cell_idx]).astype(np.uint8)
             changed = np.zeros(probs.shape[1], dtype=bool)
             np.logical_or.at(changed, cell_idx, gvals != f.values)
-            decs.append(tuple(
+            decisions.append(tuple(
                 f"rounded-to-{int(sigma0[c])}" if changed[c] else "kept"
                 for c in range(probs.shape[1])))
-            gs_try.append(from_values(n, s, f.codomain, gvals))
-        ok, _ = is_generalized_polymorphism(P, gs_try)
-        dists = [float(distance(fs[j], gs_try[j], measures[j]))
-                 for j in range(m)]
-        total = math.fsum(dists)
-        rec = RestrictionAttempt(index=a, exact=ok, characters_preserved=True,
-                                 total_distance=total)
-        attempt_log.append(rec)
-        key = (not ok, total, a)
-        if best is None or key < best[0]:
-            best = (key, rec, tuple(gs_try), tuple(decs), restriction, dists)
-        if ok and all(t <= distance_budget for t in dists):
-            break
-    _, win, gs, decisions, restriction, dists = best
-    accepted = win.exact and all(t <= distance_budget for t in dists)
-    exact, ce = is_generalized_polymorphism(P, gs)
-    notes = _symmetry_notes(P, fs, gs)
-    trace = CorrectionTrace(junta=J, eta=eta, restriction=restriction,
-                            decisions=decisions, roles=("rounded",) * m,
-                            attempts=tuple(attempt_log), certificate=cert,
-                            notes=notes)
-    return CorrectionResult(gs=gs, distances=tuple(dists), exact=exact,
-                            accepted=accepted, counterexample=ce, trace=trace)
+            gs.append(from_values(n, s, f.codomain, gvals))
+        return gs, decisions
+
+    win, attempt_log = _search_restrictions(
+        P, fs, measures, J, round_cells, seed=seed, attempts=attempts,
+        preserve={})
+    accepted = win.exact and all(t <= DISTANCE_BUDGET for t in win.distances)
+    trace = CorrectionTrace(junta=J, eta=eta, restriction=win.restriction,
+                            decisions=win.decisions, roles=("rounded",) * m,
+                            attempts=attempt_log, certificate=cert,
+                            notes=_symmetry_notes(P, fs, win.gs))
+    return CorrectionResult(gs=win.gs, distances=win.distances,
+                            exact=win.exact, accepted=accepted,
+                            counterexample=win.counterexample, trace=trace)
 
 
 # -- Markov-chain agreement ------------------------------------------------------
@@ -881,7 +884,7 @@ def markov_agreement(chain: TransitionChain, f: FunctionTable) -> AgreementRepor
         h = (f.values == sigma).astype(float)
         arr = h.reshape((s,) * n)
         for i in range(n):
-            arr = _apply_axis(chain.factors[chain.assignment[i]], arr,
+            arr = _apply_along_axis(chain.factors[chain.assignment[i]], arr,
                               n - 1 - i)
         agree += float(h @ arr.reshape(-1)) / total
     disagreement = max(0.0, 1.0 - agree)
@@ -945,8 +948,8 @@ def friedgut_regev_lift(family, k: int, n: int | None = None) -> FunctionTable:
 # -- fractional NAND -------------------------------------------------------------
 
 def correct_fractional_nand(f1: FunctionTable, f2: FunctionTable, p: float,
-                            eps: float, d: int, tau: float,
-                            cell_cap: int = CELL_CAP) -> FractionalCorrection:
+                            eps: float, d: int,
+                            tau: float) -> FractionalCorrection:
     """Round a fractional NAND polymorphism pair to Boolean juntas.
 
     Under the p-biased measure (0 < p < 1/2) a joint regularity junta J is
@@ -964,25 +967,18 @@ def correct_fractional_nand(f1: FunctionTable, f2: FunctionTable, p: float,
     n, _ = _require_tables(fs, 2, codomains=("bit", "real"))
     pf = Fraction(p)
     P = Predicate(2, 2, [(0, 0), (0, 1), (1, 0)], [1 - 2 * pf, pf, pf])
-    measures = [_iid_marginal(P, j, n) for j in range(2)]
-    cert = build_junta_lowdeg(fs, measures, d, tau, eps, cell_cap=cell_cap)
-    J = tuple(cert.junta)
-    cell_idx = _cell_index_map(n, 2, J)
-    empty = PartialAssignment([None] * n, 2)
+    cert, cell_idx, keep = _regular_heavy_cells(P, fs, (0, 1), d, tau, eps)
     gs, decisions, losses = [], [], []
-    for j, f in enumerate(fs):
-        mask = regular_cell_mask(f, J, d, tau, measures[j], cap=cell_cap)
-        E = _restricted_cell_expectations(f, J, empty, P.marginal_measure(j))
-        one = mask & (E > eps / 2)
+    for j, (f, one) in enumerate(zip(fs, keep)):
         gvals = one[cell_idx].astype(np.uint8)
         gs.append(from_values(n, 2, "bit", gvals))
         decisions.append(tuple("fixed-1" if v else "zeroed" for v in one))
-        w = measures[j].weights()
+        w = _iid_marginal(P, j, n).weights()
         losses.append(float(w @ ((1.0 - gvals) * f.as_real())))
     if f1.equals(f2) and not gs[0].equals(gs[1]):
         raise AssertionError("equal inputs produced different outputs")
     exact, ce = is_generalized_polymorphism(P, gs)
-    trace = CorrectionTrace(junta=J, eta=eps / 2, restriction=None,
+    trace = CorrectionTrace(junta=cert.junta, eta=eps / 2, restriction=None,
                             decisions=tuple(decisions), roles=("cells", "cells"),
                             certificate=cert)
     return FractionalCorrection(gs=tuple(gs), losses=tuple(losses),

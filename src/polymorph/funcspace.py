@@ -11,7 +11,7 @@ Codomains: 'bit' ({0,1}), 'sym' (Sigma itself), 'real' ([0,1]).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+import math
 from functools import reduce
 from typing import Iterable, Iterator, Sequence
 
@@ -22,7 +22,6 @@ from .errors import DomainError, ResourceError, ValidationError
 NORM_TOL = 1e-12
 TABLE_CAP = 1 << 22   # max entries of a dense table
 BINARY_N_CAP = 20     # max n for s = 2
-CELL_CAP = 1 << 20    # max cells enumerate_cells will expand
 
 CODOMAINS = ("bit", "sym", "real")
 
@@ -56,8 +55,8 @@ class Measure:
         arr = np.asarray(probs, dtype=np.float64)
         if arr.ndim != 1 or arr.size < 2:
             raise ValidationError("measure needs at least two symbols")
-        if np.any(arr < 0):
-            raise ValidationError("measure has negative weight")
+        if not np.all(arr >= 0):
+            raise ValidationError("measure has a negative or NaN weight")
         if abs(float(arr.sum()) - 1.0) > NORM_TOL:
             raise ValidationError(
                 f"measure not normalized: sum = {float(arr.sum())!r}")
@@ -173,16 +172,6 @@ class PartialAssignment:
     def fixed(self) -> tuple[int, ...]:
         return tuple(i for i, v in enumerate(self.entries) if v is not None)
 
-    def fill(self, free_values: Sequence[int]) -> tuple[int, ...]:
-        """Complete to a full point, free coordinates in increasing order."""
-        free = self.free
-        if len(free_values) != len(free):
-            raise DomainError("wrong number of free values")
-        out = list(self.entries)
-        for i, v in zip(free, free_values):
-            out[i] = int(v)
-        return tuple(out)  # type: ignore[return-value]
-
     def __eq__(self, other):
         return (isinstance(other, PartialAssignment)
                 and self.entries == other.entries and self.s == other.s)
@@ -190,26 +179,6 @@ class PartialAssignment:
     def __repr__(self):
         body = "".join("*" if v is None else str(v) for v in self.entries)
         return f"PartialAssignment({body})"
-
-
-@dataclass(frozen=True)
-class Character:
-    """A binary character chi(x) = offset xor parity of x on the support."""
-
-    support: frozenset[int]
-    offset: int = 0
-
-    def eval(self, x: Sequence[int]) -> int:
-        acc = self.offset
-        for i in self.support:
-            acc ^= int(x[i]) & 1
-        return acc
-
-    def to_table(self, n: int) -> "FunctionTable":
-        return character(n, self.support, self.offset)
-
-    def sorted_support(self) -> tuple[int, ...]:
-        return tuple(sorted(self.support))
 
 
 class FunctionTable:
@@ -226,17 +195,21 @@ class FunctionTable:
             raise ResourceError(f"binary n = {n} exceeds cap {BINARY_N_CAP}")
         if s ** n > TABLE_CAP:
             raise ResourceError(f"table size {s}^{n} exceeds cap {TABLE_CAP}")
-        dtype = np.float64 if codomain == "real" else np.uint8
-        arr = np.asarray(values, dtype=dtype)
-        if arr.shape != (s ** n,):
+        raw = np.asarray(values)
+        if raw.shape != (s ** n,):
             raise ValidationError(
-                f"table needs {s ** n} entries, got shape {arr.shape}")
-        if codomain == "bit" and arr.max(initial=0) > 1:
+                f"table needs {s ** n} entries, got shape {raw.shape}")
+        # range checks run before the cast, so negative or oversized entries
+        # cannot wrap around in uint8, and NaN fails every comparison
+        lo, hi = raw.min(), raw.max()
+        if codomain == "bit" and not (0 <= lo and hi <= 1):
             raise DomainError("bit table contains entries outside {0,1}")
-        if codomain == "sym" and arr.max(initial=0) >= s:
+        if codomain == "sym" and not (0 <= lo and hi < s):
             raise DomainError("sym table contains symbols outside the alphabet")
-        if codomain == "real" and (arr.min(initial=0.0) < 0.0 or arr.max(initial=0.0) > 1.0):
-            raise DomainError("real table contains entries outside [0, 1]")
+        if codomain == "real" and not (0.0 <= lo and hi <= 1.0):
+            raise DomainError("real table contains entries outside [0, 1] or NaN")
+        arr = raw.astype(np.float64 if codomain == "real" else np.uint8,
+                         copy=False)
         self.n = n
         self.s = s
         self.codomain = codomain
@@ -271,18 +244,6 @@ class FunctionTable:
 
     def as_real(self) -> np.ndarray:
         return self.values.astype(np.float64)
-
-    @property
-    def packed(self) -> np.ndarray:
-        """1-bit-per-entry storage for bit tables."""
-        if self.codomain != "bit":
-            raise ValidationError("packed storage is for bit tables")
-        return np.packbits(self.values)
-
-    @classmethod
-    def from_packed(cls, n: int, packed: np.ndarray) -> "FunctionTable":
-        values = np.unpackbits(np.asarray(packed, dtype=np.uint8))[: 1 << n]
-        return cls(n, 2, "bit", values)
 
     def equals(self, other: "FunctionTable") -> bool:
         return (self.n == other.n and self.s == other.s
@@ -400,7 +361,7 @@ def expectation(f: FunctionTable, nu: ProductMeasure) -> float:
 
 
 def enumerate_cells(f: FunctionTable, J: Iterable[int], nu_J: ProductMeasure,
-                    cap: int = CELL_CAP):
+                    cap: int = TABLE_CAP):
     """Yield (assignment over sorted J, weight, subfunction on the rest).
 
     nu_J carries one measure per J coordinate, ordered by increasing
@@ -424,6 +385,49 @@ def enumerate_cells(f: FunctionTable, J: Iterable[int], nu_J: ProductMeasure,
 
 # -- text file format --------------------------------------------------------
 
+def parse_numbers(tokens: Sequence[str], kind, where: str) -> list:
+    """Convert every token with kind (int, float or Fraction).  A token that
+    does not convert, or a non-finite float, raises ValidationError naming
+    where."""
+    try:
+        out = [kind(t) for t in tokens]
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValidationError(f"{where}: {exc}") from None
+    if kind is float and not all(map(math.isfinite, out)):
+        raise ValidationError(f"{where}: numbers must be finite")
+    return out
+
+
+def read_fields(tokens: Iterable[str], types: dict, where: str,
+                required: Sequence[str] = ()) -> dict:
+    """The key=value tokenizer shared by every text format.
+
+    Each token splits at its first '='; key and value are stripped and a
+    later key overrides an earlier one.  Keys named in types are converted
+    by parse_numbers, the rest stay strings.  A token without '=' or a
+    missing required key raises ValidationError naming where.
+    """
+    out = {}
+    for tok in tokens:
+        key, sep, value = tok.partition("=")
+        if not sep:
+            raise ValidationError(f"{where}: expected key=value, got {tok!r}")
+        key, value = key.strip(), value.strip()
+        if key in types:
+            value = parse_numbers([value], types[key], f"{where}: {key}")[0]
+        out[key] = value
+    missing = [k for k in required if k not in out]
+    if missing:
+        raise ValidationError(f"{where}: missing {', '.join(missing)}")
+    return out
+
+
+def text_lines(text: str) -> list[str]:
+    """Stripped non-empty lines that are not '#' comments."""
+    return [ln.strip() for ln in text.splitlines()
+            if ln.strip() and not ln.strip().startswith("#")]
+
+
 def format_function(f: FunctionTable) -> str:
     header = f"fn n={f.n} sigma={f.s} codomain={f.codomain}"
     if f.codomain == "real":
@@ -431,15 +435,6 @@ def format_function(f: FunctionTable) -> str:
     else:
         body = " ".join(str(int(v)) for v in f.values)
     return f"{header}\ntable {body}\n"
-
-
-def _parse_header(line: str) -> dict[str, str]:
-    parts = line.split()
-    out = {}
-    for p in parts[1:]:
-        k, _, v = p.partition("=")
-        out[k] = v
-    return out
 
 
 def parse_function(text: str) -> FunctionTable:
@@ -450,32 +445,24 @@ def parse_function(text: str) -> FunctionTable:
     ``char S=1,2 b=0``, ``dictator i=3``, ``hybrid``, ``and``, ``or``,
     ``const v``.  Constructor coordinates are 1-based.
     """
-    lines = [ln.strip() for ln in text.splitlines()
-             if ln.strip() and not ln.strip().startswith("#")]
+    lines = text_lines(text)
     if len(lines) < 2 or not lines[0].startswith("fn "):
         raise ValidationError("function file needs a 'fn' header and a body line")
-    head = _parse_header(lines[0])
-    try:
-        n, s = int(head["n"]), int(head["sigma"])
-        codomain = head["codomain"]
-    except (KeyError, ValueError) as e:
-        raise ValidationError(f"bad function header: {lines[0]!r}") from e
-    body = lines[1]
-    word = body.split()[0]
+    head = read_fields(lines[0].split()[1:], {"n": int, "sigma": int},
+                       "function header", required=("n", "sigma", "codomain"))
+    n, s, codomain = head["n"], head["sigma"], head["codomain"]
+    word, *rest = lines[1].split()
+    kind = float if codomain == "real" else int
     if word == "table":
-        toks = body.split()[1:]
-        if codomain == "real":
-            values = [float(t) for t in toks]
-        else:
-            values = [int(t) for t in toks]
-        return FunctionTable(n, s, codomain, values)
+        return FunctionTable(n, s, codomain, parse_numbers(rest, kind, "table"))
     if word == "char":
-        opts = _parse_header(body)
-        supp = [int(t) - 1 for t in opts["S"].split(",")] if opts.get("S") else []
-        return character(n, supp, int(opts.get("b", "0")))
+        opts = read_fields(rest, {"b": int}, "char")
+        supp = parse_numbers(opts["S"].split(","), int, "char S") \
+            if opts.get("S") else []
+        return character(n, [i - 1 for i in supp], opts.get("b", 0))
     if word == "dictator":
-        opts = _parse_header(body)
-        return dictator(n, int(opts["i"]) - 1, s)
+        opts = read_fields(rest, {"i": int}, "dictator", required=("i",))
+        return dictator(n, opts["i"] - 1, s)
     if word == "hybrid":
         return hybrid(n)
     if word == "and":
@@ -483,10 +470,10 @@ def parse_function(text: str) -> FunctionTable:
     if word == "or":
         return or_all(n)
     if word == "const":
-        tok = body.split()[1]
-        value = float(tok) if codomain == "real" else int(tok)
-        return constant(n, value, s, codomain)
-    raise ValidationError(f"unknown function body line: {body!r}")
+        if len(rest) != 1:
+            raise ValidationError("const needs exactly one value")
+        return constant(n, parse_numbers(rest, kind, "const")[0], s, codomain)
+    raise ValidationError(f"unknown function body line: {lines[1]!r}")
 
 
 def load_function(path) -> FunctionTable:

@@ -16,8 +16,6 @@ coefficient is exactly the bitmask of its support.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DomainError, UnsupportedError, ValidationError
@@ -83,7 +81,7 @@ class Decomposition:
             nonzero = (idx // self.s ** i) % self.s != 0
             masks |= nonzero.astype(np.int64) << i
             levels += nonzero
-        self._masks, self._levels = masks, levels
+        self._masks = masks
         c2 = self.coeffs ** 2
         self.norm2_by_mask = np.zeros(1 << self.n)
         np.add.at(self.norm2_by_mask, masks, c2)
@@ -131,10 +129,6 @@ class Decomposition:
     def reconstruct(self) -> np.ndarray:
         """Sum of all components; equals the input table up to roundoff."""
         return self._inverse(self.coeffs)
-
-    def project_up_to_degree(self, d: int) -> np.ndarray:
-        kept = np.where(self._levels <= d, self.coeffs, 0.0)
-        return self._inverse(kept)
 
     def low_degree_influence(self, i: int, d: int) -> float:
         if not (0 <= i < self.n):
@@ -244,36 +238,3 @@ def average_out(f: FunctionTable, i: int, nu: ProductMeasure) -> FunctionTable:
     avg = (arr * probs).sum(axis=axis, keepdims=True)
     out = np.broadcast_to(avg, arr.shape).reshape(-1)
     return FunctionTable(f.n, f.s, "real", np.clip(out, 0.0, 1.0))
-
-
-@dataclass(frozen=True)
-class RegularityReport:
-    """Outcome of a (d, tau)-regularity check."""
-
-    regular: bool
-    coordinate: int | None
-    symbol: int | None
-    influence: float
-
-
-def is_regular(f: FunctionTable, d: int, tau: float, nu: ProductMeasure) -> RegularityReport:
-    """All low-degree influences at most tau; sym tables check every indicator.
-
-    The witness is the coordinate (and symbol, for sym tables) of the
-    largest low-degree influence.
-    """
-    if tau < 0:
-        raise ValidationError("tau must be nonnegative")
-    if f.codomain == "sym":
-        tables = [(sigma, indicator_table(f, sigma)) for sigma in range(f.s)]
-    else:
-        tables = [(None, f)]
-    best = (-1.0, None, None)
-    for symbol, table in tables:
-        dec = Decomposition(table, nu)
-        for i in range(f.n):
-            inf = dec.low_degree_influence(i, d)
-            if inf > best[0]:
-                best = (inf, i, symbol)
-    influence, coord, symbol = best
-    return RegularityReport(influence <= tau, coord, symbol, influence)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DomainError, ResourceError, UnsupportedError
 from .funcspace import (FunctionTable, PartialAssignment, ProductMeasure,
-                        decode_point)
+                        decode_point, encode_point)
 from .predicates import Predicate, StarLaw
 
 ODOMETER_CAP = 1 << 24
@@ -34,6 +34,13 @@ class Counterexample:
 
     inputs: tuple          # m input vectors, one per function
     outputs: tuple
+
+    @classmethod
+    def from_columns(cls, fs, columns) -> "Counterexample":
+        """Function j reads row j of the columns; outputs are unchecked."""
+        inputs = tuple(tuple(c[j] for c in columns) for j in range(len(fs)))
+        return cls(inputs=inputs,
+                   outputs=tuple(f.eval(x) for f, x in zip(fs, inputs)))
 
     def columns(self) -> list[tuple]:
         n = len(self.inputs[0])
@@ -68,24 +75,16 @@ def _member_array(P: Predicate) -> np.ndarray:
     return np.array(P.members, dtype=np.int64)
 
 
-def _output_code(outputs, s: int) -> int:
-    code = 0
-    for j in reversed(range(len(outputs))):
-        code = code * s + int(outputs[j])
-    return code
-
-
 def _member_table(P: Predicate) -> np.ndarray:
     table = np.zeros(P.s ** P.m, dtype=bool)
     for w in P.members:
-        table[_output_code(w, P.s)] = True
+        table[encode_point(w, P.s)] = True
     return table
 
 
 def evaluate_columns(fs, columns) -> tuple:
     """Outputs of the functions on explicit columns (one member per coordinate)."""
-    inputs = [tuple(c[j] for c in columns) for j in range(len(fs))]
-    return tuple(f.eval(x) for f, x in zip(fs, inputs))
+    return Counterexample.from_columns(fs, columns).outputs
 
 
 # -- exact engines -------------------------------------------------------------
@@ -165,14 +164,12 @@ def _contract(P: Predicate, fs, weights, dtype, combine, cap: int):
     C = np.zeros((s ** n, 1, s), dtype=dtype)
     C[np.arange(s ** n), 0, fs[0].values.astype(np.int64)] = 1
     T = 1
+    others = [encode_point(w[1:], s) for w in P.members]
     for _ in range(n):
         R = C.shape[0]
         Cv = C.reshape(R // s, s, T, s)
         C2 = np.zeros((R // s, t, T, s), dtype=dtype)
-        for w, weight in zip(P.members, weights):
-            e = 0
-            for j in reversed(range(1, m)):
-                e = e * s + w[j]
+        for w, e, weight in zip(P.members, others, weights):
             combine(C2[:, e], Cv[:, w[0]], weight)
         T *= t
         C = C2.reshape(R // s, T, s)
@@ -232,11 +229,10 @@ def _counterexample_from_code(P: Predicate, fs, code: int) -> Counterexample:
     n = fs[0].n
     K = len(P)
     cols = [P.members[d] for d in decode_point(code, n, K)]
-    inputs = tuple(tuple(c[j] for c in cols) for j in range(P.m))
-    outputs = tuple(f.eval(x) for f, x in zip(fs, inputs))
-    if any(c not in P for c in cols) or outputs in P:
+    ce = Counterexample.from_columns(fs, cols)
+    if any(c not in P for c in cols) or ce.outputs in P:
         raise AssertionError("internal error: counterexample failed verification")
-    return Counterexample(inputs=inputs, outputs=outputs)
+    return ce
 
 
 def _search_counterexample(P: Predicate, fs, alpha_code: int,
@@ -251,7 +247,7 @@ def _search_counterexample(P: Predicate, fs, alpha_code: int,
         for w in P.members:
             if rem == 1:
                 outs = tuple(f.eval((w[j],)) for j, f in enumerate(cur))
-                if _output_code(outs, s) == alpha_code:
+                if encode_point(outs, s) == alpha_code:
                     hit = w
                     break
             else:
@@ -264,11 +260,10 @@ def _search_counterexample(P: Predicate, fs, alpha_code: int,
         if hit is None:
             raise AssertionError("internal error: achievable output lost")
         chosen.append(hit)
-    inputs = tuple(tuple(c[j] for c in chosen) for j in range(P.m))
-    outputs = tuple(f.eval(x) for f, x in zip(fs, inputs))
-    if outputs != decode_point(alpha_code, P.m, s):
+    ce = Counterexample.from_columns(fs, chosen)
+    if ce.outputs != decode_point(alpha_code, P.m, s):
         raise AssertionError("internal error: rebuilt outputs disagree")
-    return Counterexample(inputs=inputs, outputs=outputs)
+    return ce
 
 
 def is_generalized_polymorphism(P: Predicate, fs, cap: int = ODOMETER_CAP,
@@ -289,8 +284,9 @@ def is_generalized_polymorphism(P: Predicate, fs, cap: int = ODOMETER_CAP,
 
 # -- Monte Carlo ---------------------------------------------------------------
 
-def wilson_interval(successes: int, trials: int, z: float = WILSON_Z):
+def wilson_interval(successes: int, trials: int):
     """95% Wilson score interval for a binomial proportion."""
+    z = WILSON_Z
     if trials <= 0:
         raise DomainError("need a positive number of trials")
     phat = successes / trials
@@ -303,11 +299,6 @@ def wilson_interval(successes: int, trials: int, z: float = WILSON_Z):
     return lo, hi
 
 
-def _rng(seed: int) -> np.random.Generator:
-    # counter-based generator: streams are reproducible across platforms
-    return np.random.Generator(np.random.Philox(key=seed))
-
-
 def violation_mc(P: Predicate, fs, samples: int, seed: int) -> ViolationReport:
     """Monte Carlo violation estimate with a Wilson 95% interval."""
     n, s = _check_functions(P, fs)
@@ -318,7 +309,8 @@ def violation_mc(P: Predicate, fs, samples: int, seed: int) -> ViolationReport:
     muvec = muvec / muvec.sum()
     in_p = _member_table(P)
     powers = s ** np.arange(n, dtype=np.int64)
-    rng = _rng(seed)
+    # counter-based generator: streams are reproducible across platforms
+    rng = np.random.Generator(np.random.Philox(key=seed))
     bad = 0
     done = 0
     while done < samples:
@@ -336,18 +328,7 @@ def violation_mc(P: Predicate, fs, samples: int, seed: int) -> ViolationReport:
                            interval=(lo, hi))
 
 
-# -- colorings, joint values, restrictions, survival ----------------------------
-
-def chi_coloring(fs, measures, eps: float):
-    """Per-function color: 0 if E <= eps, 1 if E >= 1 - eps, else None."""
-    if not (0 <= eps < 0.5):
-        raise DomainError("eps must lie in [0, 1/2)")
-    out = []
-    for f, nu in zip(fs, measures):
-        e = float(np.dot(nu.weights(), f.as_real()))
-        out.append(0 if e <= eps else 1 if e >= 1.0 - eps else None)
-    return out
-
+# -- restrictions and joint values -----------------------------------------------
 
 class ColumnRestriction:
     """One star-law pattern per coordinate; row j restricts function j."""
@@ -363,9 +344,6 @@ class ColumnRestriction:
     def assignment_for(self, j: int) -> PartialAssignment:
         return PartialAssignment(
             [p[j] for p in self.patterns], s=self.s)
-
-    def star_positions(self, j: int) -> tuple:
-        return tuple(i for i, p in enumerate(self.patterns) if p[j] is None)
 
 
 def draw_restriction(law: StarLaw, n: int, rng) -> ColumnRestriction:
@@ -406,53 +384,10 @@ def joint_value_probability(P: Predicate, fs, alpha, restriction=None,
         raise DomainError("alpha must assign one output per function")
     if restriction is None:
         Q, _ = joint_output_distribution(P, fs, cap)
-        return float(Q[_output_code(alpha, P.s)])
+        return float(Q[encode_point(alpha, P.s)])
     prob = 1.0
     for j, f in enumerate(fs):
         dist = restricted_value_distribution(
             f, restriction.assignment_for(j), P.marginal_measure(j))
         prob *= float(dist[int(alpha[j])])
     return prob
-
-
-@dataclass(frozen=True)
-class SurvivalReport:
-    estimate: float
-    half_width: float
-    interval: tuple
-    samples: int
-    q: float
-    delta: float
-
-
-def survival_probability(f: FunctionTable, q: float, nu: ProductMeasure,
-                         delta: float, samples: int, seed: int) -> SurvivalReport:
-    """Monte Carlo Pr over random restrictions that E[f|rho] >= delta.
-
-    Each coordinate independently stays free with probability q, otherwise
-    it is fixed to a draw from nu; the restricted expectation itself is
-    computed exactly for every sampled restriction.
-    """
-    if f.codomain == "sym":
-        raise UnsupportedError("survival needs bit or real outputs")
-    if not (0 <= q <= 1):
-        raise DomainError("q must lie in [0, 1]")
-    rng = _rng(seed)
-    arr = f.as_real().reshape((f.s,) * f.n)
-    hits = 0
-    for _ in range(samples):
-        stars = rng.random(f.n) < q
-        vals = [int(rng.choice(f.s, p=nu.measures[i].probs)) for i in range(f.n)]
-        vec = arr
-        # axis 0 always holds the highest unprocessed coordinate
-        for i in reversed(range(f.n)):
-            if stars[i]:
-                probs = nu.measures[i].probs
-                vec = np.tensordot(probs, vec, axes=([0], [0]))
-            else:
-                vec = np.take(vec, vals[i], axis=0)
-        if float(vec) >= delta:
-            hits += 1
-    lo, hi = wilson_interval(hits, samples)
-    return SurvivalReport(estimate=hits / samples, half_width=(hi - lo) / 2,
-                          interval=(lo, hi), samples=samples, q=q, delta=delta)

@@ -21,20 +21,17 @@ import numpy as np
 
 from .errors import (DomainError, ResourceError, UnsupportedError,
                      ValidationError)
-from .funcspace import Measure
+from .funcspace import Measure, parse_numbers, read_fields, text_lines
 
 RELATION_M_CAP = 16
 
 
 def _to_fraction(w) -> Fraction:
-    if isinstance(w, Fraction):
-        return w
-    if isinstance(w, int):
-        return Fraction(w)
-    if isinstance(w, float):
-        return Fraction(w)
-    if isinstance(w, str):
-        return Fraction(w)
+    if isinstance(w, (Fraction, int, float, str)):
+        try:
+            return Fraction(w)
+        except (ValueError, ZeroDivisionError, OverflowError):
+            pass
     raise ValidationError(f"cannot read weight {w!r}")
 
 
@@ -109,16 +106,6 @@ class Predicate:
             acc[key] = acc.get(key, Fraction(0)) + p
         members = sorted(acc)
         return Predicate(len(I), self.s, members, [acc[w] for w in members])
-
-    def weight_table(self) -> np.ndarray:
-        """Dense mu over Sigma^m in point-index order (floats, zeros off P)."""
-        out = np.zeros(self.s ** self.m)
-        for w, p in zip(self.members, self.weights):
-            idx = 0
-            for j in reversed(range(self.m)):
-                idx = idx * self.s + w[j]
-            out[idx] = float(p)
-        return out
 
     def __repr__(self):
         return f"Predicate(m={self.m}, s={self.s}, |P|={len(self.members)})"
@@ -351,10 +338,6 @@ class StarLaw:
                     out[w] = out.get(w, Fraction(0)) + prob * marg[sigma]
         return out
 
-    def star_conditional_marginal(self, j: int) -> list[Fraction]:
-        """Distribution substituted at a star of coordinate j (mu|_j itself)."""
-        return self.predicate.marginal(j)
-
     def sample_indices(self, rng, size: int) -> np.ndarray:
         return rng.choice(len(self.patterns), size=size, p=self.float_probs())
 
@@ -439,28 +422,21 @@ def format_predicate(P: Predicate) -> str:
 def parse_predicate(text: str) -> Predicate:
     """Parse: header ``pred m=<m> sigma=<s>``, then ``w=<digits> p=<weight>``
     lines; weights may be decimals or rationals like ``1/3``."""
-    lines = [ln.strip() for ln in text.splitlines()
-             if ln.strip() and not ln.strip().startswith("#")]
+    lines = text_lines(text)
     if not lines or not lines[0].startswith("pred "):
         raise ValidationError("predicate file needs a 'pred' header")
-    head = {}
-    for tok in lines[0].split()[1:]:
-        k, _, v = tok.partition("=")
-        head[k] = v
-    try:
-        m, s = int(head["m"]), int(head["sigma"])
-    except (KeyError, ValueError) as e:
-        raise ValidationError(f"bad predicate header: {lines[0]!r}") from e
-    if s > 10:
+    head = read_fields(lines[0].split()[1:], {"m": int, "sigma": int},
+                       "predicate header", required=("m", "sigma"))
+    if head["sigma"] > 10:
         raise UnsupportedError("digit-string members support sigma <= 10")
     members, weights = [], []
     for ln in lines[1:]:
-        fields = dict(tok.partition("=")[::2] for tok in ln.split())
-        if "w" not in fields or "p" not in fields:
-            raise ValidationError(f"bad member line: {ln!r}")
-        members.append(tuple(int(c) for c in fields["w"]))
-        weights.append(Fraction(fields["p"]))
-    return Predicate(m, s, members, weights)
+        where = f"member line {ln!r}"
+        fields = read_fields(ln.split(), {"p": Fraction}, where,
+                             required=("w", "p"))
+        members.append(parse_numbers(list(fields["w"]), int, where))
+        weights.append(fields["p"])
+    return Predicate(head["m"], head["sigma"], members, weights)
 
 
 def load_predicate(path) -> Predicate:

@@ -23,6 +23,7 @@ from .harmonics import efron_stein, indicator_table
 
 CELL_CAP = 1 << 16
 GAIN_SLACK = 1e-15
+WORST_CELLS = 10      # offending cells listed by cell_regular_fraction
 
 
 @dataclass(frozen=True)
@@ -195,7 +196,7 @@ def build_junta_noisy(fs, measures, rho: float, tau: float, eps: float,
     measures = _check_inputs(fs, measures, rho)
     if not (0 < eps < 1):
         raise DomainError("eps must lie strictly between 0 and 1")
-    if tau <= 0:
+    if not tau > 0:  # also refuses NaN
         raise DomainError("tau must be positive")
     n, s = fs[0].n, fs[0].s
     tables, owners = _expand_real(fs)
@@ -269,12 +270,22 @@ def _cell_pieces(f: FunctionTable, J, nu: ProductMeasure, cap: int):
         yield pieces[0][0], pieces[0][1], [p[2] for p in pieces]
 
 
-def _cell_influence_records(f: FunctionTable, J, d: int, nu: ProductMeasure,
-                            cap: int) -> list:
+def _cell_influence_records(f: FunctionTable, J, d: int, tau: float,
+                            nu: ProductMeasure, cap: int) -> list | None:
     """Per cell of sorted J, the largest degree-at-most-d influence of the
     restriction (max over free coordinates, and over symbols for sym
-    tables), with ties keeping the earliest coordinate."""
+    tables), with ties keeping the earliest coordinate.  None when J
+    leaves no coordinate free: every cell is then a single point, hence
+    constant and regular."""
+    if d < 1:
+        raise DomainError("degree must be at least 1")
+    if not tau > 0:  # also refuses NaN
+        raise DomainError("tau must be positive")
     J = sorted(set(J))
+    if len(J) >= f.n:
+        return None
+    if f.s ** len(J) > cap:
+        raise ResourceError("too many cells to enumerate")
     F = [i for i in range(f.n) if i not in J]
     nu_F = nu.subset(F)
     records = []
@@ -292,24 +303,16 @@ def _cell_influence_records(f: FunctionTable, J, d: int, nu: ProductMeasure,
 
 
 def cell_regular_fraction(f: FunctionTable, J, d: int, tau: float,
-                          nu: ProductMeasure, worst_k: int = 10,
+                          nu: ProductMeasure,
                           cap: int = CELL_CAP) -> CellRegularityReport:
     """Exact mass of cells whose restriction has all degree-at-most-d
-    influences at most tau, plus the worst offending cells."""
-    if d < 1:
-        raise DomainError("degree must be at least 1")
-    if tau <= 0:
-        raise DomainError("tau must be positive")
-    J = sorted(set(J))
-    if len(J) >= f.n:
-        # every cell is a single point, hence constant and regular
+    influences at most tau, plus the WORST_CELLS worst offending cells."""
+    records = _cell_influence_records(f, J, d, tau, nu, cap)
+    if records is None:
         return CellRegularityReport(1.0, (), d, tau)
-    if f.s ** len(J) > cap:
-        raise ResourceError("too many cells to enumerate")
-    records = _cell_influence_records(f, J, d, nu, cap)
     mass = math.fsum(r.weight if r.influence <= tau else 0.0 for r in records)
     worst = tuple(sorted((r for r in records if r.influence > tau),
-                         key=lambda r: -r.influence)[:worst_k])
+                         key=lambda r: -r.influence)[:WORST_CELLS])
     return CellRegularityReport(regular_mass=mass, worst=worst, degree=d, tau=tau)
 
 
@@ -318,17 +321,9 @@ def regular_cell_mask(f: FunctionTable, J, d: int, tau: float,
     """Boolean flag per cell of sorted J (least-significant-first cell
     index order): True when the restriction to the cell has every
     degree-at-most-d influence at most tau."""
-    if d < 1:
-        raise DomainError("degree must be at least 1")
-    if tau <= 0:
-        raise DomainError("tau must be positive")
-    J = sorted(set(J))
-    if len(J) >= f.n:
-        # cells are single points, hence constant and regular
+    records = _cell_influence_records(f, J, d, tau, nu, cap)
+    if records is None:
         return np.ones(f.s ** f.n, dtype=bool)
-    if f.s ** len(J) > cap:
-        raise ResourceError("too many cells to enumerate")
-    records = _cell_influence_records(f, J, d, nu, cap)
     return np.array([r.influence <= tau for r in records], dtype=bool)
 
 

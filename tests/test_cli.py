@@ -1,5 +1,10 @@
 """Tests for the command line front end and the experiment harness."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -357,3 +362,53 @@ def test_experiment_config_validation(tmp_path):
 def test_cli_errors_exit_1(tmp_path, capsys):
     assert cli.main(["validate", "--pred", str(tmp_path / "nope.pred")]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+# -- malformed input ---------------------------------------------------------------
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+_RUN_CFG = ("seed = 1\n[run a]\npipeline = monotone\npred = nand2.pred\n"
+            "plant = dictator:1\neps = 0.1\n")
+MALFORMED = {
+    "fn-table": ("bad.fn", "fn n=1 sigma=2 codomain=bit\ntable x 1\n",
+                 ["analyze", "--fn", "{}"]),
+    "pred-weight": ("bad.pred", "pred m=2 sigma=2\nw=00 p=abc\n",
+                    ["validate", "--pred", "{}"]),
+    "config-seed": ("bad.cfg", "seed = abc\n",
+                    ["experiment", "--config", "{}"]),
+    "config-n": ("bad.cfg", _RUN_CFG + "n = x\n",
+                 ["experiment", "--config", "{}"]),
+    "chain-cut": ("bad.chain", "chain y=2 factors=1\nfactor\n0.9 0.1\n",
+                  ["agree", "--fn", "maj3.fn", "--chain", "{}"]),
+    "measure": ("unused.txt", "",
+                ["analyze", "--fn", "maj3.fn", "--measure", "p:abc"]),
+    "tau-nan": ("unused.txt", "",
+                ["correct", "monotone", "--pred", "nand2.pred", "--fn",
+                 "noisy0.fn", "noisy1.fn", "--eps", "0.1", "--tau", "nan"]),
+}
+
+
+def _cli(args, cwd, *flags):
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    return subprocess.run([sys.executable, *flags, "-m", "polymorph.cli",
+                           *args], cwd=cwd, env=env, capture_output=True,
+                          text=True, timeout=120)
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_input_exits_1_with_error_line(tmp_path, case):
+    _write_fixtures(tmp_path)
+    name, text, args = MALFORMED[case]
+    (tmp_path / name).write_text(text)
+    proc = _cli([a.format(name) for a in args], tmp_path)
+    assert proc.returncode == 1
+    assert any(ln.startswith("error:") for ln in proc.stderr.splitlines())
+    assert "Traceback" not in proc.stderr + proc.stdout
+
+
+def test_module_entry_point_has_no_runtime_warning(tmp_path):
+    _write_fixtures(tmp_path)
+    proc = _cli(["validate", "--pred", "nand2.pred"], tmp_path,
+                "-W", "error::RuntimeWarning")
+    assert proc.returncode == 0, proc.stderr
+    assert _lines(proc.stdout)["flexible"] == "1,2"

@@ -143,23 +143,6 @@ def test_low_degree_influence_dictator_and_parity():
     assert hm.low_degree_influence(par, 2, 6, nu) == pytest.approx(0.25)
 
 
-def test_is_regular_witness():
-    nu = fs.ProductMeasure.uniform(6)
-    par = fs.character(6, range(6))
-    assert hm.is_regular(par, 5, 1e-6, nu).regular
-    f = fs.dictator(6, 4)
-    rep = hm.is_regular(f, 2, 0.1, nu)
-    assert not rep.regular
-    assert rep.coordinate == 4
-    assert rep.influence == pytest.approx(0.25)
-    # sym tables check indicators and report the witness symbol
-    g = fs.dictator(4, 1, s=3)
-    rep3 = hm.is_regular(g, 2, 0.05, fs.ProductMeasure.uniform(4, 3))
-    assert not rep3.regular
-    assert rep3.coordinate == 1
-    assert rep3.symbol in (0, 1, 2)
-
-
 def test_noise_stability_dictator():
     f = fs.dictator(5, 0)
     nu = fs.ProductMeasure.uniform(5)

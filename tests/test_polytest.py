@@ -250,27 +250,6 @@ def test_violation_mc_covers_exact_value():
     assert other.probability != rep.probability
 
 
-def test_chi_coloring_thresholds_and_refinement():
-    nu = fs.ProductMeasure.p_biased(0.25, 3)
-    d = fs.dictator(3, 0)
-    top = fs.character(3, set(), offset=1)
-    mid = fs.or_all(3)
-    cols = pt.chi_coloring([d, top, mid], [nu, nu, nu], eps=0.3)
-    assert cols == [0, 1, None]
-    rng = np.random.default_rng(17)
-    for _ in range(10):
-        n = int(rng.integers(1, 5))
-        funcs = _random_functions(rng, 3, n, 2)
-        nus = [fs.ProductMeasure.p_biased(float(rng.uniform(0.2, 0.8)), n)
-               for _ in range(3)]
-        hi = pt.chi_coloring(funcs, nus, eps=0.3)
-        lo = pt.chi_coloring(funcs, nus, eps=0.1)
-        for a, b in zip(lo, hi):
-            assert a is None or a == b
-    with pytest.raises(DomainError):
-        pt.chi_coloring([d], [nu], eps=0.5)
-
-
 def test_joint_value_probability_unrestricted():
     P = pr.nand_predicate(2)
     funcs = [fs.and_all(3), fs.and_all(3)]
@@ -324,44 +303,13 @@ def test_joint_value_probability_with_restriction():
 def test_restriction_star_positions_and_assignments():
     P = pr.nand_predicate(2)
     rho = pt.ColumnRestriction([(None, 0), (0, 0), (0, None)], s=2)
-    assert rho.star_positions(0) == (0,)
-    assert rho.star_positions(1) == (2,)
+    # the star positions of row j are the free coordinates of its assignment
     a0 = rho.assignment_for(0)
     assert a0.free == (0,) and a0.fixed == (1, 2)
     assert a0.entries == (None, 0, 0)
     a1 = rho.assignment_for(1)
     assert a1.free == (2,) and a1.fixed == (0, 1)
     assert a1.entries == (0, 0, None)
-
-
-def test_survival_probability_dictator():
-    p, q, delta = 0.3, 0.25, 0.2
-    n = 4
-    f = fs.dictator(n, 0)
-    nu = fs.ProductMeasure.p_biased(p, n)
-    truth = q + (1 - q) * p
-    rep = pt.survival_probability(f, q, nu, delta, samples=4000, seed=5)
-    assert abs(rep.estimate - truth) <= rep.half_width
-    assert rep.interval[0] <= truth <= rep.interval[1]
-    # delta above 1 never survives, delta 0 always does
-    none_rep = pt.survival_probability(f, q, nu, 1.5, samples=200, seed=5)
-    assert none_rep.estimate == 0.0
-    all_rep = pt.survival_probability(f, q, nu, 0.0, samples=200, seed=5)
-    assert all_rep.estimate == 1.0
-
-
-def test_survival_probability_guards_and_determinism():
-    f = fs.dictator(3, 1)
-    nu = fs.ProductMeasure.uniform(3, 2)
-    a = pt.survival_probability(f, 0.5, nu, 0.4, samples=500, seed=9)
-    b = pt.survival_probability(f, 0.5, nu, 0.4, samples=500, seed=9)
-    assert a == b
-    with pytest.raises(DomainError):
-        pt.survival_probability(f, 1.5, nu, 0.4, samples=10, seed=1)
-    g = fs.from_values(2, 3, "sym", [0, 1, 2, 1, 0, 0, 2, 1, 0])
-    with pytest.raises(UnsupportedError):
-        pt.survival_probability(g, 0.5, fs.ProductMeasure.uniform(2, 3), 0.4,
-                                samples=10, seed=1)
 
 
 def test_evaluate_columns_helper():
