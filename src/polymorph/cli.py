@@ -213,6 +213,7 @@ RUN_DEFAULTS = {"flip": 0.0, "repeats": 1, "d": 2, "tau": 0.1,
 RUN_TYPES = {"n": int, "flip": float, "repeats": int, "eps": float,
              "d": int, "tau": float, "attempts": int}
 PIPELINES = ("monotone", "general", "alphabet", "polytest")
+RUN_KEYS = {*RUN_TYPES, "pipeline", "pred", "plant", "fn", "eta"}
 
 
 @dataclass(frozen=True)
@@ -242,6 +243,9 @@ class ExperimentConfig:
 def _run_spec(label: str, lines, base: Path) -> RunSpec:
     where = f"run {label}"
     kv = fs.read_fields(lines, RUN_TYPES, where)
+    for key in kv:
+        if key not in RUN_KEYS:
+            raise ValidationError(f"{where}: unknown key {key!r}")
     pipeline = kv.get("pipeline")
     if pipeline not in PIPELINES:
         raise ValidationError(f"{where}: unknown pipeline {pipeline!r}")

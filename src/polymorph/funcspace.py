@@ -208,6 +208,9 @@ class FunctionTable:
             raise DomainError("sym table contains symbols outside the alphabet")
         if codomain == "real" and not (0.0 <= lo and hi <= 1.0):
             raise DomainError("real table contains entries outside [0, 1] or NaN")
+        if codomain != "real" and raw.dtype.kind not in "biu" \
+                and np.any(raw % 1 != 0):
+            raise DomainError(f"{codomain} table contains non-integral entries")
         arr = raw.astype(np.float64 if codomain == "real" else np.uint8,
                          copy=False)
         self.n = n

@@ -7,13 +7,13 @@ odometer scan over all |P|^n column tuples, and a coordinate-by-coordinate
 tensor contraction whose state is indexed by the joint inputs of functions
 2..m (feasible when s^((m-1) n) is small).  Both produce the full joint
 output distribution; they are cross-checked in the tests.
+violation_probability runs whichever is cheaper by estimated cost.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -106,113 +106,114 @@ def joint_output_distribution(P: Predicate, fs, cap: int = ODOMETER_CAP):
     memb = _member_array(P)
     muvec = np.array([float(w) for w in P.weights])
     in_p = _member_table(P)
-    powers = s ** np.arange(n, dtype=np.int64)
     values = [f.values for f in fs]
-    Q_chunks = []
+    # inputs and weights of the low c digits, built once; each block of
+    # K^c column codes adds the high digits as scalar offsets, multiplying
+    # weights in the same digit order as a full scan
+    c = 0
+    while c < n and K ** (c + 1) <= CHUNK:
+        c += 1
+    block = K ** c
+    low_w = np.ones(block)
+    low_x = np.zeros((P.m, block), dtype=np.int64)
+    rem = np.arange(block, dtype=np.int64)
+    for i in range(c):
+        d = rem % K
+        rem //= K
+        low_w *= muvec[d]
+        low_x += memb[d].T * s ** i
+    masses = []
     first_bad = None
     Q = np.zeros(s ** P.m)
-    for lo in range(0, total, CHUNK):
-        hi = min(lo + CHUNK, total)
-        codes = np.arange(lo, hi, dtype=np.int64)
-        w = np.ones(hi - lo)
-        X = np.zeros((P.m, hi - lo), dtype=np.int64)
-        rem = codes.copy()
-        for i in range(n):
-            d = rem % K
-            rem //= K
-            w *= muvec[d]
-            for j in range(P.m):
-                X[j] += memb[d, j] * powers[i]
-        out_code = np.zeros(hi - lo, dtype=np.int64)
+    for high in range(total // block):
+        w = low_w
+        offset = np.zeros(P.m, dtype=np.int64)
+        for i, d in enumerate(decode_point(high, n - c, K), start=c):
+            w = w * muvec[d]
+            offset += memb[d] * s ** i
+        out_code = np.zeros(block, dtype=np.int64)
         for j in range(P.m):
-            out_code += values[j][X[j]].astype(np.int64) * s ** j
+            x = low_x[j] + offset[j]
+            out_code += values[j][x].astype(np.int64) * s ** j
         np.add.at(Q, out_code, w)
         if first_bad is None:
             bad = np.nonzero(~in_p[out_code])[0]
             if bad.size:
-                first_bad = int(codes[bad[0]])
-        Q_chunks.append(float(w.sum()))
-    mass = math.fsum(Q_chunks)
+                first_bad = high * block + int(bad[0])
+        masses.append(float(w.sum()))
+    mass = math.fsum(masses)
     if abs(mass - 1.0) > 1e-9:
         raise ResourceError(f"enumeration mass drifted to {mass}")
     return Q, first_bad
 
 
-@lru_cache(maxsize=32)
-def _others_indices(n: int, s: int, m: int) -> tuple:
-    """Input index of each function j >= 1 as a function of the joint prefix."""
-    t = s ** (m - 1)
-    size = t ** n
-    idx = np.arange(size, dtype=np.int64)
-    out = []
-    for j in range(1, m):
-        xj = np.zeros(size, dtype=np.int64)
-        for i in range(n):
-            e = (idx // t ** i) % t
-            xj += ((e // s ** (j - 1)) % s) * s ** i
-        out.append(xj)
-    return tuple(out)
+def _state_cells(P: Predicate, n: int) -> int:
+    """Cells of the contraction state: joint inputs of functions 1..m-1."""
+    return P.s ** ((P.m - 1) * n)
 
 
-def _contract(P: Predicate, fs, weights, dtype, combine, cap: int):
+def _contract(P: Predicate, fs, weights, cap: int):
+    """Joint output law of fs, one coordinate at a time; with weights None,
+    the boolean table of reachable outputs instead.
+
+    The state has one axis over f_0's unread inputs, one axis per function
+    j >= 1 over its read inputs (each new coordinate the most significant
+    digit), and one axis over f_0's value.  Every member w moves the slice
+    at f_0's next digit w_0 to the new digits w_1..w_{m-1}.  The readout
+    reduces each function's axis over the value classes of its table.
+    """
     n, s = _check_functions(P, fs)
     m = P.m
-    t = s ** (m - 1)
-    if t ** n > cap:
+    if _state_cells(P, n) > cap:
         raise ResourceError(
             f"contraction state {s}^{(m - 1) * n} exceeds cap {cap}")
-    C = np.zeros((s ** n, 1, s), dtype=dtype)
-    C[np.arange(s ** n), 0, fs[0].values.astype(np.int64)] = 1
-    T = 1
-    others = [encode_point(w[1:], s) for w in P.members]
-    for _ in range(n):
-        R = C.shape[0]
-        Cv = C.reshape(R // s, s, T, s)
-        C2 = np.zeros((R // s, t, T, s), dtype=dtype)
-        for w, e, weight in zip(P.members, others, weights):
-            combine(C2[:, e], Cv[:, w[0]], weight)
-        T *= t
-        C = C2.reshape(R // s, T, s)
-    A = C.reshape(T, s)
-    base = np.zeros(T, dtype=np.int64)
-    for j, xj in enumerate(_others_indices(n, s, m), start=1):
-        base += fs[j].values[xj].astype(np.int64) * s ** j
-    Q = np.zeros(s ** m, dtype=dtype)
-    for a0 in range(s):
-        np.add.at(Q, base + a0, A[:, a0])
-    return Q
+    reach = weights is None
+    reduce = np.logical_or.reduce if reach else np.add.reduce
+    C = np.zeros((s ** n,) + (1,) * (m - 1) + (s,),
+                 dtype=bool if reach else np.float64)
+    C.reshape(s ** n, s)[np.arange(s ** n), fs[0].values] = 1
+    targets = [(slice(None),) + sum(((v, slice(None)) for v in w[1:]), ())
+               for w in P.members]
+    for k in range(n):
+        rest, read = s ** (n - k - 1), s ** k
+        Cv = C.reshape((rest, s) + (read,) * (m - 1) + (s,))
+        C = np.zeros((rest,) + (s, read) * (m - 1) + (s,), dtype=C.dtype)
+        for i, (w, target) in enumerate(zip(P.members, targets)):
+            # += on booleans is logical or
+            C[target] += Cv[:, w[0]] if reach else weights[i] * Cv[:, w[0]]
+        C = C.reshape((rest,) + (s * read,) * (m - 1) + (s,))
+    A = C.reshape((s ** n,) * (m - 1) + (s,))
+    for j in range(1, m):
+        A = np.stack([reduce(np.compress(fs[j].values == v, A, axis=j - 1),
+                             axis=j - 1) for v in range(s)], axis=j - 1)
+    # axes are (a_1, ..., a_{m-1}, a_0); output codes put a_0 lowest
+    return A.transpose(list(range(m - 2, -1, -1)) + [m - 1]).ravel()
 
 
 def joint_output_distribution_contracted(P: Predicate, fs,
                                          cap: int = CONTRACTION_CAP) -> np.ndarray:
     """Exact joint output law by tensor contraction (no column scan)."""
-    weights = [float(w) for w in P.weights]
-
-    def combine(dst, src, weight):
-        dst += weight * src
-
-    return _contract(P, fs, weights, np.float64, combine, cap)
+    return _contract(P, fs, [float(w) for w in P.weights], cap)
 
 
 def violation_probability(P: Predicate, fs, cap: int = ODOMETER_CAP,
                           contraction_cap: int = CONTRACTION_CAP) -> float:
-    """Exact violation probability; prefers the contraction engine and
-    falls back to the odometer when the contraction state is too large."""
-    try:
+    """Exact violation probability from the cheaper engine: the odometer
+    costs about |P|^n * n, the contraction |P| * s^((m-1) n); the odometer
+    also runs whenever the contraction state exceeds its cap."""
+    n, _ = _check_functions(P, fs)
+    columns, cells = len(P) ** n, _state_cells(P, n)
+    if columns <= cap and (columns * n <= len(P) * cells
+                           or cells > contraction_cap):
+        Q, _ = joint_output_distribution(P, fs, cap)
+    else:
         Q = joint_output_distribution_contracted(P, fs, contraction_cap)
-        return float(Q[~_member_table(P)].sum())
-    except ResourceError:
-        return violation_exact(P, fs, cap).probability
+    return float(Q[~_member_table(P)].sum())
 
 
 def achievable_outputs(P: Predicate, fs, cap: int = CONTRACTION_CAP) -> np.ndarray:
     """Boolean table over output codes: reachable from some valid column tuple."""
-    weights = [True] * len(P)
-
-    def combine(dst, src, _weight):
-        np.logical_or(dst, src, out=dst)
-
-    return _contract(P, fs, weights, bool, combine, cap)
+    return _contract(P, fs, None, cap)
 
 
 def violation_exact(P: Predicate, fs, cap: int = ODOMETER_CAP) -> ViolationReport:
@@ -268,18 +269,17 @@ def _search_counterexample(P: Predicate, fs, alpha_code: int,
 
 def is_generalized_polymorphism(P: Predicate, fs, cap: int = ODOMETER_CAP,
                                 contraction_cap: int = CONTRACTION_CAP):
-    """(exact flag, counterexample).  Prefers the contraction engine; falls
-    back to the odometer when the contraction state would be too large."""
-    n, s = _check_functions(P, fs)
-    try:
-        reach = achievable_outputs(P, fs, contraction_cap)
-        bad = np.nonzero(reach & ~_member_table(P))[0]
-        if bad.size == 0:
-            return True, None
-        return False, _search_counterexample(P, fs, int(bad[0]), contraction_cap)
-    except ResourceError:
+    """(exact flag, counterexample).  Reachability by contraction whenever
+    its state fits contraction_cap, else the odometer scan."""
+    n, _ = _check_functions(P, fs)
+    if _state_cells(P, n) > contraction_cap:
         report = violation_exact(P, fs, cap)
         return report.probability == 0.0, report.counterexample
+    reach = achievable_outputs(P, fs, contraction_cap)
+    bad = np.nonzero(reach & ~_member_table(P))[0]
+    if bad.size == 0:
+        return True, None
+    return False, _search_counterexample(P, fs, int(bad[0]), contraction_cap)
 
 
 # -- Monte Carlo ---------------------------------------------------------------

@@ -378,6 +378,8 @@ MALFORMED = {
                     ["experiment", "--config", "{}"]),
     "config-n": ("bad.cfg", _RUN_CFG + "n = x\n",
                  ["experiment", "--config", "{}"]),
+    "config-run-key": ("bad.cfg", _RUN_CFG + "n = 6\nattempt = 3\n",
+                       ["experiment", "--config", "{}"]),
     "chain-cut": ("bad.chain", "chain y=2 factors=1\nfactor\n0.9 0.1\n",
                   ["agree", "--fn", "maj3.fn", "--chain", "{}"]),
     "measure": ("unused.txt", "",

@@ -224,5 +224,12 @@ def test_non_finite_and_out_of_range_values_rejected():
         fs.FunctionTable(1, 2, "bit", np.array([256, 1]))
     with pytest.raises(DomainError):
         fs.FunctionTable(1, 3, "sym", [0, -2, 1])
+    # non-integral entries must not be truncated by the uint8 cast
+    with pytest.raises(DomainError):
+        fs.FunctionTable(1, 2, "bit", [0.5, 1])
+    with pytest.raises(DomainError):
+        fs.FunctionTable(1, 3, "sym", np.array([0.0, 1.25, 2.0]))
+    assert fs.FunctionTable(1, 3, "sym", [0.0, 1.0, 2.0]).values.tolist() \
+        == [0, 1, 2]
     with pytest.raises(ValidationError):
         fs.parse_function("fn n=1 sigma=2 codomain=real\ntable nan 0.5\n")

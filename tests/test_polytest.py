@@ -1,8 +1,10 @@
+import itertools
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import polymorph.funcspace as fs
 import polymorph.polytest as pt
@@ -328,3 +330,76 @@ def test_violation_probability_agrees_with_both_engines():
         # capped contraction falls back to the odometer
         assert pt.violation_probability(P, funcs,
                                         contraction_cap=1) == direct
+
+
+@st.composite
+def oracle_instances(draw):
+    s = draw(st.sampled_from((2, 3)))
+    m = draw(st.integers(2, 4 if s == 2 else 3))
+    n = draw(st.integers(1, 4 if s == 2 and m < 4 else 3))
+    points = sorted(fs.points_in_index_order(m, s))
+    members = draw(st.lists(st.sampled_from(points), min_size=1, unique=True))
+    raw = draw(st.lists(st.integers(1, 50), min_size=len(members),
+                        max_size=len(members)))
+    P = pr.Predicate(m, s, members, [Fraction(w, sum(raw)) for w in raw])
+    codomain = "bit" if s == 2 else "sym"
+    funcs = [fs.from_values(n, s, codomain,
+                            draw(st.lists(st.integers(0, s - 1),
+                                          min_size=s ** n, max_size=s ** n)))
+             for _ in range(m)]
+    return P, funcs
+
+
+@settings(max_examples=150, deadline=None)
+@given(oracle_instances())
+def test_exact_engines_agree(instance):
+    P, funcs = instance
+    Q, _ = pt.joint_output_distribution(P, funcs)
+    outside = np.array([fs.decode_point(c, P.m, P.s) not in P
+                        for c in range(Q.size)])
+    prob = float(Q[outside].sum())
+    reach = pt.achievable_outputs(P, funcs)
+    assert np.array_equal(reach, Q > 0)
+    Qc = pt.joint_output_distribution_contracted(P, funcs)
+    assert np.max(np.abs(Qc - Q)) < 1e-12
+    assert abs(pt.violation_probability(P, funcs) - prob) < 1e-12
+    ok, ce = pt.is_generalized_polymorphism(P, funcs)
+    assert ok == (prob == 0.0)
+    if ok:
+        assert ce is None
+        return
+    alpha = int(np.nonzero(reach & outside)[0][0])
+    tuples = itertools.product(P.members, repeat=funcs[0].n)
+    first = next(cols for cols in tuples
+                 if fs.encode_point(pt.evaluate_columns(funcs, cols), P.s)
+                 == alpha)
+    assert ce.columns() == list(first)
+
+
+def _count_engines(monkeypatch):
+    calls = []
+    for name in ("joint_output_distribution",
+                 "joint_output_distribution_contracted"):
+        real = getattr(pt, name)
+
+        def wrapper(*args, _real=real, _name=name, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(pt, name, wrapper)
+    return calls
+
+
+@pytest.mark.parametrize("P, n, engine", [
+    (pr.one_hot_predicate(4), 7, "joint_output_distribution"),
+    (pr.parity_predicate(3, 0), 10, "joint_output_distribution_contracted"),
+    # the contraction state 4^12 exceeds CONTRACTION_CAP: odometer only,
+    # without a failed contraction first
+    (pr.parity_predicate(3, 0), 12, "joint_output_distribution"),
+], ids=["one_hot_n7", "parity_n10", "parity_n12"])
+def test_violation_probability_runs_the_cheaper_engine_only(monkeypatch, P, n,
+                                                            engine):
+    funcs = [fs.dictator(n, 1) for _ in range(P.m)]
+    calls = _count_engines(monkeypatch)
+    assert pt.violation_probability(P, funcs) == 0.0
+    assert calls == [engine]
