@@ -33,7 +33,8 @@ from .predicates import (Predicate, affine_relations, classify_short_relations,
 from .polytest import (ColumnRestriction, Counterexample,
                        is_generalized_polymorphism)
 from .regularity import (CELL_CAP, RegularityCertificate, _cell_view,
-                         build_junta_lowdeg, regular_cell_mask)
+                         _once_per_table, build_junta_lowdeg,
+                         regular_cell_mask)
 
 DECODE_N_CAP = 20          # exhaustive character decoding: 2^n * 2 candidates
 JUNTA_SEED_CAP = 14        # cap on the junta seeded from decoded supports
@@ -461,13 +462,13 @@ def _regular_heavy_cells(P: Predicate, fs, coords, d: int, tau: float,
                               cell_cap=CELL_CAP)
     J = cert.junta
     everywhere = PartialAssignment([None] * n, 2)
-    keep = []
-    for j, nu in zip(coords, measures):
-        regular = regular_cell_mask(fs[j], J, d, tau, nu, cap=CELL_CAP)
-        E = _restricted_cell_expectations(fs[j], J, everywhere,
-                                          P.marginal_measure(j))
-        keep.append(regular & (E > eps / 2))
-    return cert, _cell_index_map(n, 2, J), keep
+
+    def keep(f, nu):
+        E = _restricted_cell_expectations(f, J, everywhere, nu.measures[0])
+        return regular_cell_mask(f, J, d, tau, nu, cap=CELL_CAP) & (E > eps / 2)
+
+    return cert, _cell_index_map(n, 2, J), _once_per_table(
+        keep, [fs[j] for j in coords], measures)
 
 
 # -- monotone predicates -------------------------------------------------------

@@ -4,9 +4,10 @@ A column tuple draws one member of P per input coordinate; function j reads
 row j of the columns.  The violation probability is the mu^n-mass of column
 tuples whose output tuple leaves P.  Two exact engines are provided: an
 odometer scan over all |P|^n column tuples, and a coordinate-by-coordinate
-tensor contraction whose state is indexed by the joint inputs of functions
-2..m (feasible when s^((m-1) n) is small).  Both produce the full joint
-output distribution; they are cross-checked in the tests.
+tensor contraction whose state is indexed by the residual classes of the
+read inputs of functions 2..m (at most s^((m-1) n) joint classes).  Both
+produce the full joint output distribution; they are cross-checked in the
+tests.
 violation_probability runs whichever is cheaper by estimated cost.
 """
 
@@ -148,44 +149,93 @@ def joint_output_distribution(P: Predicate, fs, cap: int = ODOMETER_CAP):
 
 
 def _state_cells(P: Predicate, n: int) -> int:
-    """Cells of the contraction state: joint inputs of functions 1..m-1."""
+    """Worst-case cells of the contraction state, one per joint input of
+    functions 1..m-1; residual classes never need more."""
     return P.s ** ((P.m - 1) * n)
 
 
-def _contract(P: Predicate, fs, weights, cap: int):
+def _residual_transitions(values: np.ndarray, n: int, s: int) -> list:
+    """Residual classes of a table's read prefixes, as transition tables.
+
+    Two prefixes (coordinates 0..k-1) share a class when they leave the
+    same subfunction on coordinates k..n-1.  Classes are labelled bottom-up:
+    a full input's class is its value, and a k-digit prefix's class is the
+    tuple of the classes of its s one-digit extensions, relabelled one digit
+    at a time, so codes stay below s^(2n).  T[k][w, c] is the level-(k+1)
+    class of a level-k prefix of class c extended by digit w.
+    """
+    cls = values.astype(np.int64)
+    T = []
+    for k in range(n - 1, -1, -1):
+        ext = cls.reshape(s, s ** k)       # row w: prefixes p + w * s^k
+        radix = int(cls.max()) + 1
+        label = ext[0]
+        for w in range(1, s):
+            _, first, label = np.unique(label * radix + ext[w],
+                                        return_index=True, return_inverse=True)
+        T.append(ext[:, first])
+        cls = label
+    return T[::-1]
+
+
+def _contract(P: Predicate, fs, weights, cap: int, trans=None, prefix=()):
     """Joint output law of fs, one coordinate at a time; with weights None,
-    the boolean table of reachable outputs instead.
+    the boolean table of reachable outputs instead.  With a prefix of
+    member columns, the law of the outputs given those first columns.
 
     The state has one axis over f_0's unread inputs, one axis per function
-    j >= 1 over its read inputs (each new coordinate the most significant
-    digit), and one axis over f_0's value.  Every member w moves the slice
-    at f_0's next digit w_0 to the new digits w_1..w_{m-1}.  The readout
-    reduces each function's axis over the value classes of its table.
+    j >= 1 over the residual classes of its read prefixes (trans[j - 1],
+    from _residual_transitions), and one axis over f_0's value.  Every
+    member w moves the slice at f_0's next digit w_0 to the new digits
+    w_1..w_{m-1}; each function's axis is then merged by class in a stable
+    order.  After the last coordinate the classes are the values.
     """
     n, s = _check_functions(P, fs)
     m = P.m
     if _state_cells(P, n) > cap:
         raise ResourceError(
             f"contraction state {s}^{(m - 1) * n} exceeds cap {cap}")
+    if trans is None:
+        trans = [_residual_transitions(f.values, n, s) for f in fs[1:]]
     reach = weights is None
-    reduce = np.logical_or.reduce if reach else np.add.reduce
-    C = np.zeros((s ** n,) + (1,) * (m - 1) + (s,),
+    reduceat = np.logical_or.reduceat if reach else np.add.reduceat
+    t = len(prefix)
+    labels = []
+    for j, T in enumerate(trans, start=1):
+        c = 0
+        for k, w in enumerate(prefix):
+            c = T[k][w[j], c]
+        labels.append(np.array([c]))
+    low = encode_point([w[0] for w in prefix], s)
+    v0 = fs[0].values.reshape(s ** (n - t), s ** t)[:, low]
+    C = np.zeros((s ** (n - t),) + (1,) * (m - 1) + (s,),
                  dtype=bool if reach else np.float64)
-    C.reshape(s ** n, s)[np.arange(s ** n), fs[0].values] = 1
+    C.reshape(-1, s)[np.arange(v0.size), v0] = 1
     targets = [(slice(None),) + sum(((v, slice(None)) for v in w[1:]), ())
                for w in P.members]
-    for k in range(n):
-        rest, read = s ** (n - k - 1), s ** k
-        Cv = C.reshape((rest, s) + (read,) * (m - 1) + (s,))
-        C = np.zeros((rest,) + (s, read) * (m - 1) + (s,), dtype=C.dtype)
+    for k in range(t, n):
+        sizes = tuple(len(lab) for lab in labels)
+        Cv = C.reshape((s ** (n - k - 1), s) + sizes + (s,))
+        C = np.zeros(Cv.shape[:1] + sum(((s, K) for K in sizes), ()) + (s,),
+                     dtype=C.dtype)
         for i, (w, target) in enumerate(zip(P.members, targets)):
             # += on booleans is logical or
             C[target] += Cv[:, w[0]] if reach else weights[i] * Cv[:, w[0]]
-        C = C.reshape((rest,) + (s * read,) * (m - 1) + (s,))
-    A = C.reshape((s ** n,) * (m - 1) + (s,))
-    for j in range(1, m):
-        A = np.stack([reduce(np.compress(fs[j].values == v, A, axis=j - 1),
-                             axis=j - 1) for v in range(s)], axis=j - 1)
+        C = C.reshape(Cv.shape[:1] + tuple(s * K for K in sizes) + (s,))
+        for j, T in enumerate(trans):
+            # entry (w, e) of the axis goes to class T[k][w, labels[e]];
+            # all classes distinct: the labels follow the entries unmerged
+            keys = T[k][:, labels[j]].ravel()
+            counts = np.bincount(keys)
+            if counts.max() > 1:
+                order = np.argsort(keys, kind="stable")
+                keys = np.flatnonzero(counts)
+                starts = (np.cumsum(counts) - counts)[keys]
+                C = reduceat(C.take(order, axis=j + 1), starts, axis=j + 1)
+            labels[j] = keys
+    # the last classes are values; a table may never take some value
+    A = np.zeros((s,) * m, dtype=C.dtype)
+    A[np.ix_(*labels, np.arange(s))] = C.reshape(C.shape[1:])
     # axes are (a_1, ..., a_{m-1}, a_0); output codes put a_0 lowest
     return A.transpose(list(range(m - 2, -1, -1)) + [m - 1]).ravel()
 
@@ -238,29 +288,18 @@ def _counterexample_from_code(P: Predicate, fs, code: int) -> Counterexample:
 
 def _search_counterexample(P: Predicate, fs, alpha_code: int,
                            cap: int) -> Counterexample:
-    """Rebuild an explicit violating column tuple by fixing coordinates."""
+    """Rebuild an explicit violating column tuple by fixing coordinates in
+    order, each to the first member that keeps alpha reachable."""
     n, s = fs[0].n, fs[0].s
+    trans = [_residual_transitions(f.values, n, s) for f in fs[1:]]
     chosen = []
-    cur = list(fs)
     for _ in range(n):
-        rem = cur[0].n
-        hit = None
         for w in P.members:
-            if rem == 1:
-                outs = tuple(f.eval((w[j],)) for j, f in enumerate(cur))
-                if encode_point(outs, s) == alpha_code:
-                    hit = w
-                    break
-            else:
-                nxt = [f.restrict(PartialAssignment.from_dict(rem, {0: w[j]}, s=s))
-                       for j, f in enumerate(cur)]
-                if achievable_outputs(P, nxt, cap)[alpha_code]:
-                    hit = w
-                    cur = nxt
-                    break
-        if hit is None:
+            if _contract(P, fs, None, cap, trans, chosen + [w])[alpha_code]:
+                chosen.append(w)
+                break
+        else:
             raise AssertionError("internal error: achievable output lost")
-        chosen.append(hit)
     ce = Counterexample.from_columns(fs, chosen)
     if ce.outputs != decode_point(alpha_code, P.m, s):
         raise AssertionError("internal error: rebuilt outputs disagree")

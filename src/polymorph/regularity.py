@@ -327,6 +327,18 @@ def regular_cell_mask(f: FunctionTable, J, d: int, tau: float,
     return np.array([r.influence <= tau for r in records], dtype=bool)
 
 
+def _once_per_table(fn, fs, measures) -> list:
+    """fn(f, nu) at every position; a position whose table is the same
+    object as an earlier position's, under an equal measure, reuses that
+    result."""
+    out = []
+    for i, (f, nu) in enumerate(zip(fs, measures)):
+        k = next((k for k in range(i) if fs[k] is f
+                  and measures[k].measures == nu.measures), i)
+        out.append(fn(f, nu) if k == i else out[k])
+    return out
+
+
 def build_junta_lowdeg(fs, measures, d: int, tau: float, eps: float,
                        cell_cap: int = CELL_CAP,
                        initial=()) -> RegularityCertificate:
@@ -343,10 +355,10 @@ def build_junta_lowdeg(fs, measures, d: int, tau: float, eps: float,
     theta = tau * rho ** d
     cert = build_junta_noisy(fs, measures, rho, theta, eps,
                              cell_cap=cell_cap, initial=initial)
-    ms = _check_inputs(fs, measures, rho)
-    direct = tuple(
-        cell_regular_fraction(f, cert.junta, d, tau, nu, cap=cell_cap).regular_mass
-        for f, nu in zip(fs, ms))
+    direct = tuple(_once_per_table(
+        lambda f, nu: cell_regular_fraction(f, cert.junta, d, tau, nu,
+                                            cap=cell_cap).regular_mass,
+        fs, _check_inputs(fs, measures, rho)))
     return RegularityCertificate(
         junta=cert.junta, steps=cert.steps, potentials=cert.potentials,
         rho=rho, threshold=theta, eps=eps, regular=cert.regular,

@@ -205,3 +205,20 @@ def test_alphabet_checks_once_per_attempt(monkeypatch):
     calls = _counting(monkeypatch, co, "is_generalized_polymorphism")
     res = _alphabet_nae()
     assert len(calls) == len(res.trace.attempts)
+
+
+def test_failing_check_searches_by_classes(monkeypatch):
+    # the counterexample search reuses residual classes: no table is
+    # restricted, and each function j >= 1 gets its transitions once for
+    # the reachability check and once for the search, however many
+    # prefixes the search tries
+    P = pr.nand_predicate(3)
+    funcs = [_flip(fs.dictator(8, j), 0.05, 170 + j) for j in range(3)]
+    restricts = _counting(monkeypatch, fs.FunctionTable, "restrict")
+    transitions = _counting(monkeypatch, pt, "_residual_transitions")
+    contractions = _counting(monkeypatch, pt, "_contract")
+    ok, ce = pt.is_generalized_polymorphism(P, funcs)
+    assert not ok and ce is not None
+    assert len(contractions) > 8
+    assert len(restricts) == 0
+    assert len(transitions) == 2 * (P.m - 1)

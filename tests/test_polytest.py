@@ -1,11 +1,13 @@
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import polymorph.cli as cli
 import polymorph.funcspace as fs
 import polymorph.polytest as pt
 import polymorph.predicates as pr
@@ -343,11 +345,35 @@ def oracle_instances(draw):
                         max_size=len(members)))
     P = pr.Predicate(m, s, members, [Fraction(w, sum(raw)) for w in raw])
     codomain = "bit" if s == 2 else "sym"
-    funcs = [fs.from_values(n, s, codomain,
-                            draw(st.lists(st.integers(0, s - 1),
-                                          min_size=s ** n, max_size=s ** n)))
+    funcs = [fs.from_values(n, s, codomain, draw(structured_values(n, s)))
              for _ in range(m)]
     return P, funcs
+
+
+@st.composite
+def structured_values(draw, n, s):
+    """A table's values: random, or built so that its residual classes
+    merge at every level (constants, dictators, small juntas, tables that
+    never take some symbol)."""
+    kind = draw(st.sampled_from(("random", "constant", "dictator", "junta",
+                                 "missing")))
+    points = [fs.decode_point(x, n, s) for x in range(s ** n)]
+    if kind == "constant":
+        return [draw(st.integers(0, s - 1))] * s ** n
+    if kind == "dictator":
+        i = draw(st.integers(0, n - 1))
+        return [x[i] for x in points]
+    if kind == "junta":
+        J = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2,
+                          unique=True))
+        g = draw(st.lists(st.integers(0, s - 1), min_size=s ** len(J),
+                          max_size=s ** len(J)))
+        return [g[fs.encode_point([x[i] for i in J], s)] for x in points]
+    symbols = list(range(s))
+    if kind == "missing":
+        symbols.remove(draw(st.sampled_from(symbols)))
+    return draw(st.lists(st.sampled_from(symbols), min_size=s ** n,
+                         max_size=s ** n))
 
 
 @settings(max_examples=150, deadline=None)
@@ -374,6 +400,52 @@ def test_exact_engines_agree(instance):
                  if fs.encode_point(pt.evaluate_columns(funcs, cols), P.s)
                  == alpha)
     assert ce.columns() == list(first)
+
+
+@st.composite
+def residual_tables(draw):
+    s = draw(st.sampled_from((2, 3)))
+    n = draw(st.integers(1, 5 if s == 2 else 4))
+    return n, s, np.array(draw(structured_values(n, s)), dtype=np.uint8)
+
+
+@settings(max_examples=100, deadline=None)
+@given(residual_tables())
+def test_residual_classes_are_the_distinct_subfunctions(table):
+    # independent oracle: the subfunction a k-digit prefix p leaves is
+    # column p of values.reshape(s^(n-k), s^k)
+    n, s, values = table
+    T = pt._residual_transitions(values, n, s)
+    assert len(T) == n
+    classes = np.zeros(1, dtype=np.int64)
+    for k in range(n + 1):
+        cols = values.reshape(s ** (n - k), s ** k)
+        _, col_id = np.unique(cols, axis=1, return_inverse=True)
+        col_id = col_id.ravel()
+        if k < n:
+            assert T[k].shape == (s, col_id.max() + 1)
+        assert np.array_equal(classes[:, None] == classes[None, :],
+                              col_id[:, None] == col_id[None, :])
+        if k < n:
+            # prefix p + w * s^k extends prefix p by digit w
+            classes = np.concatenate([T[k][w, classes] for w in range(s)])
+    # the classes of full inputs are their values
+    assert np.array_equal(classes, values)
+
+
+def test_float_contraction_memory_stays_small():
+    # with one state axis per input instead of per residual class, this
+    # call peaked at 32 MB; residual classes keep it near 1 MB
+    P = pr.parity_predicate(3, 0)
+    funcs = list(cli.plant_and_perturb(P, 10, "character:1,2,3:0,0,0",
+                                       0.01, 1).fs)
+    tracemalloc.start()
+    try:
+        pt.joint_output_distribution_contracted(P, funcs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
 
 
 def _count_engines(monkeypatch):
