@@ -14,6 +14,7 @@ violation_probability runs whichever is cheaper by estimated cost.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +27,8 @@ from .predicates import Predicate, StarLaw
 ODOMETER_CAP = 1 << 24
 CONTRACTION_CAP = 1 << 22
 CHUNK = 1 << 16
+GUIDE_CELLS = 1 << 10        # Monte Carlo guide-table cells
+MC_GROUP_CAP = 1 << 12       # column codes per Monte Carlo group table
 WILSON_Z = 1.959963984540054  # two-sided 95%
 
 
@@ -90,6 +93,24 @@ def evaluate_columns(fs, columns) -> tuple:
 
 # -- exact engines -------------------------------------------------------------
 
+def _digits_within(K: int, n: int, limit: int) -> int:
+    """The largest c <= n with K^c <= limit."""
+    return next(c for c in range(n, -1, -1) if K ** c <= limit)
+
+
+def _column_tables(memb: np.ndarray, muvec: np.ndarray, c: int, s: int):
+    """(x, w) indexed by the code of a tuple of c columns (column 0 least
+    significant): x[j] is function j's input code on it, w its weight, built
+    one column at a time; weights multiply in column order like a scan."""
+    x = np.zeros((memb.shape[1], 1), dtype=np.int64)
+    w = np.ones(1)
+    for i in range(c):
+        # entry d * K^i + e is column i drawing member d after entry e
+        x = (x[:, None, :] + memb.T[:, :, None] * s ** i).reshape(len(x), -1)
+        w = (w[None, :] * muvec[:, None]).ravel()
+    return x, w
+
+
 def joint_output_distribution(P: Predicate, fs, cap: int = ODOMETER_CAP):
     """Exact joint law of the output tuple, by scanning all |P|^n columns.
 
@@ -111,18 +132,9 @@ def joint_output_distribution(P: Predicate, fs, cap: int = ODOMETER_CAP):
     # inputs and weights of the low c digits, built once; each block of
     # K^c column codes adds the high digits as scalar offsets, multiplying
     # weights in the same digit order as a full scan
-    c = 0
-    while c < n and K ** (c + 1) <= CHUNK:
-        c += 1
+    c = _digits_within(K, n, CHUNK)
     block = K ** c
-    low_w = np.ones(block)
-    low_x = np.zeros((P.m, block), dtype=np.int64)
-    rem = np.arange(block, dtype=np.int64)
-    for i in range(c):
-        d = rem % K
-        rem //= K
-        low_w *= muvec[d]
-        low_x += memb[d].T * s ** i
+    low_x, low_w = _column_tables(memb, muvec, c, s)
     masses = []
     first_bad = None
     Q = np.zeros(s ** P.m)
@@ -338,27 +350,63 @@ def wilson_interval(successes: int, trials: int):
     return lo, hi
 
 
+def _choice_sampler(p: np.ndarray):
+    """draw(rng, shape) returns rng.choice(len(p), size=shape, p=p): from
+    the same uniforms u = rng.random(shape), the count of cdf points at or
+    below u.  A guide table (Chen and Asau) holds it for each of GUIDE_CELLS
+    cells of [0, 1) with no cdf point inside, -1 for cells whose draws search
+    the cdf; u * GUIDE_CELLS is exact in binary floating point."""
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    edges = np.arange(GUIDE_CELLS + 1) / GUIDE_CELLS
+    start = cdf.searchsorted(edges[:-1], side="right")
+    end = cdf.searchsorted(edges[1:], side="left")
+    cell_index = np.where(start == end, start, -1).astype(np.int32)
+
+    def draw(rng, shape) -> np.ndarray:
+        u = rng.random(shape)
+        d = cell_index[(u * GUIDE_CELLS).astype(np.intp)]
+        split = np.flatnonzero(d < 0)
+        d.ravel()[split] = cdf.searchsorted(u.ravel()[split], side="right")
+        return d
+
+    return draw
+
+
 def violation_mc(P: Predicate, fs, samples: int, seed: int) -> ViolationReport:
     """Monte Carlo violation estimate with a Wilson 95% interval."""
     n, s = _check_functions(P, fs)
-    if samples < 1:
-        raise DomainError("need at least one sample")
+    if not isinstance(samples, numbers.Integral) or samples < 1:
+        raise DomainError(f"samples must be a positive integer, got {samples!r}")
+    if not isinstance(seed, numbers.Integral) or not 0 <= seed < 2 ** 128:
+        raise DomainError(f"seed must be an integer in [0, 2^128), got {seed!r}")
+    K = len(P)
     memb = _member_array(P)
     muvec = np.array([float(w) for w in P.weights])
     muvec = muvec / muvec.sum()
     in_p = _member_table(P)
-    powers = s ** np.arange(n, dtype=np.int64)
+    draw = _choice_sampler(muvec)
+    # inputs of every function on each group of c coordinates, one table
+    # per group width, read by the group's column code
+    c = max(1, _digits_within(K, n, MC_GROUP_CAP))
+    tables = {g: _column_tables(memb, muvec, g, s)[0] for g in {c, n % c or c}}
     # counter-based generator: streams are reproducible across platforms
     rng = np.random.Generator(np.random.Philox(key=seed))
     bad = 0
     done = 0
     while done < samples:
         take = min(CHUNK, samples - done)
-        d = rng.choice(len(P), size=(take, n), p=muvec)
+        d = draw(rng, (take, n))
+        x = np.zeros((P.m, take), dtype=np.int64)
+        for a in range(0, n, c):
+            b = min(a + c, n)
+            code = d[:, b - 1]
+            for i in range(b - 2, a - 1, -1):
+                code = code * K + d[:, i]
+            x += tables[b - a].take(code, axis=1) * s ** a
         out_code = np.zeros(take, dtype=np.int64)
         for j, f in enumerate(fs):
-            xj = (memb[d, j] * powers[np.newaxis, :]).sum(axis=1)
-            out_code += f.values[xj].astype(np.int64) * s ** j
+            out_code += f.values[x[j]].astype(np.int64) * s ** j
         bad += int((~in_p[out_code]).sum())
         done += take
     lo, hi = wilson_interval(bad, samples)

@@ -384,6 +384,9 @@ MALFORMED = {
                   ["agree", "--fn", "maj3.fn", "--chain", "{}"]),
     "measure": ("unused.txt", "",
                 ["analyze", "--fn", "maj3.fn", "--measure", "p:abc"]),
+    "mc-seed": ("unused.txt", "",
+                ["polytest", "mc", "--pred", "nand2.pred", "--fn",
+                 "noisy0.fn", "noisy1.fn", "--seed", "-1"]),
     "tau-nan": ("unused.txt", "",
                 ["correct", "monotone", "--pred", "nand2.pred", "--fn",
                  "noisy0.fn", "noisy1.fn", "--eps", "0.1", "--tau", "nan"]),

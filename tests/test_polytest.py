@@ -2,6 +2,7 @@ import itertools
 import math
 import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -226,6 +227,10 @@ def test_resource_and_domain_guards():
     h = fs.from_values(2, 2, "real", [0.5, 0.5, 0.5, 0.5])
     with pytest.raises(UnsupportedError):
         pt.violation_exact(P, [h, fs.and_all(2)])
+    for samples, seed in [(0, 1), (2.5, 1), (10, -1), (10, 2 ** 128),
+                          (10, 1.5)]:
+        with pytest.raises(DomainError):
+            pt.violation_mc(P, funcs, samples, seed)
 
 
 def test_wilson_interval_basics():
@@ -475,3 +480,165 @@ def test_violation_probability_runs_the_cheaper_engine_only(monkeypatch, P, n,
     calls = _count_engines(monkeypatch)
     assert pt.violation_probability(P, funcs) == 0.0
     assert calls == [engine]
+
+
+# -- column tables and the Monte Carlo sampler ---------------------------------
+
+def _odometer_reference(P, funcs, chunk):
+    # the per-digit odometer that _column_tables replaced, kept verbatim
+    # but for the block size
+    n, s, K = funcs[0].n, P.s, len(P)
+    memb = np.array(P.members, dtype=np.int64)
+    muvec = np.array([float(w) for w in P.weights])
+    in_p = pt._member_table(P)
+    c = 0
+    while c < n and K ** (c + 1) <= chunk:
+        c += 1
+    block = K ** c
+    low_w = np.ones(block)
+    low_x = np.zeros((P.m, block), dtype=np.int64)
+    rem = np.arange(block, dtype=np.int64)
+    for i in range(c):
+        d = rem % K
+        rem //= K
+        low_w *= muvec[d]
+        low_x += memb[d].T * s ** i
+    first_bad = None
+    Q = np.zeros(s ** P.m)
+    for high in range(K ** n // block):
+        w = low_w
+        offset = np.zeros(P.m, dtype=np.int64)
+        for i, d in enumerate(fs.decode_point(high, n - c, K), start=c):
+            w = w * muvec[d]
+            offset += memb[d] * s ** i
+        out_code = np.zeros(block, dtype=np.int64)
+        for j in range(P.m):
+            x = low_x[j] + offset[j]
+            out_code += funcs[j].values[x].astype(np.int64) * s ** j
+        np.add.at(Q, out_code, w)
+        if first_bad is None:
+            bad = np.nonzero(~in_p[out_code])[0]
+            if bad.size:
+                first_bad = high * block + int(bad[0])
+    return Q, first_bad
+
+
+@settings(max_examples=100, deadline=None)
+@given(oracle_instances(), st.integers(0, 3))
+def test_column_tables_match_a_per_digit_scan(instance, c):
+    P, _ = instance
+    K = len(P)
+    while K ** c > 1024:
+        c -= 1
+    memb = pt._member_array(P)
+    mu = [float(w) for w in P.weights]
+    x, w = pt._column_tables(memb, np.array(mu), c, P.s)
+    ref_x = np.zeros((P.m, K ** c), dtype=np.int64)
+    ref_w = np.ones(K ** c)
+    for code in range(K ** c):
+        digits = fs.decode_point(code, c, K)
+        for j in range(P.m):
+            ref_x[j, code] = fs.encode_point([P.members[d][j]
+                                              for d in digits], P.s)
+        for d in digits:
+            ref_w[code] *= mu[d]
+    assert np.array_equal(x, ref_x)
+    assert w.tobytes() == ref_w.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(oracle_instances(), st.sampled_from((4, 16, pt.CHUNK)))
+def test_odometer_equals_the_per_digit_odometer(instance, chunk):
+    P, funcs = instance
+    with mock.patch.object(pt, "CHUNK", chunk):
+        Q, first_bad = pt.joint_output_distribution(P, funcs)
+    ref_Q, ref_bad = _odometer_reference(P, funcs, chunk)
+    assert np.array_equal(Q, ref_Q)
+    assert first_bad == ref_bad
+
+
+@pytest.mark.parametrize("p, shape", [
+    ([1 / 4] * 4, (5000, 7)),                      # cdf points on cell edges
+    ([1e-6] * 5 + [1 - 5e-6], (20000, 10)),        # five points in cell 0
+    ([3 / 1024, 2 ** -30, 1 - 3 / 1024 - 2 ** -30], (3000, 3)),
+    (list(range(1, 25)), (4000, 9)),               # K = 24
+    ([1.0], (100, 4)),
+    ([0.5, 0.5], (0, 3)),
+], ids=["uniform4", "tiny", "edge_and_split", "k24", "k1", "empty"])
+@pytest.mark.parametrize("key", [0, 3, 2 ** 127 + 5])
+def test_guide_table_sampler_equals_generator_choice(p, shape, key):
+    p = np.array(p, dtype=np.float64)
+    p = p / p.sum()
+    draw = pt._choice_sampler(p)
+    got = draw(np.random.Generator(np.random.Philox(key=key)), shape)
+    want = np.random.Generator(np.random.Philox(key=key)).choice(
+        len(p), size=shape, p=p)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+
+
+def test_guide_table_sampler_breaks_ties_as_choice_does():
+    # choice returns cdf.searchsorted(u, side="right"): a u equal to a cdf
+    # point counts it.  Random draws almost never tie, so feed ties and
+    # cell edges in place of the generator's uniforms
+    p = np.array([1e-6] * 5 + [3 / 1024, 0.5, 0.25])
+    p = p / p.sum()
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    u = np.concatenate([cdf[:-1], np.nextafter(cdf[:-1], 0),
+                        np.arange(1024) / 1024])
+
+    class Fixed:
+        def random(self, shape):
+            return u.reshape(shape)
+
+    got = pt._choice_sampler(p)(Fixed(), (u.size,))
+    assert np.array_equal(got, cdf.searchsorted(u, side="right"))
+
+
+def _mc_reference(P, funcs, samples, seed):
+    # the Generator.choice loop that the guide table and the group tables
+    # replaced, kept verbatim
+    n, s = funcs[0].n, P.s
+    memb = np.array(P.members, dtype=np.int64)
+    muvec = np.array([float(w) for w in P.weights])
+    muvec = muvec / muvec.sum()
+    in_p = pt._member_table(P)
+    powers = s ** np.arange(n, dtype=np.int64)
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    bad = 0
+    done = 0
+    while done < samples:
+        take = min(pt.CHUNK, samples - done)
+        d = rng.choice(len(P), size=(take, n), p=muvec)
+        out_code = np.zeros(take, dtype=np.int64)
+        for j, f in enumerate(funcs):
+            xj = (memb[d, j] * powers[np.newaxis, :]).sum(axis=1)
+            out_code += f.values[xj].astype(np.int64) * s ** j
+        bad += int((~in_p[out_code]).sum())
+        done += take
+    lo, hi = pt.wilson_interval(bad, samples)
+    return pt.ViolationReport(probability=bad / samples, method="monte_carlo",
+                              samples=samples, half_width=(hi - lo) / 2,
+                              interval=(lo, hi))
+
+
+@settings(max_examples=60, deadline=None)
+@given(oracle_instances(), st.sampled_from((1, 999, pt.CHUNK + 7)),
+       st.integers(0, 2 ** 128 - 1))
+def test_violation_mc_equals_the_choice_loop(instance, samples, seed):
+    P, funcs = instance
+    assert (pt.violation_mc(P, funcs, samples, seed)
+            == _mc_reference(P, funcs, samples, seed))
+
+
+@pytest.mark.parametrize("samples", [200, 500])
+def test_wilson_interval_covers_at_its_nominal_rate(samples):
+    # OR pairs on NAND2 at n=2 violate with probability exactly 2/9
+    P = pr.nand_predicate(2)
+    ors = [fs.or_all(2), fs.or_all(2)]
+    covered = 0
+    for seed in range(400):
+        lo, hi = pt.violation_mc(P, ors, samples, seed).interval
+        covered += lo <= 2 / 9 <= hi
+    assert 0.92 <= covered / 400 <= 0.98
