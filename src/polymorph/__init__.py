@@ -19,12 +19,12 @@ from .funcspace import (FunctionTable, Measure, PartialAssignment,
                         ProductMeasure, character, constant, dictator,
                         distance, expectation, from_values, load_function,
                         save_function)
-from .harmonics import (Decomposition, fourier_expand, low_degree_influence,
-                        noise_stability, noisy_influence)
+from .harmonics import (Decomposition, low_degree_influence, noise_stability,
+                        noisy_influence)
 from .polytest import (ColumnRestriction, Counterexample, ViolationReport,
-                       draw_restriction, is_generalized_polymorphism,
-                       joint_output_distribution, joint_value_probability,
-                       violation_exact, violation_mc, violation_probability)
+                       is_generalized_polymorphism, joint_output_distribution,
+                       joint_value_probability, violation_exact, violation_mc,
+                       violation_probability)
 from .predicates import (Predicate, StarLaw, affine_relations,
                          classify_short_relations, flexible_coordinates,
                          full_predicate, load_predicate, maxterms,
@@ -46,10 +46,10 @@ __all__ = [
     "build_junta_noisy", "cell_regular_fraction", "character",
     "classify_short_relations", "constant", "correct_alphabet",
     "correct_fractional_nand", "correct_general", "correct_monotone",
-    "dictator", "distance", "draw_restriction", "expectation",
-    "flexible_coordinates", "fourier_expand", "friedgut_regev_lift",
-    "from_values", "full_predicate", "is_generalized_polymorphism",
-    "joint_output_distribution", "joint_value_probability", "load_function",
+    "dictator", "distance", "expectation", "flexible_coordinates",
+    "friedgut_regev_lift", "from_values", "full_predicate",
+    "is_generalized_polymorphism", "joint_output_distribution",
+    "joint_value_probability", "load_function",
     "load_predicate", "low_degree_influence", "markov_agreement", "maxterms",
     "nae_predicate", "nand_predicate", "nearest_character", "noise_stability",
     "noisy_influence", "one_hot_predicate", "parity_predicate",

@@ -18,22 +18,21 @@ brute-force polymorphism oracle before a run is accepted.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 import math
 
 import numpy as np
 
 from .errors import DomainError, ResourceError, UnsupportedError, ValidationError
 from .funcspace import (FunctionTable, Measure, PartialAssignment,
-                        ProductMeasure, character, constant, distance,
+                        ProductMeasure, _cell_view, _digit_index, _kron,
+                        _once_per_table, character, constant, distance,
                         from_values)
 from .harmonics import _apply_along_axis
 from .predicates import (Predicate, affine_relations, classify_short_relations,
                          flexible_coordinates, maxterms, star_law)
 from .polytest import (ColumnRestriction, Counterexample,
                        is_generalized_polymorphism)
-from .regularity import (CELL_CAP, RegularityCertificate, _cell_view,
-                         _once_per_table, build_junta_lowdeg,
+from .regularity import (CELL_CAP, RegularityCertificate, build_junta_lowdeg,
                          regular_cell_mask)
 
 DECODE_N_CAP = 20          # exhaustive character decoding: 2^n * 2 candidates
@@ -188,31 +187,16 @@ def _require_tables(fs, m: int, codomains=("bit",)) -> tuple[int, int]:
     return n, s
 
 
-def _cell_index_map(n: int, s: int, J) -> np.ndarray:
-    """Point index -> cell index over sorted J (least significant first)."""
-    idx = np.arange(s ** n)
-    out = np.zeros(s ** n, dtype=np.int64)
-    for k, c in enumerate(sorted(J)):
-        out += ((idx // s ** c) % s) * s ** k
-    return out
-
-
-def _free_weights(n: int, s: int, free, assignment: PartialAssignment,
-                  marginal: Measure) -> np.ndarray:
-    """Kronecker weights over the free axis of a cell view: fixed entries
-    contribute a point mass, open entries (stars) the given marginal."""
-    entries = [assignment.entries[c] for c in reversed(list(free))]
-    vecs = [marginal.probs if v is None else np.eye(s)[v] for v in entries]
-    return reduce(np.kron, vecs) if vecs else np.ones(1)
-
-
 def _cell_averages(values: np.ndarray, f: FunctionTable, J, assignment,
                    marginal: Measure) -> np.ndarray:
     """Average of a table on f's domain over every cell of sorted J under
     the restriction; open coordinates outside J average against the
     marginal."""
     G, _, F = _cell_view(values, f.n, f.s, J)
-    return G @ _free_weights(f.n, f.s, F, assignment, marginal)
+    # fixed entries contribute a point mass, stars the marginal
+    entries = [assignment.entries[c] for c in F]
+    return G @ _kron(marginal.probs if v is None else np.eye(f.s)[v]
+                     for v in entries)
 
 
 def _restricted_cell_expectations(f: FunctionTable, J, assignment,
@@ -429,7 +413,7 @@ def round_general_cell(fs, J, rho, eta: float, P: Predicate) -> RoundedCells:
     if s != 2 or P.s != 2:
         raise UnsupportedError("cell rounding is defined for binary alphabets")
     assignments = _as_assignments(rho, P.m, n, s)
-    cell_idx = _cell_index_map(n, s, J)
+    cell_idx = _digit_index(n, s, sorted(J))
     gs, colors, decisions = [], [], []
     names = {0: "fixed-0", 1: "fixed-1", -1: "kept"}
     for j, f in enumerate(fs):
@@ -467,7 +451,7 @@ def _regular_heavy_cells(P: Predicate, fs, coords, d: int, tau: float,
         E = _restricted_cell_expectations(f, J, everywhere, nu.measures[0])
         return regular_cell_mask(f, J, d, tau, nu, cap=CELL_CAP) & (E > eps / 2)
 
-    return cert, _cell_index_map(n, 2, J), _once_per_table(
+    return cert, _digit_index(n, 2, J), _once_per_table(
         keep, [fs[j] for j in coords], measures)
 
 
@@ -759,7 +743,7 @@ def correct_alphabet(P: Predicate, fs, eps: float, eta: float | None = None,
     measures = [_iid_marginal(P, j, n) for j in range(m)]
     cert = build_junta_lowdeg(fs, measures, d, tau, eps, cell_cap=CELL_CAP)
     J = tuple(cert.junta)
-    cell_idx = _cell_index_map(n, s, J)
+    cell_idx = _digit_index(n, s, sorted(J))
 
     def round_cells(restriction):
         gs, decisions = [], []

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from functools import reduce
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -46,6 +45,45 @@ def points_in_index_order(n: int, s: int) -> Iterator[tuple[int, ...]]:
     """Yield all points of Sigma^n in increasing index order."""
     for t in itertools.product(range(s), repeat=n):
         yield t[::-1]
+
+
+# -- cell layout -------------------------------------------------------------
+#
+# Every function on Sigma^n shares one layout: a cell of a coordinate set J
+# is a point of Sigma^J, indexed least significant first over sorted J, and
+# the free coordinates F outside J index the points of each cell the same way.
+
+def _kron(vecs) -> np.ndarray:
+    """Product weights of per-coordinate vectors given in coordinate order,
+    laid out in point-index order; the empty product is [1.0].  Factors
+    multiply from the last coordinate down, as np.kron over the reversed
+    list does."""
+    out = np.ones(1)
+    for v in reversed(list(vecs)):
+        out = np.multiply.outer(out, v).ravel()
+    return out
+
+
+def _digit_index(n: int, s: int, coords) -> np.ndarray:
+    """For every point index of Sigma^n, the index of its digits at coords,
+    read with coords[0] least significant."""
+    idx = np.arange(s ** n)
+    out = np.zeros(s ** n, dtype=np.int64)
+    for k, c in enumerate(coords):
+        out += ((idx // s ** c) % s) * s ** k
+    return out
+
+
+def _cell_view(values: np.ndarray, n: int, s: int, J) -> tuple:
+    """Reshape a flat table to (cells of J, free points), both indexed in
+    the usual least-significant-first digit order over sorted coordinates.
+    Returns (view, sorted J, free coordinates)."""
+    Js = sorted(J)
+    F = [i for i in range(n) if i not in Js]
+    arr = values.reshape((s,) * n)
+    perm = [n - 1 - j for j in reversed(Js)] + [n - 1 - i for i in reversed(F)]
+    G = arr.transpose(perm).reshape(s ** len(Js), s ** len(F))
+    return G, Js, F
 
 
 class Measure:
@@ -118,8 +156,7 @@ class ProductMeasure:
     def weights(self) -> np.ndarray:
         """Dense weight vector of length s^n in point-index order."""
         if self._weights is None:
-            self._weights = reduce(
-                np.kron, (m.probs for m in reversed(self.measures)))
+            self._weights = _kron([m.probs for m in self.measures])
         return self._weights
 
     def weight_of(self, x: Sequence[int]) -> float:
@@ -231,19 +268,13 @@ class FunctionTable:
         """Sub-table on the free coordinates, reindexed in increasing order."""
         if assignment.n != self.n:
             raise DomainError("assignment length mismatch")
-        s = self.s
-        base = 0
-        for i in assignment.fixed:
-            base += assignment.entries[i] * s ** i
-        free = assignment.free
-        if not free:
+        if not assignment.free:
             raise DomainError("restriction fixes every coordinate")
-        k = len(free)
-        rem = np.arange(s ** k)
-        idx = np.full(s ** k, base, dtype=np.int64)
-        for j, i in enumerate(free):
-            idx += ((rem // s ** j) % s) * s ** i
-        return FunctionTable(k, s, self.codomain, self.values[idx])
+        # axis 0 of the reshaped table holds coordinate n - 1
+        key = tuple(slice(None) if v is None else v
+                    for v in reversed(assignment.entries))
+        sub = self.values.reshape((self.s,) * self.n)[key].flatten()
+        return FunctionTable(len(assignment.free), self.s, self.codomain, sub)
 
     def as_real(self) -> np.ndarray:
         return self.values.astype(np.float64)
@@ -322,11 +353,7 @@ def junta(n: int, coords: Sequence[int], table: FunctionTable | Sequence[int],
                 f"junta table needs {s ** k} entries, got shape {inner.shape}")
     if k != len(coords):
         raise ValidationError("junta table size does not match coordinate count")
-    idx = np.arange(s ** n)
-    inner_idx = np.zeros(s ** n, dtype=np.int64)
-    for j, i in enumerate(coords):
-        inner_idx += ((idx // s ** i) % s) * s ** j
-    return FunctionTable(n, s, codomain, inner[inner_idx])
+    return FunctionTable(n, s, codomain, inner[_digit_index(n, s, coords)])
 
 
 def hybrid(n: int) -> FunctionTable:
@@ -343,7 +370,7 @@ def hybrid(n: int) -> FunctionTable:
     return FunctionTable(n, 2, "bit", np.where(low, x1 & x2, x1 | x2))
 
 
-# -- metrics and cell enumeration ------------------------------------------
+# -- metrics -----------------------------------------------------------------
 
 def distance(f: FunctionTable, g: FunctionTable, nu: ProductMeasure) -> float:
     """Pr_nu[f != g] for discrete codomains, E_nu|f - g| when either is real."""
@@ -363,27 +390,16 @@ def expectation(f: FunctionTable, nu: ProductMeasure) -> float:
     return float(np.dot(nu.weights(), f.as_real()))
 
 
-def enumerate_cells(f: FunctionTable, J: Iterable[int], nu_J: ProductMeasure,
-                    cap: int = TABLE_CAP):
-    """Yield (assignment over sorted J, weight, subfunction on the rest).
-
-    nu_J carries one measure per J coordinate, ordered by increasing
-    coordinate index.  Weights sum to one over the yielded cells.
-    """
-    J = sorted(set(J))
-    if any(not (0 <= i < f.n) for i in J):
-        raise DomainError("cell coordinates outside range")
-    if len(J) >= f.n:
-        raise DomainError("cell coordinates must leave at least one free coordinate")
-    if nu_J.n != len(J) or nu_J.s != f.s:
-        raise DomainError("cell measure does not match J")
-    if f.s ** len(J) > cap:
-        raise ResourceError(f"{f.s}^{len(J)} cells exceed cap {cap}")
-    for cell in points_in_index_order(len(J), f.s):
-        weight = nu_J.weight_of(cell)
-        assignment = PartialAssignment.from_dict(
-            f.n, dict(zip(J, cell)), s=f.s)
-        yield cell, weight, f.restrict(assignment)
+def _once_per_table(fn, fs, measures) -> list:
+    """fn(f, nu) at every position; a position whose table is the same
+    object as an earlier position's, under an equal measure, reuses that
+    result."""
+    out = []
+    for i, (f, nu) in enumerate(zip(fs, measures)):
+        k = next((k for k in range(i) if fs[k] is f
+                  and measures[k].measures == nu.measures), i)
+        out.append(fn(f, nu) if k == i else out[k])
+    return out
 
 
 # -- text file format --------------------------------------------------------

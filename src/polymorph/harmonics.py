@@ -34,6 +34,26 @@ def _apply_along_axis(mat: np.ndarray, arr: np.ndarray, axis: int) -> np.ndarray
     return np.moveaxis(out, 0, axis)
 
 
+def _transform(arr: np.ndarray, mats) -> np.ndarray:
+    """Apply mats[k] along coordinate k of every cell of a (cells, s, ..., s)
+    tensor laid out like a cell view: the last axis holds coordinate 0."""
+    for k, mat in enumerate(mats):
+        arr = _apply_along_axis(mat, arr, len(mats) - k)
+    return arr
+
+
+def _forward_mats(measures) -> list:
+    """Per coordinate, the matrix taking a table's values along that axis
+    to its coefficients in the orthonormal basis."""
+    return [orthonormal_basis(m) * m.probs[np.newaxis, :] for m in measures]
+
+
+def _nonconstant_digits(n: int, s: int) -> np.ndarray:
+    """Shape (n, s^n): row i flags the coefficient indices whose basis
+    function at coordinate i is not the constant e_0."""
+    return np.indices((s,) * n, dtype=np.int8).reshape(n, -1)[::-1] != 0
+
+
 def orthonormal_basis(measure: Measure) -> np.ndarray:
     """Rows e_0 = 1, e_1, ..., orthonormal under the weighted inner product.
 
@@ -68,29 +88,22 @@ class Decomposition:
         self.n, self.s = f.n, f.s
         self.nu = nu
         self.bases = [orthonormal_basis(m) for m in nu.measures]
-        arr = f.as_real().reshape((self.s,) * self.n)
-        for i in range(self.n):
-            fwd = self.bases[i] * nu.measures[i].probs[np.newaxis, :]
-            arr = _apply_along_axis(fwd, arr, _axis_of(i, self.n))
-        self.coeffs = arr.reshape(-1)
+        arr = f.as_real().reshape((1,) + (self.s,) * self.n)
+        self.coeffs = _transform(arr, _forward_mats(nu.measures)).reshape(-1)
         # support bitmask and level of every coefficient index
-        idx = np.arange(self.s ** self.n)
-        masks = np.zeros(idx.size, dtype=np.int64)
-        levels = np.zeros(idx.size, dtype=np.int64)
-        for i in range(self.n):
-            nonzero = (idx // self.s ** i) % self.s != 0
-            masks |= nonzero.astype(np.int64) << i
-            levels += nonzero
-        self._masks = masks
+        digits = _nonconstant_digits(self.n, self.s)
+        levels = digits.sum(axis=0, dtype=np.int64)
+        masks = np.zeros(levels.size, dtype=np.int64)
         c2 = self.coeffs ** 2
+        self.coord_level_norm2 = np.zeros((self.n, self.n + 1))
+        for i, sel in enumerate(digits):
+            masks[sel] |= 1 << i
+            self.coord_level_norm2[i] = np.bincount(
+                levels[sel], weights=c2[sel], minlength=self.n + 1)
+        self._masks = masks
         self.norm2_by_mask = np.zeros(1 << self.n)
         np.add.at(self.norm2_by_mask, masks, c2)
         self.level_norm2 = np.bincount(levels, weights=c2, minlength=self.n + 1)
-        self.coord_level_norm2 = np.zeros((self.n, self.n + 1))
-        for i in range(self.n):
-            sel = (masks >> i) & 1 == 1
-            self.coord_level_norm2[i] = np.bincount(
-                levels[sel], weights=c2[sel], minlength=self.n + 1)
         total = float(np.dot(nu.weights(), f.as_real() ** 2))
         if abs(float(c2.sum()) - total) > IDENTITY_TOL * max(1.0, total):
             raise ValidationError("Parseval identity failed beyond tolerance")
@@ -115,10 +128,8 @@ class Decomposition:
         return float(self.coeffs[self._mask_of(S)])
 
     def _inverse(self, coeffs: np.ndarray) -> np.ndarray:
-        arr = coeffs.reshape((self.s,) * self.n)
-        for i in range(self.n):
-            arr = _apply_along_axis(self.bases[i].T, arr, _axis_of(i, self.n))
-        return arr.reshape(-1)
+        arr = coeffs.reshape((1,) + (self.s,) * self.n)
+        return _transform(arr, [b.T for b in self.bases]).reshape(-1)
 
     def component(self, S) -> np.ndarray:
         """Dense table of the component f_S (plain real values)."""
@@ -162,13 +173,6 @@ class Decomposition:
         return "\n".join(
             f"S={','.join(map(str, coords))} norm2={v!r}"
             for _, coords, v in entries) + "\n"
-
-
-def fourier_expand(f: FunctionTable, p) -> Decomposition:
-    """p-biased Fourier expansion of a binary-domain table."""
-    if f.s != 2:
-        raise UnsupportedError("fourier_expand works on binary domains")
-    return Decomposition(f, ProductMeasure.p_biased(p, f.n))
 
 
 def efron_stein(f: FunctionTable, nu: ProductMeasure) -> Decomposition:

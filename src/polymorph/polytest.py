@@ -22,7 +22,7 @@ import numpy as np
 from .errors import DomainError, ResourceError, UnsupportedError
 from .funcspace import (FunctionTable, PartialAssignment, ProductMeasure,
                         decode_point, encode_point)
-from .predicates import Predicate, StarLaw
+from .predicates import Predicate
 
 ODOMETER_CAP = 1 << 24
 CONTRACTION_CAP = 1 << 22
@@ -431,11 +431,6 @@ class ColumnRestriction:
     def assignment_for(self, j: int) -> PartialAssignment:
         return PartialAssignment(
             [p[j] for p in self.patterns], s=self.s)
-
-
-def draw_restriction(law: StarLaw, n: int, rng) -> ColumnRestriction:
-    idx = law.sample_indices(rng, n)
-    return ColumnRestriction([law.patterns[i] for i in idx], law.predicate.s)
 
 
 def restricted_value_distribution(f: FunctionTable, assignment: PartialAssignment,

@@ -306,14 +306,12 @@ STAR = None  # star marker inside patterns
 class StarLaw:
     """A distribution over members of P plus one star pattern per flexible j."""
 
-    def __init__(self, P: Predicate, q: Fraction, patterns, probs, star_coords,
-                 witness_bases):
+    def __init__(self, P: Predicate, q: Fraction, patterns, probs, star_coords):
         self.predicate = P
         self.q = q
         self.patterns = patterns          # tuples over Sigma union {None}
         self.probs = probs                # exact Fractions, sum to one
         self.star_coords = star_coords    # None for members, j for star at j
-        self.witness_bases = witness_bases
         total = sum(probs)
         if total != 1:
             raise ValidationError(f"star-law probabilities sum to {total}")
@@ -403,7 +401,7 @@ def star_law(P: Predicate, mode: str = "general", q=None) -> StarLaw:
         patterns.append(pat)
         probs.append(q)
         star_coords.append(j)
-    return StarLaw(P, q, patterns, probs, star_coords, bases)
+    return StarLaw(P, q, patterns, probs, star_coords)
 
 
 # -- text file format ----------------------------------------------------------

@@ -13,13 +13,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
-from .errors import DomainError, ResourceError
-from .funcspace import FunctionTable, ProductMeasure, enumerate_cells
-from .harmonics import efron_stein, indicator_table
+from .errors import DomainError, ResourceError, ValidationError
+from .funcspace import (FunctionTable, ProductMeasure, _cell_view, _kron,
+                        _once_per_table, decode_point)
+from .harmonics import (IDENTITY_TOL, _forward_mats, _nonconstant_digits,
+                        _transform, indicator_table)
 
 CELL_CAP = 1 << 16
 GAIN_SLACK = 1e-15
@@ -85,23 +86,6 @@ def _expand_real(fs) -> tuple[list, list]:
     return tables, owners
 
 
-def _kron_weights(nu: ProductMeasure, coords) -> np.ndarray:
-    if not coords:
-        return np.ones(1)
-    return reduce(np.kron, [nu.measures[c].probs for c in reversed(coords)])
-
-
-def _cell_view(values: np.ndarray, n: int, s: int, J) -> tuple:
-    """Reshape a flat table to (cells of J, free points), both indexed in
-    the usual least-significant-first digit order over sorted coordinates."""
-    Js = sorted(J)
-    F = [i for i in range(n) if i not in Js]
-    arr = values.reshape((s,) * n)
-    perm = [n - 1 - j for j in reversed(Js)] + [n - 1 - i for i in reversed(F)]
-    G = arr.transpose(perm).reshape(s ** len(Js), s ** len(F))
-    return G, Js, F
-
-
 def _noise_op(probs: np.ndarray, rho: float) -> np.ndarray:
     s = probs.size
     return rho * np.eye(s) + (1 - rho) * np.tile(probs, (s, 1))
@@ -130,8 +114,8 @@ def _cell_influence_tables(values, n, s, J, nu, rho):
     G, Js, F = _cell_view(values, n, s, J)
     f = len(F)
     C = G.shape[0]
-    w_cells = _kron_weights(nu, Js)
-    w_free = _kron_weights(nu, F)
+    w_cells = _kron(nu.measures[c].probs for c in Js)
+    w_free = _kron(nu.measures[c].probs for c in F)
     Gt = G.reshape((C,) + (s,) * f)
     axis_coords = list(reversed(F))  # tensor axis k+1 holds this coordinate
     stab = _stab_cells(Gt, axis_coords, nu, rho, w_free)
@@ -256,50 +240,53 @@ def build_junta_noisy(fs, measures, rho: float, tau: float, eps: float,
             raise ResourceError("growth exceeded its potential budget")
 
 
-def _cell_pieces(f: FunctionTable, J, nu: ProductMeasure, cap: int):
-    """Yield (cell, weight, sub-tables) over the cells of sorted J; sym
-    tables expand into one indicator per symbol.  An empty J yields the
-    whole domain as a single cell of weight one."""
-    subs = [f] if f.codomain != "sym" else [
-        indicator_table(f, sigma) for sigma in range(f.s)]
-    if not J:
-        yield (), 1.0, subs
-        return
-    nu_J = nu.subset(J)
-    for pieces in zip(*(enumerate_cells(g, J, nu_J, cap=cap) for g in subs)):
-        yield pieces[0][0], pieces[0][1], [p[2] for p in pieces]
-
-
-def _cell_influence_records(f: FunctionTable, J, d: int, tau: float,
-                            nu: ProductMeasure, cap: int) -> list | None:
+def _cell_influences(f: FunctionTable, J, d: int, tau: float,
+                     nu: ProductMeasure, cap: int):
     """Per cell of sorted J, the largest degree-at-most-d influence of the
     restriction (max over free coordinates, and over symbols for sym
-    tables), with ties keeping the earliest coordinate.  None when J
-    leaves no coordinate free: every cell is then a single point, hence
-    constant and regular."""
+    tables), with ties keeping the earliest coordinate.
+
+    Every cell is transformed at once: each free coordinate's forward
+    basis runs along the cell view, and the squared coefficients meet one
+    (free coordinate x coefficient) mask of "non-constant at the
+    coordinate and level at most d".  Returns (cell weights, influences,
+    coordinates), or None when J leaves no coordinate free: every cell is
+    then a single point, hence constant and regular.
+    """
     if d < 1:
         raise DomainError("degree must be at least 1")
     if not tau > 0:  # also refuses NaN
         raise DomainError("tau must be positive")
+    n, s = f.n, f.s
     J = sorted(set(J))
-    if len(J) >= f.n:
+    if any(not (0 <= i < n) for i in J):
+        raise DomainError(f"cell coordinates outside range(0, {n})")
+    if nu.n != n or nu.s != s:
+        raise DomainError("measure does not match the function domain")
+    if len(J) >= n:
         return None
-    if f.s ** len(J) > cap:
-        raise ResourceError("too many cells to enumerate")
-    F = [i for i in range(f.n) if i not in J]
-    nu_F = nu.subset(F)
-    records = []
-    for cell, weight, subs in _cell_pieces(f, J, nu, cap):
-        best = (-1.0, -1)
-        for sub in subs:
-            dec = efron_stein(sub, nu_F)
-            for k, coord in enumerate(F):
-                v = dec.low_degree_influence(k, d)
-                if v > best[0]:
-                    best = (v, coord)
-        records.append(WorstCell(cell=cell, influence=best[0],
-                                 coordinate=best[1], weight=weight))
-    return records
+    if s ** len(J) > cap:
+        raise ResourceError(f"{s}^{len(J)} cells exceed cap {cap}")
+    F = [i for i in range(n) if i not in J]
+    free = [nu.measures[c] for c in F]
+    fwd = _forward_mats(free)
+    w_free = _kron(m.probs for m in free)
+    digits = _nonconstant_digits(len(F), s)
+    low = (digits & (digits.sum(axis=0) <= d)).T.astype(np.float64)
+    infs = []
+    for vals in _expand_real([f])[0]:
+        G = _cell_view(vals, n, s, J)[0]
+        c2 = _transform(G.reshape((-1,) + (s,) * len(F)), fwd).reshape(G.shape) ** 2
+        total = (G ** 2) @ w_free
+        if np.any(np.abs(c2.sum(axis=1) - total)
+                  > IDENTITY_TOL * np.maximum(1.0, total)):
+            raise ValidationError("Parseval identity failed beyond tolerance")
+        infs.append(c2 @ low)
+    # columns run symbol-major, so argmax keeps the earliest on ties
+    infs = np.hstack(infs)
+    k = infs.argmax(axis=1)
+    return (_kron(nu.measures[c].probs for c in J), infs.max(axis=1),
+            np.asarray(F)[k % len(F)])
 
 
 def cell_regular_fraction(f: FunctionTable, J, d: int, tau: float,
@@ -307,12 +294,18 @@ def cell_regular_fraction(f: FunctionTable, J, d: int, tau: float,
                           cap: int = CELL_CAP) -> CellRegularityReport:
     """Exact mass of cells whose restriction has all degree-at-most-d
     influences at most tau, plus the WORST_CELLS worst offending cells."""
-    records = _cell_influence_records(f, J, d, tau, nu, cap)
-    if records is None:
+    out = _cell_influences(f, J, d, tau, nu, cap)
+    if out is None:
         return CellRegularityReport(1.0, (), d, tau)
-    mass = math.fsum(r.weight if r.influence <= tau else 0.0 for r in records)
-    worst = tuple(sorted((r for r in records if r.influence > tau),
-                         key=lambda r: -r.influence)[:WORST_CELLS])
+    weights, infs, coords = out
+    mass = math.fsum(weights[infs <= tau])
+    bad = sorted(np.flatnonzero(infs > tau), key=lambda c: -infs[c])
+    k = len(set(J))
+    worst = tuple(WorstCell(cell=decode_point(int(c), k, f.s),
+                            influence=float(infs[c]),
+                            coordinate=int(coords[c]),
+                            weight=float(weights[c]))
+                  for c in bad[:WORST_CELLS])
     return CellRegularityReport(regular_mass=mass, worst=worst, degree=d, tau=tau)
 
 
@@ -321,22 +314,10 @@ def regular_cell_mask(f: FunctionTable, J, d: int, tau: float,
     """Boolean flag per cell of sorted J (least-significant-first cell
     index order): True when the restriction to the cell has every
     degree-at-most-d influence at most tau."""
-    records = _cell_influence_records(f, J, d, tau, nu, cap)
-    if records is None:
+    out = _cell_influences(f, J, d, tau, nu, cap)
+    if out is None:
         return np.ones(f.s ** f.n, dtype=bool)
-    return np.array([r.influence <= tau for r in records], dtype=bool)
-
-
-def _once_per_table(fn, fs, measures) -> list:
-    """fn(f, nu) at every position; a position whose table is the same
-    object as an earlier position's, under an equal measure, reuses that
-    result."""
-    out = []
-    for i, (f, nu) in enumerate(zip(fs, measures)):
-        k = next((k for k in range(i) if fs[k] is f
-                  and measures[k].measures == nu.measures), i)
-        out.append(fn(f, nu) if k == i else out[k])
-    return out
+    return out[1] <= tau
 
 
 def build_junta_lowdeg(fs, measures, d: int, tau: float, eps: float,

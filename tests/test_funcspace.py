@@ -4,6 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from polymorph.errors import (DomainError, ResourceError, ValidationError)
 from polymorph import funcspace as fs
@@ -138,27 +139,6 @@ def test_distance_real_codomain():
     assert abs(fs.distance(f, g, nu) - (0.0 + 0.5 + 1.0 + 0.25) / 4) < 1e-12
 
 
-def test_enumerate_cells_weights():
-    # two fixed coordinates at p = 1/4: weights 9/16, 3/16, 3/16, 1/16
-    f = fs.hybrid(5)
-    nu_J = fs.ProductMeasure.p_biased(0.25, 2)
-    cells = list(fs.enumerate_cells(f, [0, 1], nu_J))
-    got = {cell: w for cell, w, _ in cells}
-    assert got == {(0, 0): pytest.approx(9 / 16), (1, 0): pytest.approx(3 / 16),
-                   (0, 1): pytest.approx(3 / 16), (1, 1): pytest.approx(1 / 16)}
-    assert abs(sum(w for _, w, _ in cells) - 1.0) < 1e-12
-    for cell, _, sub in cells:
-        assert sub.n == 3
-        assert sub.eval((1, 1, 1)) == f.eval((cell[0], cell[1], 1, 1, 1))
-
-
-def test_enumerate_cells_cap():
-    f = fs.hybrid(12)
-    nu_J = fs.ProductMeasure.uniform(10)
-    with pytest.raises(ResourceError):
-        list(fs.enumerate_cells(f, range(10), nu_J, cap=512))
-
-
 def test_junta_checks_table_size():
     with pytest.raises(ValidationError):
         fs.junta(5, [0, 1], [0, 1, 1, 0, 1])
@@ -233,3 +213,50 @@ def test_non_finite_and_out_of_range_values_rejected():
         == [0, 1, 2]
     with pytest.raises(ValidationError):
         fs.parse_function("fn n=1 sigma=2 codomain=real\ntable nan 0.5\n")
+
+
+# -- the cell layout against point encoding ---------------------------------
+
+@st.composite
+def layouts(draw):
+    """A sym table, coordinates in any order with a table over them, and
+    a partial assignment leaving at least one coordinate free."""
+    s = draw(st.sampled_from((2, 3)))
+    n = draw(st.integers(1, 5 if s == 2 else 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    f = fs.FunctionTable(n, s, "sym", rng.integers(0, s, s ** n))
+    perm = draw(st.permutations(range(n)))
+    coords = list(perm[:draw(st.integers(0, n))])
+    inner = rng.integers(0, s, s ** len(coords))
+    fixed = draw(st.lists(st.integers(0, n - 1), max_size=n - 1, unique=True))
+    entries = {i: draw(st.integers(0, s - 1)) for i in fixed}
+    return f, coords, inner, fs.PartialAssignment.from_dict(n, entries, s=s)
+
+
+@settings(max_examples=150, deadline=None)
+@given(layouts())
+def test_layout_helpers_match_point_encoding(inst):
+    f, coords, inner, a = inst
+    n, s = f.n, f.s
+    points = [fs.decode_point(i, n, s) for i in range(s ** n)]
+    # restrict: free coordinates, increasing, read least significant first
+    sub = f.restrict(a)
+    free = a.free
+    for x in points:
+        if all(x[i] == v for i, v in enumerate(a.entries) if v is not None):
+            y = [x[i] for i in free]
+            assert sub.values[fs.encode_point(y, s)] == f.values[fs.encode_point(x, s)]
+    # junta: coords read in the given order
+    g = fs.junta(n, coords, inner, s=s, codomain="sym")
+    idx = fs._digit_index(n, s, coords)
+    for k, x in enumerate(points):
+        want = fs.encode_point([x[c] for c in coords], s)
+        assert idx[k] == want
+        assert g.values[k] == inner[want]
+    # cell view: rows are cells of sorted coords, columns free points
+    G, Js, F = fs._cell_view(f.values, n, s, coords)
+    assert Js == sorted(coords) and F == [i for i in range(n) if i not in Js]
+    for k, x in enumerate(points):
+        c = fs.encode_point([x[i] for i in Js], s)
+        p = fs.encode_point([x[i] for i in F], s)
+        assert G[c, p] == f.values[k]

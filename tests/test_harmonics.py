@@ -47,13 +47,13 @@ def _random_table(rng, n, s=2, codomain="bit"):
 def test_dictator_fourier_coefficients():
     f = fs.dictator(3, 0)
     for p in (0.5, 0.3, 0.8):
-        dec = hm.fourier_expand(f, p)
+        dec = hm.Decomposition(f, fs.ProductMeasure.p_biased(p, f.n))
         assert dec.coefficient([]) == pytest.approx(p)
         assert dec.coefficient([0]) == pytest.approx(np.sqrt(p * (1 - p)))
         for S in ([1], [2], [0, 1], [0, 1, 2]):
             assert dec.coefficient(S) == pytest.approx(0.0, abs=1e-12)
     # at p = 1/2 both coefficients are 1/2
-    dec = hm.fourier_expand(f, 0.5)
+    dec = hm.Decomposition(f, fs.ProductMeasure.p_biased(0.5, f.n))
     assert dec.coefficient([]) == pytest.approx(0.5)
     assert dec.coefficient([0]) == pytest.approx(0.5)
 
@@ -63,7 +63,7 @@ def test_parseval_and_coefficient_norm_link():
     for _ in range(5):
         f = _random_table(rng, 5)
         p = rng.uniform(0.2, 0.8)
-        dec = hm.fourier_expand(f, p)
+        dec = hm.Decomposition(f, fs.ProductMeasure.p_biased(p, f.n))
         nu = fs.ProductMeasure.p_biased(p, 5)
         assert dec.total_norm2 == pytest.approx(
             float(np.dot(nu.weights(), f.as_real() ** 2)), abs=1e-9)
@@ -259,12 +259,6 @@ def test_sym_codomain_needs_indicators():
     assert ind.eval((1, 0, 0)) == 0
 
 
-def test_fourier_expand_rejects_nonbinary():
-    f = fs.dictator(3, 0, s=3)
-    with pytest.raises(UnsupportedError):
-        hm.fourier_expand(f, 0.5)
-
-
 def test_degenerate_measure_rejected():
     f = fs.dictator(3, 0)
     bad = fs.ProductMeasure([fs.Measure([1.0, 0.0])] * 3)
@@ -273,7 +267,7 @@ def test_degenerate_measure_rejected():
 
 
 def test_export_rows_format():
-    dec = hm.fourier_expand(fs.dictator(2, 1), 0.5)
+    dec = hm.Decomposition(fs.dictator(2, 1), fs.ProductMeasure.p_biased(0.5, 2))
     rows = dec.export_rows().strip().splitlines()
     assert rows[0] == "S= norm2=0.25"
     assert rows[1] == "S=2 norm2=0.25"

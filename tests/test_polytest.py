@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import polymorph.cli as cli
+import polymorph.corrector as co
 import polymorph.funcspace as fs
 import polymorph.polytest as pt
 import polymorph.predicates as pr
@@ -298,7 +299,7 @@ def test_joint_value_probability_with_restriction():
     funcs = _random_functions(rng, 2, n, 2)
     marg = [float(v) for v in P.marginal(0)]
     for trial in range(6):
-        rho = pt.draw_restriction(law, n, rng)
+        rho = co._draw_outside(law, n, (), rng)
         assert rho.n == n
         for alpha in [(0, 0), (0, 1), (1, 0), (1, 1)]:
             got = pt.joint_value_probability(P, funcs, alpha, restriction=rho)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import polymorph.funcspace as fs
 import polymorph.harmonics as hm
@@ -231,6 +232,20 @@ def test_input_guards():
                              rho=0.5, tau=0.001, eps=0.1, cell_cap=1)
     with pytest.raises(DomainError):
         rg.cell_regular_fraction(f, [0], d=0, tau=0.1, nu=nu)
+    # the per-cell check validates J and the measure before any reshape
+    for check in (rg.cell_regular_fraction, rg.regular_cell_mask):
+        for J in ([5], [-1], [0, 3]):
+            with pytest.raises(DomainError):
+                check(f, J, 1, 0.1, nu)
+        for bad in (fs.ProductMeasure.uniform(n - 1, 2),
+                    fs.ProductMeasure.uniform(n + 1, 2),
+                    fs.ProductMeasure.uniform(n, 3)):
+            with pytest.raises(DomainError):
+                check(f, [0], 1, 0.1, bad)
+        big = fs.hybrid(12)
+        with pytest.raises(ResourceError):
+            check(big, range(10), 1, 0.1, fs.ProductMeasure.uniform(12, 2),
+                  cap=512)
 
 
 def test_per_function_measures():
@@ -257,3 +272,75 @@ def test_real_valued_functions_participate():
     cert = rg.build_junta_noisy([g], nu, eps=0.1, tau=0.2, rho=0.5)
     assert cert.regular
     assert 0.0 <= cert.potentials[-1] <= 1.0 + 1e-12
+
+
+# -- the batched per-cell check against per-cell decompositions ---------------
+
+@st.composite
+def cell_instances(draw):
+    """A table, a full-support measure, a cell set J leaving at least one
+    coordinate free (in any order), a degree d and a threshold tau."""
+    s = draw(st.sampled_from((2, 3)))
+    codomain = draw(st.sampled_from(("bit", "real", "sym") if s == 2
+                                    else ("sym",)))
+    n = draw(st.integers(1, 6 if s == 2 else 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    f = _random_function(rng, n, s, codomain)
+    nu = _random_measure(rng, n, s)
+    J = draw(st.lists(st.integers(0, n - 1), max_size=n - 1, unique=True))
+    d = draw(st.integers(1, 3))
+    tau = draw(st.floats(1e-3, 0.3))
+    return f, nu, J, d, tau
+
+
+def _per_cell_records(f, J, d, nu):
+    """(cell, weight, influence, coordinate) per cell of sorted J, in cell
+    index order, from one Decomposition per restricted table: the largest
+    degree-<= d influence over free coordinates, then symbols, with the
+    earliest entry winning ties."""
+    Js = sorted(J)
+    F = [i for i in range(f.n) if i not in Js]
+    subs = [f] if f.codomain != "sym" else [
+        hm.indicator_table(f, v) for v in range(f.s)]
+    out = []
+    for c in range(f.s ** len(Js)):
+        cell = fs.decode_point(c, len(Js), f.s)
+        a = fs.PartialAssignment.from_dict(f.n, dict(zip(Js, cell)), s=f.s)
+        weight = nu.subset(Js).weight_of(cell) if Js else 1.0
+        best = (-1.0, -1)
+        for g in subs:
+            dec = hm.Decomposition(g.restrict(a), nu.subset(F))
+            for k, coord in enumerate(F):
+                v = dec.low_degree_influence(k, d)
+                if v > best[0]:
+                    best = (v, coord)
+        out.append((cell, weight) + best)
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(cell_instances())
+def test_cell_check_matches_per_cell_decompositions(inst):
+    f, nu, J, d, tau = inst
+    want = _per_cell_records(f, J, d, nu)
+    mask = rg.regular_cell_mask(f, J, d, tau, nu)
+    assert mask.tolist() == [r[2] <= tau for r in want]
+    rep = rg.cell_regular_fraction(f, J, d, tau, nu)
+    mass = math.fsum(r[1] for r in want if r[2] <= tau)
+    assert abs(rep.regular_mass - mass) < 1e-12
+    assert (rep.degree, rep.tau) == (d, tau)
+    bad = sorted((r for r in want if r[2] > tau),
+                 key=lambda r: -r[2])[:rg.WORST_CELLS]
+    # the k-th listed cell is the k-th worst, and its record is the
+    # oracle's.  Cells whose influences tie exactly (say, restrictions
+    # that differ by a symbol permutation) come out of either computation
+    # a rounding error apart, so only their order among themselves is free
+    assert len(rep.worst) == len(bad)
+    assert len({w.cell for w in rep.worst}) == len(bad)
+    by_cell = {r[0]: r for r in want}
+    for w, r in zip(rep.worst, bad):
+        own = by_cell[w.cell]
+        assert w.cell == r[0] or abs(own[2] - r[2]) < 1e-12
+        assert w.coordinate == own[3]
+        assert abs(w.influence - own[2]) < 1e-12
+        assert abs(w.weight - own[1]) < 1e-12
