@@ -9,6 +9,9 @@ read inputs of functions 2..m (at most s^((m-1) n) joint classes).  Both
 produce the full joint output distribution; they are cross-checked in the
 tests.
 violation_probability runs whichever is cheaper by estimated cost.
+is_generalized_polymorphism follows the joint residual classes of all m
+functions, forward for the reachable outputs and backward for a
+counterexample, when they are fewer than the contraction's state cells.
 """
 
 from __future__ import annotations
@@ -128,7 +131,11 @@ def joint_output_distribution(P: Predicate, fs, cap: int = ODOMETER_CAP):
     memb = _member_array(P)
     muvec = np.array([float(w) for w in P.weights])
     in_p = _member_table(P)
-    values = [f.values for f in fs]
+    # f_j's output digit in place (values * s^j), in the narrowest dtype
+    # that holds every output code
+    code_t = np.min_scalar_type(s ** P.m - 1)
+    shifted = [(f.values.astype(np.int64) * s ** j).astype(code_t)
+               for j, f in enumerate(fs)]
     # inputs and weights of the low c digits, built once; each block of
     # K^c column codes adds the high digits as scalar offsets, multiplying
     # weights in the same digit order as a full scan
@@ -144,10 +151,9 @@ def joint_output_distribution(P: Predicate, fs, cap: int = ODOMETER_CAP):
         for i, d in enumerate(decode_point(high, n - c, K), start=c):
             w = w * muvec[d]
             offset += memb[d] * s ** i
-        out_code = np.zeros(block, dtype=np.int64)
-        for j in range(P.m):
-            x = low_x[j] + offset[j]
-            out_code += values[j][x].astype(np.int64) * s ** j
+        out_code = shifted[0][offset[0]:].take(low_x[0])
+        for j in range(1, P.m):
+            out_code += shifted[j][offset[j]:].take(low_x[j])
         np.add.at(Q, out_code, w)
         if first_bad is None:
             bad = np.nonzero(~in_p[out_code])[0]
@@ -164,6 +170,12 @@ def _state_cells(P: Predicate, n: int) -> int:
     """Worst-case cells of the contraction state, one per joint input of
     functions 1..m-1; residual classes never need more."""
     return P.s ** ((P.m - 1) * n)
+
+
+def _check_state_cap(P: Predicate, n: int, cap: int) -> None:
+    if _state_cells(P, n) > cap:
+        raise ResourceError(
+            f"contraction state {P.s}^{(P.m - 1) * n} exceeds cap {cap}")
 
 
 def _residual_transitions(values: np.ndarray, n: int, s: int) -> list:
@@ -204,9 +216,7 @@ def _contract(P: Predicate, fs, weights, cap: int, trans=None, prefix=()):
     """
     n, s = _check_functions(P, fs)
     m = P.m
-    if _state_cells(P, n) > cap:
-        raise ResourceError(
-            f"contraction state {s}^{(m - 1) * n} exceeds cap {cap}")
+    _check_state_cap(P, n, cap)
     if trans is None:
         trans = [_residual_transitions(f.values, n, s) for f in fs[1:]]
     reach = weights is None
@@ -252,6 +262,117 @@ def _contract(P: Predicate, fs, weights, cap: int, trans=None, prefix=()):
     return A.transpose(list(range(m - 2, -1, -1)) + [m - 1]).ravel()
 
 
+# -- reachability and counterexamples ------------------------------------------
+
+def _transitions(P: Predicate, fs, cap: int):
+    """(trans, sizes, by_classes) for one check: every function's residual
+    transitions, f_0's included, computed once; sizes[k] holds each
+    function's class count at level k = 0..n (at level n the classes are
+    the values); by_classes says whether the joint class tuples are the
+    cheaper state: their largest level set, max_k prod_j K_k^j, is no
+    larger than the contraction's, max_k s^(n-k) prod_{j>=1} K_k^j s.
+    The worst-case cap is checked before anything is allocated."""
+    n, s = _check_functions(P, fs)
+    _check_state_cap(P, n, cap)
+    trans = [_residual_transitions(f.values, n, s) for f in fs]
+    sizes = [tuple(T[k].shape[1] for T in trans) for k in range(n)]
+    sizes.append((s,) * P.m)
+    joint = max(math.prod(z) for z in sizes)
+    state = max(s ** (n - k + 1) * math.prod(z[1:])
+                for k, z in enumerate(sizes))
+    return trans, sizes, joint <= state
+
+
+def _member_chunks(memb: np.ndarray, cells: int):
+    """Row blocks of the member array, at most CHUNK // cells rows each."""
+    step = max(1, CHUNK // max(cells, 1))
+    return (memb[a:a + step] for a in range(0, len(memb), step))
+
+
+def _class_steps(trans, sizes, k: int) -> list:
+    """Each T_j[k] times axis j's stride in the flat (row-major) code of a
+    level-(k+1) class tuple: the flat next code is the sum over j."""
+    strides = np.cumprod((1,) + sizes[k + 1][:0:-1])[::-1]
+    return [T[k] * int(st) for T, st in zip(trans, strides)]
+
+
+def _reach_by_classes(P: Predicate, trans, sizes) -> np.ndarray:
+    """Reachable-output table from the set of joint class tuples: starting
+    from the all-zero tuple, every member moves each reachable level-k
+    tuple to its level-(k+1) tuple.  The level-n tuples are the outputs."""
+    memb = _member_array(P)
+    R = np.ones(1, dtype=bool)
+    for k in range(len(sizes) - 1):
+        tuples = np.unravel_index(np.flatnonzero(R), sizes[k])
+        steps = [S[:, c] for S, c in zip(_class_steps(trans, sizes, k), tuples)]
+        R = np.zeros(math.prod(sizes[k + 1]), dtype=bool)
+        for w in _member_chunks(memb, tuples[0].size):
+            # (member, tuple) grid of next codes; repeats all store True
+            R[sum(S[w[:, j]] for j, S in enumerate(steps))] = True
+    # axes are (a_0, ..., a_{m-1}); output codes put a_0 lowest
+    return R.reshape(sizes[-1]).ravel(order="F")
+
+
+def _search_by_classes(P: Predicate, trans, sizes, alpha_code: int) -> list:
+    """The columns _search_by_prefixes finds, from one backward pass:
+    B[k] marks the level-k class tuples from which alpha is reachable, so
+    a prefix keeps alpha reachable exactly when its tuple is in B."""
+    m, n = P.m, len(sizes) - 1
+    memb = _member_array(P)
+    B = [np.zeros(sizes[n], dtype=bool)]
+    B[0][decode_point(alpha_code, m, P.s)] = True
+    for k in range(n - 1, -1, -1):
+        steps = _class_steps(trans, sizes, k)
+        b = np.zeros(sizes[k], dtype=bool)
+        for w in _member_chunks(memb, math.prod(sizes[k])):
+            # (member, class tuple) grid: axis j adds T_j[k][w_j]
+            code = sum(S[w[:, j]].reshape(
+                (len(w),) + tuple(-1 if i == j else 1 for i in range(m)))
+                for j, S in enumerate(steps))
+            b |= B[-1].ravel()[code].any(axis=0)
+        B.append(b)
+    B.reverse()
+    tup, chosen = (0,) * m, []
+    for k in range(n):
+        nxt = tuple(T[k][memb[:, j], c]
+                    for j, (T, c) in enumerate(zip(trans, tup)))
+        hit = np.flatnonzero(B[k + 1][nxt])
+        if hit.size == 0:
+            raise AssertionError("internal error: achievable output lost")
+        tup = tuple(x[hit[0]] for x in nxt)
+        chosen.append(P.members[hit[0]])
+    return chosen
+
+
+def _search_by_prefixes(P: Predicate, fs, alpha_code: int, cap: int,
+                        trans) -> list:
+    """Fix coordinates in order, each to the first member that keeps alpha
+    reachable, by one contraction from each tried prefix (trans holds the
+    transitions of functions 1..m-1)."""
+    chosen = []
+    for _ in range(fs[0].n):
+        for w in P.members:
+            if _contract(P, fs, None, cap, trans, chosen + [w])[alpha_code]:
+                chosen.append(w)
+                break
+        else:
+            raise AssertionError("internal error: achievable output lost")
+    return chosen
+
+
+def _reach(P: Predicate, fs, cap: int):
+    """(reachable-output table, search) from one set of transitions, by
+    joint classes or by contraction as _transitions decides; search(code)
+    returns the first member columns, in member order coordinate by
+    coordinate, whose outputs have that code."""
+    trans, sizes, by_classes = _transitions(P, fs, cap)
+    if by_classes:
+        return (_reach_by_classes(P, trans, sizes),
+                lambda code: _search_by_classes(P, trans, sizes, code))
+    return (_contract(P, fs, None, cap, trans[1:]),
+            lambda code: _search_by_prefixes(P, fs, code, cap, trans[1:]))
+
+
 def joint_output_distribution_contracted(P: Predicate, fs,
                                          cap: int = CONTRACTION_CAP) -> np.ndarray:
     """Exact joint output law by tensor contraction (no column scan)."""
@@ -275,7 +396,7 @@ def violation_probability(P: Predicate, fs, cap: int = ODOMETER_CAP,
 
 def achievable_outputs(P: Predicate, fs, cap: int = CONTRACTION_CAP) -> np.ndarray:
     """Boolean table over output codes: reachable from some valid column tuple."""
-    return _contract(P, fs, None, cap)
+    return _reach(P, fs, cap)[0]
 
 
 def violation_exact(P: Predicate, fs, cap: int = ODOMETER_CAP) -> ViolationReport:
@@ -298,39 +419,25 @@ def _counterexample_from_code(P: Predicate, fs, code: int) -> Counterexample:
     return ce
 
 
-def _search_counterexample(P: Predicate, fs, alpha_code: int,
-                           cap: int) -> Counterexample:
-    """Rebuild an explicit violating column tuple by fixing coordinates in
-    order, each to the first member that keeps alpha reachable."""
-    n, s = fs[0].n, fs[0].s
-    trans = [_residual_transitions(f.values, n, s) for f in fs[1:]]
-    chosen = []
-    for _ in range(n):
-        for w in P.members:
-            if _contract(P, fs, None, cap, trans, chosen + [w])[alpha_code]:
-                chosen.append(w)
-                break
-        else:
-            raise AssertionError("internal error: achievable output lost")
-    ce = Counterexample.from_columns(fs, chosen)
-    if ce.outputs != decode_point(alpha_code, P.m, s):
-        raise AssertionError("internal error: rebuilt outputs disagree")
-    return ce
-
-
 def is_generalized_polymorphism(P: Predicate, fs, cap: int = ODOMETER_CAP,
                                 contraction_cap: int = CONTRACTION_CAP):
-    """(exact flag, counterexample).  Reachability by contraction whenever
-    its state fits contraction_cap, else the odometer scan."""
+    """(exact flag, counterexample).  Reachability and the counterexample
+    search by joint residual classes or by contraction, as _transitions
+    decides, whenever the worst-case contraction state fits
+    contraction_cap, else the odometer scan."""
     n, _ = _check_functions(P, fs)
     if _state_cells(P, n) > contraction_cap:
         report = violation_exact(P, fs, cap)
         return report.probability == 0.0, report.counterexample
-    reach = achievable_outputs(P, fs, contraction_cap)
+    reach, search = _reach(P, fs, contraction_cap)
     bad = np.nonzero(reach & ~_member_table(P))[0]
     if bad.size == 0:
         return True, None
-    return False, _search_counterexample(P, fs, int(bad[0]), contraction_cap)
+    alpha = int(bad[0])
+    ce = Counterexample.from_columns(fs, search(alpha))
+    if ce.outputs != decode_point(alpha, P.m, P.s):
+        raise AssertionError("internal error: rebuilt outputs disagree")
+    return False, ce
 
 
 # -- Monte Carlo ---------------------------------------------------------------

@@ -208,10 +208,10 @@ def test_alphabet_checks_once_per_attempt(monkeypatch):
 
 
 def test_failing_check_searches_by_classes(monkeypatch):
-    # the counterexample search reuses residual classes: no table is
-    # restricted, and each function j >= 1 gets its transitions once for
-    # the reachability check and once for the search, however many
-    # prefixes the search tries
+    # a failing check computes each function's residual transitions once,
+    # f_0 included, and shares them between reachability and the search;
+    # planted tables take the joint-class path, which runs no contraction
+    # and restricts no table
     P = pr.nand_predicate(3)
     funcs = [_flip(fs.dictator(8, j), 0.05, 170 + j) for j in range(3)]
     restricts = _counting(monkeypatch, fs.FunctionTable, "restrict")
@@ -219,6 +219,24 @@ def test_failing_check_searches_by_classes(monkeypatch):
     contractions = _counting(monkeypatch, pt, "_contract")
     ok, ce = pt.is_generalized_polymorphism(P, funcs)
     assert not ok and ce is not None
+    assert len(contractions) == 0
+    assert len(restricts) == 0
+    assert len(transitions) == P.m
+
+
+def test_failing_check_on_random_tables_contracts_per_prefix(monkeypatch):
+    # random tables keep more joint class tuples (26,970) than the
+    # contraction's peak state (14,384 cells): the check contracts once
+    # for reachability and once per tried prefix, from the same one set
+    # of transitions
+    P = pr.nand_predicate(3)
+    funcs = [fs.from_values(8, 2, "bit", _rng(180 + j).integers(0, 2, 256))
+             for j in range(3)]
+    restricts = _counting(monkeypatch, fs.FunctionTable, "restrict")
+    transitions = _counting(monkeypatch, pt, "_residual_transitions")
+    contractions = _counting(monkeypatch, pt, "_contract")
+    ok, ce = pt.is_generalized_polymorphism(P, funcs)
+    assert not ok and ce is not None
     assert len(contractions) > 8
     assert len(restricts) == 0
-    assert len(transitions) == 2 * (P.m - 1)
+    assert len(transitions) == P.m

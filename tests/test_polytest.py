@@ -392,6 +392,11 @@ def test_exact_engines_agree(instance):
     prob = float(Q[outside].sum())
     reach = pt.achievable_outputs(P, funcs)
     assert np.array_equal(reach, Q > 0)
+    # both reachability paths, whichever the cost rule would pick
+    trans, sizes, _ = pt._transitions(P, funcs, pt.CONTRACTION_CAP)
+    assert np.array_equal(pt._reach_by_classes(P, trans, sizes), reach)
+    assert np.array_equal(
+        pt._contract(P, funcs, None, pt.CONTRACTION_CAP, trans[1:]), reach)
     Qc = pt.joint_output_distribution_contracted(P, funcs)
     assert np.max(np.abs(Qc - Q)) < 1e-12
     assert abs(pt.violation_probability(P, funcs) - prob) < 1e-12
@@ -406,6 +411,64 @@ def test_exact_engines_agree(instance):
                  if fs.encode_point(pt.evaluate_columns(funcs, cols), P.s)
                  == alpha)
     assert ce.columns() == list(first)
+    assert pt._search_by_classes(P, trans, sizes, alpha) == list(first)
+    assert pt._search_by_prefixes(P, funcs, alpha, pt.CONTRACTION_CAP,
+                                  trans[1:]) == list(first)
+
+
+def _rng(seed):
+    return np.random.Generator(np.random.Philox(key=seed))
+
+
+def _nand3_tables(planted: bool, seed: int):
+    """Three n=10 tables: one dictator with 1% of its bits flipped per
+    table, or uniformly random tables."""
+    rng = _rng(seed)
+    if planted:
+        base = fs.dictator(10, 4).values
+        return [fs.from_values(10, 2, "bit",
+                               base ^ (rng.random(1024) < 0.01))
+                for _ in range(3)]
+    return [fs.from_values(10, 2, "bit", rng.integers(0, 2, 1024))
+            for _ in range(3)]
+
+
+@pytest.mark.parametrize("planted", [True, False])
+def test_check_path_follows_the_class_count_rule(planted):
+    # planted tables keep few joint class tuples (960 at most against a
+    # contraction peak of 10,752 cells), so the check runs the class path;
+    # random tables keep about 1.05M against 0.16M, so it contracts, once
+    # for reachability and once per tried prefix.  Either way its result
+    # is the other path's
+    P = pr.nand_predicate(3)
+    funcs = _nand3_tables(planted, 190)
+    calls = {}
+    spied = {name: getattr(pt, name) for name in
+             ("_reach_by_classes", "_search_by_classes", "_contract")}
+
+    def spy(name):
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return spied[name](*args, **kwargs)
+        return wrapper
+
+    with mock.patch.multiple(pt, **{name: spy(name) for name in spied}):
+        ok, ce = pt.is_generalized_polymorphism(P, funcs)
+    assert not ok
+    if planted:
+        assert calls == {"_reach_by_classes": 1, "_search_by_classes": 1}
+    else:
+        assert set(calls) == {"_contract"} and calls["_contract"] > 10
+    trans, sizes, by_classes = pt._transitions(P, funcs, pt.CONTRACTION_CAP)
+    assert by_classes == planted
+    reach = pt._reach_by_classes(P, trans, sizes)
+    assert np.array_equal(
+        pt._contract(P, funcs, None, pt.CONTRACTION_CAP, trans[1:]), reach)
+    alpha = int(np.nonzero(reach & ~pt._member_table(P))[0][0])
+    assert ce.outputs == fs.decode_point(alpha, P.m, P.s)
+    assert ce.columns() == pt._search_by_classes(P, trans, sizes, alpha)
+    assert ce.columns() == pt._search_by_prefixes(
+        P, funcs, alpha, pt.CONTRACTION_CAP, trans[1:])
 
 
 @st.composite

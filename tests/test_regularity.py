@@ -172,6 +172,28 @@ def test_cell_regular_fraction_frozen_and_pair():
     assert rep3.regular_mass == 1.0
 
 
+def test_worst_cells_tied_by_a_symbol_permutation_list_in_cell_order(
+        monkeypatch):
+    # cells x0 = 0 and x0 = 1 restrict to g and g + 1 mod 3: equal
+    # influences, which the transform may return an ulp apart either way
+    g = np.array([0, 1, 2, 1, 0, 0, 2, 2, 1])
+    values = np.stack([g, (g + 1) % 3, np.zeros(9, dtype=int)], axis=1)
+    f = fs.from_values(3, 3, "sym", values.ravel())
+    nu = fs.ProductMeasure.uniform(3, 3)
+    rep = rg.cell_regular_fraction(f, [0], d=2, tau=1e-3, nu=nu)
+    assert [w.cell for w in rep.worst] == [(0,), (1,)]
+    real = rg._cell_influences
+    for direction in (-np.inf, np.inf):
+        def nudged(*args, direction=direction):
+            weights, infs, coords = real(*args)
+            infs = infs.copy()
+            infs[1] = np.nextafter(infs[0], direction)
+            return weights, infs, coords
+        monkeypatch.setattr(rg, "_cell_influences", nudged)
+        rep = rg.cell_regular_fraction(f, [0], d=2, tau=1e-3, nu=nu)
+        assert [w.cell for w in rep.worst] == [(0,), (1,)]
+
+
 def test_sym_function_regularized_through_indicators():
     n = 4
     f = fs.dictator(n, 2, s=3)
