@@ -271,7 +271,14 @@ def _transitions(P: Predicate, fs, cap: int):
     the values); by_classes says whether the joint class tuples are the
     cheaper state: their largest level set, max_k prod_j K_k^j, is no
     larger than the contraction's, max_k s^(n-k) prod_{j>=1} K_k^j s.
-    The worst-case cap is checked before anything is allocated."""
+    The worst-case cap is checked before anything is allocated.
+
+    The 1:1 ratio lies in the flat middle of the time lost to wrong picks
+    over planted NAND3, parity, NAE3 and one-hot tables; the break-even
+    ratio is near 0.6 on NAND3 and near 1.9 on parity (README, "Exact
+    engines").  f_0's transitions are computed even when the check then
+    contracts, which reads only trans[1:]: the joint size needs f_0's
+    class counts."""
     n, s = _check_functions(P, fs)
     _check_state_cap(P, n, cap)
     trans = [_residual_transitions(f.values, n, s) for f in fs]

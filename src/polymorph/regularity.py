@@ -299,15 +299,16 @@ def cell_regular_fraction(f: FunctionTable, J, d: int, tau: float,
         return CellRegularityReport(1.0, (), d, tau)
     weights, infs, coords = out
     mass = math.fsum(weights[infs <= tau])
-    # worst first by influence rounded to 12 significant digits, then by
-    # cell, so that cells a rounding error apart (symmetric restrictions)
-    # list in cell order; only cells within 1e-9 of the listed ones can
-    # move into the list, so only they are rounded
+    # worst first; a run of cells whose sorted influences each lie within
+    # a relative 1e-12 of the previous one is one tie, listed in cell
+    # order, so cells a rounding error apart (symmetric restrictions)
+    # list the same whichever way the transform rounded
     bad = np.flatnonzero(infs > tau)
     bad = bad[np.argsort(-infs[bad], kind="stable")]
-    if bad.size > WORST_CELLS:
-        bad = bad[infs[bad] >= infs[bad[WORST_CELLS - 1]] * (1 - 1e-9)]
-    bad = sorted(bad, key=lambda c: (-float(f"{infs[c]:.11e}"), c))
+    v = infs[bad]
+    prev = np.concatenate((v[:1], v[:-1]))
+    tie = np.cumsum(v < prev * (1 - 1e-12))
+    bad = bad[np.lexsort((bad, tie))]
     k = len(set(J))
     worst = tuple(WorstCell(cell=decode_point(int(c), k, f.s),
                             influence=float(infs[c]),

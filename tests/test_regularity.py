@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -175,7 +176,8 @@ def test_cell_regular_fraction_frozen_and_pair():
 def test_worst_cells_tied_by_a_symbol_permutation_list_in_cell_order(
         monkeypatch):
     # cells x0 = 0 and x0 = 1 restrict to g and g + 1 mod 3: equal
-    # influences, which the transform may return an ulp apart either way
+    # influences, which the transform may return an ulp apart either way,
+    # also across a boundary of rounding to 12 significant digits
     g = np.array([0, 1, 2, 1, 0, 0, 2, 2, 1])
     values = np.stack([g, (g + 1) % 3, np.zeros(9, dtype=int)], axis=1)
     f = fs.from_values(3, 3, "sym", values.ravel())
@@ -183,10 +185,13 @@ def test_worst_cells_tied_by_a_symbol_permutation_list_in_cell_order(
     rep = rg.cell_regular_fraction(f, [0], d=2, tau=1e-3, nu=nu)
     assert [w.cell for w in rep.worst] == [(0,), (1,)]
     real = rg._cell_influences
-    for direction in (-np.inf, np.inf):
-        def nudged(*args, direction=direction):
+    for base, direction in itertools.product(
+            (None, 0.1234567890125), (-np.inf, np.inf)):
+        def nudged(*args, base=base, direction=direction):
             weights, infs, coords = real(*args)
             infs = infs.copy()
+            if base is not None:
+                infs[0] = base
             infs[1] = np.nextafter(infs[0], direction)
             return weights, infs, coords
         monkeypatch.setattr(rg, "_cell_influences", nudged)
