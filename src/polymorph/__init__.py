@@ -12,7 +12,7 @@ from .corrector import (AgreementReport, BlrDecoding, CharacterFit,
                         correct_general, correct_monotone,
                         friedgut_regev_lift, markov_agreement,
                         nearest_character, peel_affine_relations,
-                        round_general_cell, second_eigenvalue)
+                        round_general_cell)
 from .errors import (DomainError, PolymorphError, ResourceError,
                      UnsupportedError, ValidationError)
 from .funcspace import (FunctionTable, Measure, PartialAssignment,
@@ -54,9 +54,8 @@ __all__ = [
     "nae_predicate", "nand_predicate", "nearest_character", "noise_stability",
     "noisy_influence", "one_hot_predicate", "parity_predicate",
     "peel_affine_relations", "potential", "regular_cell_mask",
-    "round_general_cell", "save_function", "save_predicate",
-    "second_eigenvalue", "star_law", "validate", "violation_exact",
-    "violation_mc", "violation_probability",
+    "round_general_cell", "save_function", "save_predicate", "star_law",
+    "validate", "violation_exact", "violation_mc", "violation_probability",
 ]
 
 __version__ = "0.1.0"

@@ -220,7 +220,7 @@ RUN_KEYS = {*RUN_TYPES, "pipeline", "pred", "plant", "fn", "eta"}
 class RunSpec:
     label: str
     pipeline: str
-    pred: str | None
+    pred: pr.Predicate            # loaded and validated when parsed
     n: int | None
     plant: str | None
     fn: tuple
@@ -251,8 +251,7 @@ def _run_spec(label: str, lines, base: Path) -> RunSpec:
         raise ValidationError(f"{where}: unknown pipeline {pipeline!r}")
     if "pred" not in kv:
         raise ValidationError(f"{where}: missing pred")
-    pred_path = base / kv["pred"]
-    P = pr.load_predicate(pred_path)
+    P = pr.load_predicate(base / kv["pred"])
     pr.validate(P)
     plant = kv.get("plant")
     fns = tuple(kv["fn"].split(",")) if "fn" in kv else ()
@@ -272,7 +271,7 @@ def _run_spec(label: str, lines, base: Path) -> RunSpec:
     # an empty eta keeps the pipeline default, so it is read here
     eta = fs.parse_numbers([kv["eta"]], float, f"{where}: eta")[0] \
         if kv.get("eta") else None
-    return RunSpec(label=label, pipeline=pipeline, pred=str(pred_path),
+    return RunSpec(label=label, pipeline=pipeline, pred=P,
                    n=kv.get("n"), plant=plant,
                    fn=tuple(str(base / rel) for rel in fns),
                    flip=opts["flip"], repeats=opts["repeats"],
@@ -347,8 +346,9 @@ def _csv_row(instance: str, pipeline: str, seed: int, P: pr.Predicate,
     return row
 
 
-def _run_one(run: RunSpec, P: pr.Predicate, seed: int, out_dir, r: int):
+def _run_one(run: RunSpec, seed: int, out_dir, r: int):
     """The CSV row of one batch item."""
+    P = run.pred
     if run.plant:
         inst = plant_and_perturb(P, run.n, run.plant, run.flip, seed)
         tables, before = list(inst.fs), inst.violation
@@ -385,12 +385,11 @@ def run_experiment(config: ExperimentConfig, out_dir=None,
         header.append("wall_ms")
     rows = []
     for run in config.runs:
-        P = pr.load_predicate(run.pred)
         for r in range(run.repeats):
             seed = _derive_seed(config.seed, run.label, r)
             start = time.perf_counter()
             try:
-                row = _run_one(run, P, seed, out_dir, r)
+                row = _run_one(run, seed, out_dir, r)
             except PolymorphError as exc:
                 raise type(exc)(f"run {run.label}#{r}: {exc}") from exc
             if timings:
@@ -637,8 +636,17 @@ def _cmd_experiment(args, out) -> int:
 
 # -- argument parsing -------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1 with an error: line, like every other error;
+    exit code 2 stays for rejected corrections."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="polymorph",
         description="Analyze, test, round and correct approximate "
                     "generalized polymorphisms of predicates.")

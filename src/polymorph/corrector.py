@@ -9,8 +9,8 @@ Entry points by predicate shape:
 
 Supporting tools: character decoders (blr_decode_uniform, nearest_character),
 affine-relation peeling, per-cell rounding under a sampled restriction, and
-the Markov-chain agreement bound (TransitionChain, markov_agreement,
-second_eigenvalue) plus the subset-family lift friedgut_regev_lift.
+the Markov-chain agreement bound (TransitionChain, markov_agreement) plus
+the subset-family lift friedgut_regev_lift.
 
 Everything here is exact at desk scale: corrections are verified against the
 brute-force polymorphism oracle before a run is accepted.
@@ -90,15 +90,12 @@ class PeelingResult:
 
 @dataclass(frozen=True)
 class RoundedCells:
-    """Cell-rounded tables plus the per-function cell coloring.
-
-    colors[j][c] is 0 or 1 when cell c of function j was fixed to that
-    constant and -1 when the cell kept its original values.  decisions
-    holds the same information as strings ("fixed-0", "fixed-1", "kept").
+    """Cell-rounded tables plus the per-function cell decisions:
+    decisions[j][c] is "fixed-0" or "fixed-1" when cell c of function j
+    was fixed to that constant and "kept" when it kept its original values.
     """
 
     gs: tuple
-    colors: tuple
     decisions: tuple
 
 
@@ -414,7 +411,7 @@ def round_general_cell(fs, J, rho, eta: float, P: Predicate) -> RoundedCells:
         raise UnsupportedError("cell rounding is defined for binary alphabets")
     assignments = _as_assignments(rho, P.m, n, s)
     cell_idx = _digit_index(n, s, sorted(J))
-    gs, colors, decisions = [], [], []
+    gs, decisions = [], []
     names = {0: "fixed-0", 1: "fixed-1", -1: "kept"}
     for j, f in enumerate(fs):
         E = _restricted_cell_expectations(f, J, assignments[j],
@@ -423,10 +420,8 @@ def round_general_cell(fs, J, rho, eta: float, P: Predicate) -> RoundedCells:
         mapped = col[cell_idx]
         gvals = np.where(mapped < 0, f.values, mapped).astype(np.uint8)
         gs.append(from_values(n, 2, "bit", gvals))
-        colors.append(col)
         decisions.append(tuple(names[int(c)] for c in col))
-    return RoundedCells(gs=tuple(gs), colors=tuple(colors),
-                        decisions=tuple(decisions))
+    return RoundedCells(gs=tuple(gs), decisions=tuple(decisions))
 
 
 # -- cells kept by regularity and mass ----------------------------------------
@@ -549,7 +544,7 @@ def _search_restrictions(P: Predicate, fs, measures, J, round_cells, *,
     is within DISTANCE_BUDGET.  Returns (winning _Rounding, attempt log).
     """
     n = fs[0].n
-    law = star_law(P, "general")
+    law = star_law(P)
     best = None
     log = []
     for a in range(attempts):
@@ -776,25 +771,6 @@ def correct_alphabet(P: Predicate, fs, eps: float, eta: float | None = None,
 
 
 # -- Markov-chain agreement ------------------------------------------------------
-
-def second_eigenvalue(M) -> float:
-    """Second largest eigenvalue of a symmetric bistochastic matrix.
-
-    Signed: a lazy two-state chain [[1-a, a], [a, 1-a]] gives 1 - 2a.  The
-    identity gives 1.0, flagging a chain that does not mix.
-    """
-    A = np.asarray(M, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape[0] < 2:
-        raise ValidationError("need a square matrix of size at least 2")
-    if np.max(np.abs(A - A.T)) > CHAIN_TOL:
-        raise ValidationError("matrix is not symmetric")
-    if A.min() < -CHAIN_TOL:
-        raise ValidationError("matrix has negative entries")
-    if np.max(np.abs(A.sum(axis=1) - 1.0)) > 1e-9:
-        raise ValidationError("rows do not sum to 1")
-    eigs = np.linalg.eigvalsh(A)
-    return float(eigs[-2])
-
 
 class TransitionChain:
     """A product chain: one symmetric bistochastic factor per coordinate.

@@ -175,11 +175,6 @@ class Decomposition:
             for _, coords, v in entries) + "\n"
 
 
-def efron_stein(f: FunctionTable, nu: ProductMeasure) -> Decomposition:
-    """Orthogonal decomposition for a general full-support product measure."""
-    return Decomposition(f, nu)
-
-
 def _numeric(f: FunctionTable) -> None:
     if f.codomain == "sym":
         raise UnsupportedError(

@@ -367,19 +367,6 @@ def _search_by_prefixes(P: Predicate, fs, alpha_code: int, cap: int,
     return chosen
 
 
-def _reach(P: Predicate, fs, cap: int):
-    """(reachable-output table, search) from one set of transitions, by
-    joint classes or by contraction as _transitions decides; search(code)
-    returns the first member columns, in member order coordinate by
-    coordinate, whose outputs have that code."""
-    trans, sizes, by_classes = _transitions(P, fs, cap)
-    if by_classes:
-        return (_reach_by_classes(P, trans, sizes),
-                lambda code: _search_by_classes(P, trans, sizes, code))
-    return (_contract(P, fs, None, cap, trans[1:]),
-            lambda code: _search_by_prefixes(P, fs, code, cap, trans[1:]))
-
-
 def joint_output_distribution_contracted(P: Predicate, fs,
                                          cap: int = CONTRACTION_CAP) -> np.ndarray:
     """Exact joint output law by tensor contraction (no column scan)."""
@@ -399,11 +386,6 @@ def violation_probability(P: Predicate, fs, cap: int = ODOMETER_CAP,
     else:
         Q = joint_output_distribution_contracted(P, fs, contraction_cap)
     return float(Q[~_member_table(P)].sum())
-
-
-def achievable_outputs(P: Predicate, fs, cap: int = CONTRACTION_CAP) -> np.ndarray:
-    """Boolean table over output codes: reachable from some valid column tuple."""
-    return _reach(P, fs, cap)[0]
 
 
 def violation_exact(P: Predicate, fs, cap: int = ODOMETER_CAP) -> ViolationReport:
@@ -436,12 +418,16 @@ def is_generalized_polymorphism(P: Predicate, fs, cap: int = ODOMETER_CAP,
     if _state_cells(P, n) > contraction_cap:
         report = violation_exact(P, fs, cap)
         return report.probability == 0.0, report.counterexample
-    reach, search = _reach(P, fs, contraction_cap)
+    trans, sizes, by_classes = _transitions(P, fs, contraction_cap)
+    reach = _reach_by_classes(P, trans, sizes) if by_classes \
+        else _contract(P, fs, None, contraction_cap, trans[1:])
     bad = np.nonzero(reach & ~_member_table(P))[0]
     if bad.size == 0:
         return True, None
     alpha = int(bad[0])
-    ce = Counterexample.from_columns(fs, search(alpha))
+    columns = _search_by_classes(P, trans, sizes, alpha) if by_classes \
+        else _search_by_prefixes(P, fs, alpha, contraction_cap, trans[1:])
+    ce = Counterexample.from_columns(fs, columns)
     if ce.outputs != decode_point(alpha, P.m, P.s):
         raise AssertionError("internal error: rebuilt outputs disagree")
     return False, ce

@@ -344,39 +344,20 @@ class StarLaw:
         return f"StarLaw(|patterns|={len(self.patterns)}, stars={stars}, q={self.q})"
 
 
-def star_law(P: Predicate, mode: str = "general", q=None) -> StarLaw:
+def star_law(P: Predicate, q=None) -> StarLaw:
     """Build the star law with per-coordinate star mass q.
 
-    mode 'general' places a star pattern at every flexible coordinate,
-    using the lexicographically least witness base.  mode 'monotone_nand'
-    requires a monotone predicate containing the zero vector and all unit
-    vectors, and stars every coordinate on the zero-vector base.  Default
-    q is min-weight(P) / m.  A negative residual probability names the
-    offending pattern.
+    A star pattern sits at every flexible coordinate, on the
+    lexicographically least witness base.  Default q is min-weight(P) / m.
+    A negative residual probability names the offending pattern.
     """
     if q is None:
         q = P.min_weight / P.m
     q = _to_fraction(q)
     if q < 0:
         raise ValidationError("q must be nonnegative")
-    if mode == "general":
-        flex = [fc for fc in flexible_coordinates(P) if fc.flexible]
-        bases = {fc.coordinate: fc.witnesses for fc in flex}
-    elif mode == "monotone_nand":
-        maxterms(P)  # raises unless monotone
-        zero = (0,) * P.m
-        if zero not in P:
-            raise ValidationError("monotone_nand law needs the zero vector in P")
-        bases = {}
-        for j in range(P.m):
-            unit = tuple(1 if i == j else 0 for i in range(P.m))
-            if unit not in P:
-                raise ValidationError(
-                    f"monotone_nand law needs unit vector {unit} in P "
-                    f"(coordinate {j} is constant)")
-            bases[j] = (zero, unit)
-    else:
-        raise ValidationError(f"unknown star-law mode {mode!r}")
+    bases = {fc.coordinate: fc.witnesses
+             for fc in flexible_coordinates(P) if fc.flexible}
 
     deductions: dict[tuple, Fraction] = {}
     for j, witnesses in bases.items():

@@ -12,13 +12,13 @@ after a bounded number of steps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import DomainError, ResourceError, ValidationError
 from .funcspace import (FunctionTable, ProductMeasure, _cell_view, _kron,
-                        _once_per_table, decode_point)
+                        decode_point)
 from .harmonics import (IDENTITY_TOL, _forward_mats, _nonconstant_digits,
                         _transform, indicator_table)
 
@@ -65,7 +65,6 @@ class RegularityCertificate:
     mode: str
     degree: int | None = None
     tau: float | None = None
-    direct_regular_mass: tuple | None = None
 
 
 def _expand_real(fs) -> tuple[list, list]:
@@ -336,8 +335,7 @@ def build_junta_lowdeg(fs, measures, d: int, tau: float, eps: float,
 
     With rho = 1 - 1/d (rho = 1/2 when d = 1), a noisy influence at most
     tau * rho^d forces every influence of degree at most d to be at most
-    tau, so the noisy growth loop certifies the low-degree property; the
-    direct per-cell check is re-run at the end and reported alongside.
+    tau, so the noisy growth loop certifies the low-degree property.
     """
     if d < 1:
         raise DomainError("degree must be at least 1")
@@ -345,12 +343,4 @@ def build_junta_lowdeg(fs, measures, d: int, tau: float, eps: float,
     theta = tau * rho ** d
     cert = build_junta_noisy(fs, measures, rho, theta, eps,
                              cell_cap=cell_cap, initial=initial)
-    direct = tuple(_once_per_table(
-        lambda f, nu: cell_regular_fraction(f, cert.junta, d, tau, nu,
-                                            cap=cell_cap).regular_mass,
-        fs, _check_inputs(fs, measures, rho)))
-    return RegularityCertificate(
-        junta=cert.junta, steps=cert.steps, potentials=cert.potentials,
-        rho=rho, threshold=theta, eps=eps, regular=cert.regular,
-        regular_mass=cert.regular_mass, step_bound=cert.step_bound,
-        mode="lowdeg", degree=d, tau=tau, direct_regular_mass=direct)
+    return replace(cert, mode="lowdeg", degree=d, tau=tau)

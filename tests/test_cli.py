@@ -390,6 +390,13 @@ MALFORMED = {
     "tau-nan": ("unused.txt", "",
                 ["correct", "monotone", "--pred", "nand2.pred", "--fn",
                  "noisy0.fn", "noisy1.fn", "--eps", "0.1", "--tau", "nan"]),
+    # argparse usage errors
+    "usage-tau": ("unused.txt", "",
+                  ["regularize", "--fn", "maj3.fn", "--tau", "abc",
+                   "--eps", "0.1"]),
+    "usage-samples": ("unused.txt", "",
+                      ["polytest", "mc", "--pred", "nand2.pred", "--fn",
+                       "noisy0.fn", "--samples", "1e3"]),
 }
 
 

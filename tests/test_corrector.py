@@ -163,24 +163,6 @@ def test_nearest_character_permutation_equivariance():
 # -- eigenvalues and agreement ---------------------------------------------------
 
 
-def test_second_eigenvalue_closed_forms():
-    for Y in (2, 3, 5):
-        assert abs(co.second_eigenvalue(np.full((Y, Y), 1.0 / Y))) < 1e-12
-    assert co.second_eigenvalue(np.eye(3)) == pytest.approx(1.0)
-    for a in (0.1, 0.3, 0.5, 0.7):  # signed: negative beyond a = 1/2
-        lazy = [[1 - a, a], [a, 1 - a]]
-        assert co.second_eigenvalue(lazy) == pytest.approx(1 - 2 * a)
-
-
-def test_second_eigenvalue_validation():
-    with pytest.raises(ValidationError):
-        co.second_eigenvalue([[0.5, 0.5], [0.9, 0.1]])  # asymmetric
-    with pytest.raises(ValidationError):
-        co.second_eigenvalue([[0.5, 0.4], [0.4, 0.5]])  # rows sum to 0.9
-    with pytest.raises(ValidationError):
-        co.second_eigenvalue([[1.5, -0.5], [-0.5, 1.5]])  # negative entries
-
-
 def test_transition_chain_validation():
     with pytest.raises(ValidationError):
         co.TransitionChain([np.eye(2)], [0])  # zero entries do not mix
@@ -452,7 +434,6 @@ def test_round_balanced_cell_is_kept():
     rho = [fs.PartialAssignment([None] * n, 2)]
     out = co.round_general_cell([f], (0,), rho, 0.1, P)
     assert out.decisions[0] == ("kept", "kept")
-    assert out.colors[0].tolist() == [-1, -1]
     assert out.gs[0].equals(f)
 
 

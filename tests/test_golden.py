@@ -10,6 +10,7 @@ reproduce them bit for bit.
 
 import hashlib
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from polymorph import corrector as co
 from polymorph import funcspace as fs
 from polymorph import polytest as pt
 from polymorph import predicates as pr
+from polymorph import regularity as rg
 
 
 def _rng(seed):
@@ -207,6 +209,19 @@ def test_alphabet_checks_once_per_attempt(monkeypatch):
     assert len(calls) == len(res.trace.attempts)
 
 
+def test_cell_check_runs_once_per_distinct_table(monkeypatch):
+    # a monotone NAND2 item passes one table twice: its kept-cell flags
+    # run the per-cell check once, and junta growth runs none; the
+    # alphabet pipeline keeps no cells by regularity, so it runs none
+    calls = _counting(monkeypatch, rg, "_cell_influences")
+    f = _flip(fs.dictator(10, 3), 0.01, 190)
+    co.correct_monotone(pr.nand_predicate(2), [f, f], 0.1, d=2, tau=0.2)
+    assert len(calls) == 1
+    calls.clear()
+    _alphabet_nae()
+    assert len(calls) == 0
+
+
 def test_failing_check_searches_by_classes(monkeypatch):
     # a failing check computes each function's residual transitions once,
     # f_0 included, and shares them between reachability and the search;
@@ -240,3 +255,78 @@ def test_failing_check_on_random_tables_contracts_per_prefix(monkeypatch):
     assert len(contractions) > 8
     assert len(restricts) == 0
     assert len(transitions) == P.m
+
+
+# -- accepted results re-verify by the odometer -------------------------------
+
+
+def _fractional_predicate(p):
+    return pr.Predicate(2, 2, [(0, 0), (0, 1), (1, 0)], [1 - 2 * p, p, p])
+
+
+GOLDEN_PREDICATES = {
+    "monotone_nand2": pr.nand_predicate(2),
+    "monotone_nand3": pr.nand_predicate(3),
+    "monotone_rejected": pr.nand_predicate(2),
+    "general_parity": pr.parity_predicate(3, 0),
+    "general_nand3": pr.nand_predicate(3),
+    "general_nand3_exhausted": pr.nand_predicate(3),
+    "alphabet_nae": _ternary_nae(),
+    "alphabet_nae_exhausted": _ternary_nae(),
+    "fractional_nand": _fractional_predicate(Fraction(1, 4)),
+}
+
+
+def _reverified(P, res) -> bool:
+    """Whether res is accepted with |P|^n columns within the odometer's
+    cap; if so, asserts that the odometer, an engine independent of the
+    check that accepted it, finds no violating column tuple at all."""
+    if not res.accepted or len(P) ** res.gs[0].n > pt.ODOMETER_CAP:
+        return False
+    assert pt.violation_exact(P, list(res.gs)).probability == 0.0
+    return True
+
+
+def test_accepted_golden_results_reverify_by_the_odometer():
+    # general_nand3 is accepted too, but its 7^9 column tuples exceed the
+    # odometer's cap
+    done = {name for name in sorted(INSTANCES)
+            if _reverified(GOLDEN_PREDICATES[name], INSTANCES[name]())}
+    assert done == {"alphabet_nae", "general_parity", "monotone_nand3"}
+
+
+def _small_runs(seed):
+    """(pipeline, predicate, result) of one seeded small-n run each."""
+    nand2, nand3, par = (pr.nand_predicate(2), pr.nand_predicate(3),
+                         pr.parity_predicate(3, 0))
+    mono2 = [_flip(fs.dictator(7, seed), 0.01, 300 + 10 * seed + j)
+             for j in range(2)]
+    mono3 = [_flip(fs.dictator(6, seed), 0.01, 400 + 10 * seed + j)
+             for j in range(3)]
+    chars = [_flip(fs.character(7, (seed, seed + 3), b), 0.03,
+                   500 + 10 * seed + j) for j, b in enumerate((1, 0, 1))]
+    nae = [_sym_noise(fs.dictator(4, seed, s=3), 0.05, 700 + 10 * seed + j)
+           for j in range(3)]
+    rng = _rng(800 + seed)
+    base = fs.dictator(6, seed).as_real()
+    f1, f2 = (fs.from_values(6, 2, "real",
+                             np.clip(base * 0.9 + rng.random(64) * a, 0, 1))
+              for a in (0.1, 0.05))
+    return [
+        ("monotone", nand2, co.correct_monotone(nand2, mono2, 0.1, d=2,
+                                                tau=0.2)),
+        ("monotone", nand3, co.correct_monotone(nand3, mono3, 0.1, d=2,
+                                                tau=0.2)),
+        ("general", par, co.correct_general(par, chars, 0.1, attempts=16,
+                                            seed=seed)),
+        ("alphabet", _ternary_nae(), co.correct_alphabet(
+            _ternary_nae(), nae, 0.1, attempts=16, seed=seed)),
+        ("fractional", _fractional_predicate(Fraction(1, 4)),
+         co.correct_fractional_nand(f1, f2, 0.25, 0.1, d=2, tau=0.2)),
+    ]
+
+
+def test_accepted_small_runs_reverify_by_the_odometer():
+    done = {pipeline for seed in range(3)
+            for pipeline, P, res in _small_runs(seed) if _reverified(P, res)}
+    assert done == {"monotone", "general", "alphabet", "fractional"}

@@ -82,7 +82,7 @@ def test_components_match_inclusion_exclusion_oracle():
     m = fs.Measure([0.2, 0.3, 0.5])
     cases.append((f2, fs.ProductMeasure.iid(m, 2)))
     for f, nu in cases:
-        dec = hm.efron_stein(f, nu)
+        dec = hm.Decomposition(f, nu)
         for r in range(f.n + 1):
             for S in itertools.combinations(range(f.n), r):
                 got = dec.component(S)
@@ -95,7 +95,7 @@ def test_components_reconstruct_and_are_orthogonal():
     f = _random_table(rng, 4, s=3, codomain="sym")
     g = fs.FunctionTable(4, 3, "real", f.values / 2.0)
     nu = fs.ProductMeasure.iid(fs.Measure([0.25, 0.25, 0.5]), 4)
-    dec = hm.efron_stein(g, nu)
+    dec = hm.Decomposition(g, nu)
     recon = dec.reconstruct()
     assert np.max(np.abs(recon - g.as_real())) < 1e-9
     w = nu.weights()
@@ -115,7 +115,7 @@ def test_component_conditional_expectation_vanishes():
     rng = np.random.default_rng(3)
     f = _random_table(rng, 4)
     nu = fs.ProductMeasure.p_biased(0.35, 4)
-    dec = hm.efron_stein(f, nu)
+    dec = hm.Decomposition(f, nu)
     S = (1, 3)
     comp = fs.FunctionTable(4, 2, "real", np.clip(dec.component(S) + 0.5, 0, 1))
     # fixing T not containing S averages the component to a constant 0.5 shift
@@ -263,7 +263,7 @@ def test_degenerate_measure_rejected():
     f = fs.dictator(3, 0)
     bad = fs.ProductMeasure([fs.Measure([1.0, 0.0])] * 3)
     with pytest.raises(ValidationError):
-        hm.efron_stein(f, bad)
+        hm.Decomposition(f, bad)
 
 
 def test_export_rows_format():
@@ -273,7 +273,7 @@ def test_export_rows_format():
     assert rows[1] == "S=2 norm2=0.25"
     assert len(rows) == 2
     # sorted by level then lexicographically
-    dec2 = hm.efron_stein(fs.hybrid(3), fs.ProductMeasure.uniform(3))
+    dec2 = hm.Decomposition(fs.hybrid(3), fs.ProductMeasure.uniform(3))
     labels = [r.split()[0] for r in dec2.export_rows().strip().splitlines()]
     assert labels == sorted(labels, key=lambda t: (
         0 if t == "S=" else len(t[2:].split(",")),

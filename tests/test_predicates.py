@@ -140,7 +140,7 @@ def test_maxterms():
 
 def test_star_law_nand2_probabilities():
     P = pr.nand_predicate(2)
-    law = pr.star_law(P, mode="monotone_nand")
+    law = pr.star_law(P)
     assert law.q == Fraction(1, 6)
     got = dict(zip(law.patterns, law.probs))
     # the residual member probabilities follow (1-q) mu(e_j) and
@@ -151,13 +151,6 @@ def test_star_law_nand2_probabilities():
     assert got[(0, 1)] == (1 - q) * Fraction(1, 3)
     assert got[(None, 0)] == q and got[(0, None)] == q
     assert set(law.patterns) == {(0, 0), (1, 0), (0, 1), (None, 0), (0, None)}
-
-
-def test_star_law_general_matches_monotone_mode_on_nand():
-    P = pr.nand_predicate(3)
-    a = pr.star_law(P, mode="general")
-    b = pr.star_law(P, mode="monotone_nand")
-    assert dict(zip(a.patterns, a.probs)) == dict(zip(b.patterns, b.probs))
 
 
 def test_star_law_composition_reproduces_mu_exactly():

@@ -218,11 +218,53 @@ def test_lowdeg_mode_verifies_directly():
     assert cert.rho == 0.5
     assert abs(cert.threshold - 0.08 * 0.25) < 1e-15
     assert cert.regular
-    assert cert.direct_regular_mass is not None
-    for noisy_m, direct_m in zip(cert.regular_mass, cert.direct_regular_mass):
+    for f, noisy_m in zip(funcs, cert.regular_mass):
+        direct_m = rg.cell_regular_fraction(f, cert.junta, 2, 0.08,
+                                            nu).regular_mass
         assert direct_m >= noisy_m - 1e-12
         assert direct_m >= 1 - 0.05 - 1e-12
     assert 2 in cert.junta
+
+
+@st.composite
+def lowdeg_instances(draw):
+    """Up to three tables on one domain (a table may repeat), an iid or
+    (for s = 2) p-biased measure per table, and d, tau, eps."""
+    s = draw(st.sampled_from((2, 3)))
+    n = draw(st.integers(1, 5 if s == 2 else 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    funcs, measures = [], []
+    for _ in range(draw(st.integers(1, 3))):
+        if funcs and draw(st.booleans()):
+            funcs.append(funcs[-1])
+        else:
+            codomain = draw(st.sampled_from(("bit", "real", "sym") if s == 2
+                                            else ("sym",)))
+            funcs.append(_random_function(rng, n, s, codomain))
+        if s == 2 and draw(st.booleans()):
+            measures.append(fs.ProductMeasure.p_biased(
+                draw(st.floats(0.1, 0.9)), n))
+        else:
+            w = rng.uniform(0.2, 1.0, s)
+            measures.append(fs.ProductMeasure.iid(fs.Measure(w / w.sum()), n))
+    d = draw(st.integers(1, 3))
+    tau = draw(st.floats(0.01, 0.3))
+    eps = draw(st.floats(0.05, 0.5))
+    return funcs, measures, d, tau, eps
+
+
+@settings(max_examples=100, deadline=None)
+@given(lowdeg_instances())
+def test_lowdeg_proxy_mass_is_below_the_direct_mass(inst):
+    # a noisy influence at most tau * rho^d forces every degree-<= d
+    # influence to be at most tau, so each cell the noisy loop counts as
+    # regular is regular for the direct check too
+    funcs, measures, d, tau, eps = inst
+    cert = rg.build_junta_lowdeg(funcs, measures, d, tau, eps)
+    for f, nu, noisy_m in zip(funcs, measures, cert.regular_mass):
+        direct_m = rg.cell_regular_fraction(f, cert.junta, d, tau,
+                                            nu).regular_mass
+        assert direct_m >= noisy_m - 1e-12
 
 
 def test_lowdeg_d1_uses_half_rho():
