@@ -237,7 +237,6 @@ class RunSpec:
 class ExperimentConfig:
     seed: int
     runs: tuple
-    base_dir: str
 
 
 def _run_spec(label: str, lines, base: Path) -> RunSpec:
@@ -302,8 +301,7 @@ def parse_experiment_config(path) -> ExperimentConfig:
     labels = [r.label for r in runs]
     if len(set(labels)) != len(labels):
         raise ValidationError("run labels must be unique")
-    return ExperimentConfig(seed=head.get("seed", 0), runs=tuple(runs),
-                            base_dir=str(path.parent))
+    return ExperimentConfig(seed=head.get("seed", 0), runs=tuple(runs))
 
 
 def _derive_seed(root: int, label: str, repeat: int) -> int:
@@ -418,8 +416,8 @@ def _cmd_validate(args, out) -> int:
         _emit(out, f"marginal[{j + 1}]",
               ",".join(repr(p) for p in marg))
     _emit(out, "degenerate", _ints1(rep.degenerate_coordinates))
-    rels = pr.affine_relations(P)
-    for S, b in rels:
+    # affine relations are defined for binary alphabets only
+    for S, b in pr.affine_relations(P) if P.s == 2 else ():
         _emit(out, "relation", f"S={_ints1(S)} b={b}")
     flex = pr.flexible_coordinates(P)
     _emit(out, "flexible", _ints1(f.coordinate for f in flex))

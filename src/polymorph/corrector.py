@@ -25,14 +25,14 @@ import numpy as np
 from .errors import DomainError, ResourceError, UnsupportedError, ValidationError
 from .funcspace import (FunctionTable, Measure, PartialAssignment,
                         ProductMeasure, _cell_view, _digit_index, _kron,
-                        _once_per_table, character, constant, distance,
-                        from_values)
-from .harmonics import _apply_along_axis
+                        _once_per_table, character, constant, decode_point,
+                        distance, from_values)
+from .harmonics import _nonconstant_digits, _transform
 from .predicates import (Predicate, affine_relations, classify_short_relations,
                          flexible_coordinates, maxterms, star_law)
 from .polytest import (ColumnRestriction, Counterexample,
                        is_generalized_polymorphism)
-from .regularity import (CELL_CAP, RegularityCertificate, build_junta_lowdeg,
+from .regularity import (RegularityCertificate, build_junta_lowdeg,
                          regular_cell_mask)
 
 DECODE_N_CAP = 20          # exhaustive character decoding: 2^n * 2 candidates
@@ -258,45 +258,33 @@ def _pick_character(transform: np.ndarray, n: int) -> tuple[tuple, int, float]:
     sorted support, then to offset 0."""
     mags = np.abs(transform)
     top = mags.max()
-    best = None
-    for mask in np.flatnonzero(mags == top):
-        sup = tuple(i for i in range(n) if (int(mask) >> i) & 1)
-        v = transform[mask]
-        b = 0 if v > 0 else (1 if v < 0 else 0)
-        key = (sup, b)
-        if best is None or key < best[0]:
-            best = (key, sup, b)
-    return best[1], best[2], float(top)
+    sup, b = min((tuple(np.flatnonzero(decode_point(int(mask), n, 2)).tolist()),
+                  int(transform[mask] < 0))
+                 for mask in np.flatnonzero(mags == top))
+    return sup, b, float(top)
 
 
 def blr_decode_uniform(f: FunctionTable) -> BlrDecoding:
     """Decode the nearest parity character under the uniform measure.
 
-    Exact integer transform of (-1)^f; returns the winning character, its
-    exact distance to f, and the top coefficient magnitude.  When f is
+    nearest_character under the uniform measure: every intermediate of
+    its transform is a multiple of 2^-n, so the distance and the top
+    coefficient magnitude 1 - 2 * distance are exact.  When f is
     delta-close to a character with delta below 1/4, that character is the
     unique winner and the reported distance equals delta.
     """
-    if f.s != 2 or f.codomain != "bit":
-        raise UnsupportedError("BLR decoding needs Boolean tables")
-    n = f.n
-    arr = (1 - 2 * f.values.astype(np.int64)).reshape((2,) * n)
-    H = np.array([[1, 1], [1, -1]], dtype=np.int64)
-    for axis in range(n):
-        arr = _apply_along_axis(H, arr, axis)
-    W = arr.reshape(-1)
-    sup, b, top = _pick_character(W, n)
-    denom = 1 << n
-    return BlrDecoding(support=sup, offset=b,
-                       distance=(denom - top) / (2.0 * denom),
-                       max_coefficient=top / denom)
+    fit = nearest_character(f, ProductMeasure.uniform(f.n))
+    return BlrDecoding(support=fit.support, offset=fit.offset,
+                       distance=fit.distance,
+                       max_coefficient=1.0 - 2.0 * fit.distance)
 
 
 def nearest_character(f: FunctionTable, nu: ProductMeasure) -> CharacterFit:
     """Exhaustive nearest parity character under a product measure.
 
     Minimizes Pr_nu[f != chi] over all 2^n supports and both offsets via
-    one weighted transform; ties as in blr_decode_uniform.
+    one weighted transform; exact ties go to the smallest sorted support,
+    then to offset 0.
     """
     if f.s != 2 or f.codomain != "bit":
         raise UnsupportedError("character decoding needs Boolean tables")
@@ -305,13 +293,10 @@ def nearest_character(f: FunctionTable, nu: ProductMeasure) -> CharacterFit:
     if f.n > DECODE_N_CAP:
         raise ResourceError(f"n = {f.n} exceeds the decoding cap {DECODE_N_CAP}")
     n = f.n
-    arr = (1.0 - 2.0 * f.as_real()).reshape((2,) * n)
-    for i in range(n):
-        p0, p1 = nu.measures[i].probs
-        M = np.array([[p0, p1], [p0, -p1]])
-        arr = _apply_along_axis(M, arr, n - 1 - i)
-    T = arr.reshape(-1)
-    sup, b, top = _pick_character(T, n)
+    mats = [np.array([[p0, p1], [p0, -p1]])
+            for p0, p1 in (mu.probs for mu in nu.measures)]
+    arr = (1.0 - 2.0 * f.as_real()).reshape((1,) + (2,) * n)
+    sup, b, top = _pick_character(_transform(arr, mats).reshape(-1), n)
     return CharacterFit(support=sup, offset=b, distance=(1.0 - top) / 2.0)
 
 
@@ -437,14 +422,13 @@ def _regular_heavy_cells(P: Predicate, fs, coords, d: int, tau: float,
     """
     n = fs[0].n
     measures = [_iid_marginal(P, j, n) for j in coords]
-    cert = build_junta_lowdeg([fs[j] for j in coords], measures, d, tau, eps,
-                              cell_cap=CELL_CAP)
+    cert = build_junta_lowdeg([fs[j] for j in coords], measures, d, tau, eps)
     J = cert.junta
     everywhere = PartialAssignment([None] * n, 2)
 
     def keep(f, nu):
         E = _restricted_cell_expectations(f, J, everywhere, nu.measures[0])
-        return regular_cell_mask(f, J, d, tau, nu, cap=CELL_CAP) & (E > eps / 2)
+        return regular_cell_mask(f, J, d, tau, nu) & (E > eps / 2)
 
     return cert, _digit_index(n, 2, J), _once_per_table(
         keep, [fs[j] for j in coords], measures)
@@ -569,11 +553,12 @@ def _search_restrictions(P: Predicate, fs, measures, J, round_cells, *,
 
 # -- general binary predicates -------------------------------------------------
 
-def _seed_junta(supports, cap: int) -> tuple:
-    """Union of decoded supports, greedily by (size, lex) under a cap."""
+def _seed_junta(supports) -> tuple:
+    """Union of decoded supports, greedily by (size, lex), of at most
+    JUNTA_SEED_CAP coordinates."""
     out: set = set()
     for sup in sorted(supports, key=lambda t: (len(t), t)):
-        if len(out | set(sup)) <= cap:
+        if len(out | set(sup)) <= JUNTA_SEED_CAP:
             out |= set(sup)
     return tuple(sorted(out))
 
@@ -640,13 +625,12 @@ def correct_general(P: Predicate, fs, eps: float, eta: float | None = None,
                if r in char_of else fs_rep[r] for r in range(len(reps))]
     I_pos = list(peel.active)
     F_pos = list(peel.free)
-    J0 = _seed_junta([char_of[r].support for r in I_pos if r in char_of],
-                     JUNTA_SEED_CAP)
+    J0 = _seed_junta([char_of[r].support for r in I_pos if r in char_of])
     cert = None
     if F_pos:
         cert = build_junta_lowdeg([f_prime[r] for r in F_pos],
                                   [_iid_marginal(P_rep, r, n) for r in F_pos],
-                                  d, tau, eps, cell_cap=CELL_CAP, initial=J0)
+                                  d, tau, eps, initial=J0)
         J = tuple(cert.junta)
     else:
         J = J0
@@ -736,7 +720,7 @@ def correct_alphabet(P: Predicate, fs, eps: float, eta: float | None = None,
         raise DomainError("need at least one restriction attempt")
     m = P.m
     measures = [_iid_marginal(P, j, n) for j in range(m)]
-    cert = build_junta_lowdeg(fs, measures, d, tau, eps, cell_cap=CELL_CAP)
+    cert = build_junta_lowdeg(fs, measures, d, tau, eps)
     J = tuple(cert.junta)
     cell_idx = _digit_index(n, s, sorted(J))
 
@@ -841,12 +825,10 @@ def markov_agreement(chain: TransitionChain, f: FunctionTable) -> AgreementRepor
     total = s ** n
     agree = 0.0
     counts = np.bincount(f.values.astype(np.int64), minlength=s)
+    mats = [chain.factors[t] for t in chain.assignment]
     for sigma in range(s):
         h = (f.values == sigma).astype(float)
-        arr = h.reshape((s,) * n)
-        for i in range(n):
-            arr = _apply_along_axis(chain.factors[chain.assignment[i]], arr,
-                              n - 1 - i)
+        arr = _transform(h.reshape((1,) + (s,) * n), mats)
         agree += float(h @ arr.reshape(-1)) / total
     disagreement = max(0.0, 1.0 - agree)
     sigma = int(np.argmax(counts))
@@ -888,18 +870,12 @@ def friedgut_regev_lift(family, k: int, n: int | None = None) -> FunctionTable:
             counts[sum(1 << i for i in S)] = 1
     if not 1 <= k <= n:
         raise DomainError("k must lie in [1, n]")
-    widths = np.zeros(2 ** n, dtype=np.int64)
-    for i in range(n):
-        widths += (np.arange(2 ** n) >> i) & 1
+    widths = _nonconstant_digits(n, 2).sum(axis=0, dtype=np.int64)
     if np.any(counts[widths != k] != 0):
         raise ValidationError("family indicator is supported off weight k")
-    arr = counts.reshape((2,) * n)
-    for axis in range(n):
-        lo = [slice(None)] * n
-        hi = [slice(None)] * n
-        lo[axis], hi[axis] = 0, 1
-        arr[tuple(hi)] += arr[tuple(lo)]
-    counts = arr.reshape(-1)
+    # zeta transform: each coordinate adds the x_i = 0 entry to x_i = 1
+    zeta = np.array([[1, 0], [1, 1]], dtype=np.int64)
+    counts = _transform(counts.reshape((1,) + (2,) * n), [zeta] * n).reshape(-1)
     denom = np.array([math.comb(int(w), k) if w >= k else 1 for w in widths],
                      dtype=np.float64)
     vals = np.where(widths >= k, counts / denom, 0.0)

@@ -114,8 +114,9 @@ def _column_tables(memb: np.ndarray, muvec: np.ndarray, c: int, s: int):
     return x, w
 
 
-def joint_output_distribution(P: Predicate, fs, cap: int = ODOMETER_CAP):
-    """Exact joint law of the output tuple, by scanning all |P|^n columns.
+def joint_output_distribution(P: Predicate, fs):
+    """Exact joint law of the output tuple, by scanning all |P|^n columns
+    (at most ODOMETER_CAP).
 
     Returns (Q, first_violating_code): Q is indexed by output code
     (coordinate 0 least significant), the code is the first column-tuple
@@ -124,10 +125,10 @@ def joint_output_distribution(P: Predicate, fs, cap: int = ODOMETER_CAP):
     n, s = _check_functions(P, fs)
     K = len(P)
     total = K ** n
-    if total > cap:
+    if total > ODOMETER_CAP:
         raise ResourceError(
-            f"|P|^n = {K}^{n} exceeds cap {cap}; use violation_mc or the "
-            f"contraction engine")
+            f"|P|^n = {K}^{n} exceeds ODOMETER_CAP = {ODOMETER_CAP}; use "
+            f"violation_mc or the contraction engine")
     memb = _member_array(P)
     muvec = np.array([float(w) for w in P.weights])
     in_p = _member_table(P)
@@ -172,12 +173,6 @@ def _state_cells(P: Predicate, n: int) -> int:
     return P.s ** ((P.m - 1) * n)
 
 
-def _check_state_cap(P: Predicate, n: int, cap: int) -> None:
-    if _state_cells(P, n) > cap:
-        raise ResourceError(
-            f"contraction state {P.s}^{(P.m - 1) * n} exceeds cap {cap}")
-
-
 def _residual_transitions(values: np.ndarray, n: int, s: int) -> list:
     """Residual classes of a table's read prefixes, as transition tables.
 
@@ -202,7 +197,7 @@ def _residual_transitions(values: np.ndarray, n: int, s: int) -> list:
     return T[::-1]
 
 
-def _contract(P: Predicate, fs, weights, cap: int, trans=None, prefix=()):
+def _contract(P: Predicate, fs, weights, trans=None, prefix=()):
     """Joint output law of fs, one coordinate at a time; with weights None,
     the boolean table of reachable outputs instead.  With a prefix of
     member columns, the law of the outputs given those first columns.
@@ -212,11 +207,11 @@ def _contract(P: Predicate, fs, weights, cap: int, trans=None, prefix=()):
     from _residual_transitions), and one axis over f_0's value.  Every
     member w moves the slice at f_0's next digit w_0 to the new digits
     w_1..w_{m-1}; each function's axis is then merged by class in a stable
-    order.  After the last coordinate the classes are the values.
+    order.  After the last coordinate the classes are the values.  The
+    caller checks the worst-case state against CONTRACTION_CAP.
     """
     n, s = _check_functions(P, fs)
     m = P.m
-    _check_state_cap(P, n, cap)
     if trans is None:
         trans = [_residual_transitions(f.values, n, s) for f in fs[1:]]
     reach = weights is None
@@ -264,14 +259,13 @@ def _contract(P: Predicate, fs, weights, cap: int, trans=None, prefix=()):
 
 # -- reachability and counterexamples ------------------------------------------
 
-def _transitions(P: Predicate, fs, cap: int):
+def _transitions(P: Predicate, fs):
     """(trans, sizes, by_classes) for one check: every function's residual
     transitions, f_0's included, computed once; sizes[k] holds each
     function's class count at level k = 0..n (at level n the classes are
     the values); by_classes says whether the joint class tuples are the
     cheaper state: their largest level set, max_k prod_j K_k^j, is no
     larger than the contraction's, max_k s^(n-k) prod_{j>=1} K_k^j s.
-    The worst-case cap is checked before anything is allocated.
 
     The 1:1 ratio lies in the flat middle of the time lost to wrong picks
     over planted NAND3, parity, NAE3 and one-hot tables; the break-even
@@ -280,7 +274,6 @@ def _transitions(P: Predicate, fs, cap: int):
     contracts, which reads only trans[1:]: the joint size needs f_0's
     class counts."""
     n, s = _check_functions(P, fs)
-    _check_state_cap(P, n, cap)
     trans = [_residual_transitions(f.values, n, s) for f in fs]
     sizes = [tuple(T[k].shape[1] for T in trans) for k in range(n)]
     sizes.append((s,) * P.m)
@@ -351,15 +344,14 @@ def _search_by_classes(P: Predicate, trans, sizes, alpha_code: int) -> list:
     return chosen
 
 
-def _search_by_prefixes(P: Predicate, fs, alpha_code: int, cap: int,
-                        trans) -> list:
+def _search_by_prefixes(P: Predicate, fs, alpha_code: int, trans) -> list:
     """Fix coordinates in order, each to the first member that keeps alpha
     reachable, by one contraction from each tried prefix (trans holds the
     transitions of functions 1..m-1)."""
     chosen = []
     for _ in range(fs[0].n):
         for w in P.members:
-            if _contract(P, fs, None, cap, trans, chosen + [w])[alpha_code]:
+            if _contract(P, fs, None, trans, chosen + [w])[alpha_code]:
                 chosen.append(w)
                 break
         else:
@@ -367,30 +359,34 @@ def _search_by_prefixes(P: Predicate, fs, alpha_code: int, cap: int,
     return chosen
 
 
-def joint_output_distribution_contracted(P: Predicate, fs,
-                                         cap: int = CONTRACTION_CAP) -> np.ndarray:
-    """Exact joint output law by tensor contraction (no column scan)."""
-    return _contract(P, fs, [float(w) for w in P.weights], cap)
+def joint_output_distribution_contracted(P: Predicate, fs) -> np.ndarray:
+    """Exact joint output law by tensor contraction (no column scan), with
+    a worst-case state of at most CONTRACTION_CAP cells."""
+    n, _ = _check_functions(P, fs)
+    if _state_cells(P, n) > CONTRACTION_CAP:
+        raise ResourceError(
+            f"contraction state {P.s}^{(P.m - 1) * n} exceeds "
+            f"CONTRACTION_CAP = {CONTRACTION_CAP}")
+    return _contract(P, fs, [float(w) for w in P.weights])
 
 
-def violation_probability(P: Predicate, fs, cap: int = ODOMETER_CAP,
-                          contraction_cap: int = CONTRACTION_CAP) -> float:
+def violation_probability(P: Predicate, fs) -> float:
     """Exact violation probability from the cheaper engine: the odometer
     costs about |P|^n * n, the contraction |P| * s^((m-1) n); the odometer
-    also runs whenever the contraction state exceeds its cap."""
+    also runs whenever the contraction state exceeds CONTRACTION_CAP."""
     n, _ = _check_functions(P, fs)
     columns, cells = len(P) ** n, _state_cells(P, n)
-    if columns <= cap and (columns * n <= len(P) * cells
-                           or cells > contraction_cap):
-        Q, _ = joint_output_distribution(P, fs, cap)
+    if columns <= ODOMETER_CAP and (columns * n <= len(P) * cells
+                                    or cells > CONTRACTION_CAP):
+        Q, _ = joint_output_distribution(P, fs)
     else:
-        Q = joint_output_distribution_contracted(P, fs, contraction_cap)
+        Q = joint_output_distribution_contracted(P, fs)
     return float(Q[~_member_table(P)].sum())
 
 
-def violation_exact(P: Predicate, fs, cap: int = ODOMETER_CAP) -> ViolationReport:
+def violation_exact(P: Predicate, fs) -> ViolationReport:
     """Exact violation probability over all |P|^n column tuples."""
-    Q, first_bad = joint_output_distribution(P, fs, cap)
+    Q, first_bad = joint_output_distribution(P, fs)
     prob = float(Q[~_member_table(P)].sum())
     ce = None
     if first_bad is not None:
@@ -408,25 +404,24 @@ def _counterexample_from_code(P: Predicate, fs, code: int) -> Counterexample:
     return ce
 
 
-def is_generalized_polymorphism(P: Predicate, fs, cap: int = ODOMETER_CAP,
-                                contraction_cap: int = CONTRACTION_CAP):
+def is_generalized_polymorphism(P: Predicate, fs):
     """(exact flag, counterexample).  Reachability and the counterexample
     search by joint residual classes or by contraction, as _transitions
     decides, whenever the worst-case contraction state fits
-    contraction_cap, else the odometer scan."""
+    CONTRACTION_CAP, else the odometer scan."""
     n, _ = _check_functions(P, fs)
-    if _state_cells(P, n) > contraction_cap:
-        report = violation_exact(P, fs, cap)
+    if _state_cells(P, n) > CONTRACTION_CAP:
+        report = violation_exact(P, fs)
         return report.probability == 0.0, report.counterexample
-    trans, sizes, by_classes = _transitions(P, fs, contraction_cap)
+    trans, sizes, by_classes = _transitions(P, fs)
     reach = _reach_by_classes(P, trans, sizes) if by_classes \
-        else _contract(P, fs, None, contraction_cap, trans[1:])
+        else _contract(P, fs, None, trans[1:])
     bad = np.nonzero(reach & ~_member_table(P))[0]
     if bad.size == 0:
         return True, None
     alpha = int(bad[0])
     columns = _search_by_classes(P, trans, sizes, alpha) if by_classes \
-        else _search_by_prefixes(P, fs, alpha, contraction_cap, trans[1:])
+        else _search_by_prefixes(P, fs, alpha, trans[1:])
     ce = Counterexample.from_columns(fs, columns)
     if ce.outputs != decode_point(alpha, P.m, P.s):
         raise AssertionError("internal error: rebuilt outputs disagree")
@@ -553,8 +548,8 @@ def restricted_value_distribution(f: FunctionTable, assignment: PartialAssignmen
     return out
 
 
-def joint_value_probability(P: Predicate, fs, alpha, restriction=None,
-                            cap: int = ODOMETER_CAP) -> float:
+def joint_value_probability(P: Predicate, fs, alpha,
+                            restriction=None) -> float:
     """Exact Pr[every f_j outputs alpha_j] over coupled columns.
 
     Without a restriction the columns are i.i.d. mu; with one, each
@@ -565,7 +560,7 @@ def joint_value_probability(P: Predicate, fs, alpha, restriction=None,
     if len(alpha) != P.m:
         raise DomainError("alpha must assign one output per function")
     if restriction is None:
-        Q, _ = joint_output_distribution(P, fs, cap)
+        Q, _ = joint_output_distribution(P, fs)
         return float(Q[encode_point(alpha, P.s)])
     prob = 1.0
     for j, f in enumerate(fs):

@@ -164,7 +164,6 @@ def potential(fs, measures, rho: float, J) -> float:
 
 
 def build_junta_noisy(fs, measures, rho: float, tau: float, eps: float,
-                      cell_cap: int = CELL_CAP,
                       initial=()) -> RegularityCertificate:
     """Grow a junta until, for every function, cells of total mass at least
     1 - eps restrict it to noisy influences all at most tau.
@@ -174,7 +173,8 @@ def build_junta_noisy(fs, measures, rho: float, tau: float, eps: float,
     cannot always promise that much on its own, but the set of per-cell
     witnesses always can, so the step count stays below the potential
     budget.  Within a step, coordinates enter by decreasing total gain,
-    ties to the lowest index.
+    ties to the lowest index.  A junta with more than CELL_CAP cells
+    raises before its cells are built.
     """
     measures = _check_inputs(fs, measures, rho)
     if not (0 < eps < 1):
@@ -192,9 +192,9 @@ def build_junta_noisy(fs, measures, rho: float, tau: float, eps: float,
     steps = []
     potentials = []
     while True:
-        if s ** len(J) > cell_cap:
-            raise ResourceError(
-                f"junta partition needs {s}^{len(J)} cells, above cap {cell_cap}")
+        if s ** len(J) > CELL_CAP:
+            raise ResourceError(f"junta partition needs {s}^{len(J)} cells, "
+                                f"above CELL_CAP = {CELL_CAP}")
         per_table = [
             _cell_influence_tables(vals, n, s, J, measures[j], rho)
             for vals, j in zip(tables, owners)]
@@ -240,7 +240,7 @@ def build_junta_noisy(fs, measures, rho: float, tau: float, eps: float,
 
 
 def _cell_influences(f: FunctionTable, J, d: int, tau: float,
-                     nu: ProductMeasure, cap: int):
+                     nu: ProductMeasure):
     """Per cell of sorted J, the largest degree-at-most-d influence of the
     restriction (max over free coordinates, and over symbols for sym
     tables), with ties keeping the earliest coordinate.
@@ -264,8 +264,8 @@ def _cell_influences(f: FunctionTable, J, d: int, tau: float,
         raise DomainError("measure does not match the function domain")
     if len(J) >= n:
         return None
-    if s ** len(J) > cap:
-        raise ResourceError(f"{s}^{len(J)} cells exceed cap {cap}")
+    if s ** len(J) > CELL_CAP:
+        raise ResourceError(f"{s}^{len(J)} cells exceed CELL_CAP = {CELL_CAP}")
     F = [i for i in range(n) if i not in J]
     free = [nu.measures[c] for c in F]
     fwd = _forward_mats(free)
@@ -289,11 +289,11 @@ def _cell_influences(f: FunctionTable, J, d: int, tau: float,
 
 
 def cell_regular_fraction(f: FunctionTable, J, d: int, tau: float,
-                          nu: ProductMeasure,
-                          cap: int = CELL_CAP) -> CellRegularityReport:
+                          nu: ProductMeasure) -> CellRegularityReport:
     """Exact mass of cells whose restriction has all degree-at-most-d
-    influences at most tau, plus the WORST_CELLS worst offending cells."""
-    out = _cell_influences(f, J, d, tau, nu, cap)
+    influences at most tau, plus the WORST_CELLS worst offending cells;
+    at most CELL_CAP cells."""
+    out = _cell_influences(f, J, d, tau, nu)
     if out is None:
         return CellRegularityReport(1.0, (), d, tau)
     weights, infs, coords = out
@@ -318,18 +318,17 @@ def cell_regular_fraction(f: FunctionTable, J, d: int, tau: float,
 
 
 def regular_cell_mask(f: FunctionTable, J, d: int, tau: float,
-                      nu: ProductMeasure, cap: int = CELL_CAP) -> np.ndarray:
+                      nu: ProductMeasure) -> np.ndarray:
     """Boolean flag per cell of sorted J (least-significant-first cell
     index order): True when the restriction to the cell has every
-    degree-at-most-d influence at most tau."""
-    out = _cell_influences(f, J, d, tau, nu, cap)
+    degree-at-most-d influence at most tau; at most CELL_CAP cells."""
+    out = _cell_influences(f, J, d, tau, nu)
     if out is None:
         return np.ones(f.s ** f.n, dtype=bool)
     return out[1] <= tau
 
 
 def build_junta_lowdeg(fs, measures, d: int, tau: float, eps: float,
-                       cell_cap: int = CELL_CAP,
                        initial=()) -> RegularityCertificate:
     """Low-degree regularity via the noisy proxy.
 
@@ -341,6 +340,5 @@ def build_junta_lowdeg(fs, measures, d: int, tau: float, eps: float,
         raise DomainError("degree must be at least 1")
     rho = 0.5 if d == 1 else 1.0 - 1.0 / d
     theta = tau * rho ** d
-    cert = build_junta_noisy(fs, measures, rho, theta, eps,
-                             cell_cap=cell_cap, initial=initial)
+    cert = build_junta_noisy(fs, measures, rho, theta, eps, initial=initial)
     return replace(cert, mode="lowdeg", degree=d, tau=tau)

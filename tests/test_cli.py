@@ -1,5 +1,6 @@
 """Tests for the command line front end and the experiment harness."""
 
+import itertools
 import os
 import subprocess
 import sys
@@ -45,6 +46,24 @@ def test_validate_reports_relations_and_flexibility(tmp_path):
     out = cli.run(["validate", "--pred", str(tmp_path / "nand2.pred")])
     assert "relation" not in out
     assert _lines(out)["flexible"] == "1,2"
+
+
+def test_validate_ternary_predicate_reports_in_full(tmp_path, capsys):
+    # affine relations are binary-only, so a ternary predicate prints none
+    # and the report still reaches its flexibility line
+    members = [w for w in itertools.product(range(3), repeat=3)
+               if len(set(w)) > 1]
+    pr.save_predicate(tmp_path / "nae3.pred", pr.Predicate(3, 3, members))
+    code = cli.main(["validate", "--pred", str(tmp_path / "nae3.pred")])
+    captured = capsys.readouterr()
+    assert code == 0 and captured.err == ""
+    kv = _lines(captured.out)
+    assert (kv["m"], kv["s"], kv["size"]) == ("3", "3", "24")
+    assert [kv[f"marginal[{j}]"] for j in (1, 2, 3)] == [",".join(
+        [repr(1 / 3)] * 3)] * 3
+    assert kv["degenerate"] == ""
+    assert "relation" not in captured.out
+    assert kv["flexible"] == "1,2,3"
 
 
 def test_analyze_matches_decomposition(tmp_path):

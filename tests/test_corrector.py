@@ -90,6 +90,36 @@ def test_blr_minimality_against_enumeration():
         assert abs(dec.distance - best) < 1e-12
 
 
+@pytest.mark.parametrize("kind", ["random", "constant", "majority", "hybrid"])
+def test_blr_ties_match_brute_force_exactly(kind):
+    # uniform distances are multiples of 2^-n, so the decoder's distance
+    # equals the best of all 2^(n+1) characters exactly, and its pick is
+    # the lexicographically first (support, offset) at that distance
+    for n in range(1, 7):
+        nu = fs.ProductMeasure.uniform(n)
+        tables = {
+            "random": [fs.from_values(n, 2, "bit",
+                                      _rng(10 * n + k).integers(0, 2, 2 ** n))
+                       for k in range(4)],
+            "constant": [fs.constant(n, 0), fs.constant(n, 1)],
+            "majority": [fs.from_values(n, 2, "bit", [
+                int(2 * sum(fs.decode_point(x, n, 2)) > n)
+                for x in range(2 ** n)])],
+            "hybrid": [fs.hybrid(n)] if n >= 2 else [],
+        }[kind]
+        for f in tables:
+            dec = co.blr_decode_uniform(f)
+            cands = [(fs.distance(f, fs.character(n, sup, b), nu), sup, b)
+                     for r in range(n + 1)
+                     for sup in itertools.combinations(range(n), r)
+                     for b in (0, 1)]
+            best = min(d for d, _, _ in cands)
+            assert dec.distance == best
+            first = min((sup, b) for d, sup, b in cands if d == best)
+            assert (dec.support, dec.offset) == first
+            assert dec.max_coefficient == 1.0 - 2.0 * best
+
+
 def test_blr_rejects_real_tables():
     with pytest.raises(UnsupportedError):
         co.blr_decode_uniform(fs.constant(3, 0.5, codomain="real"))

@@ -162,10 +162,17 @@ def test_counterexample_search_through_contraction():
     assert found > 5
 
 
-def test_odometer_fallback_when_contraction_too_large():
+def _no_allocation(*args, **kwargs):
+    raise AssertionError("work began before the cap check")
+
+
+def test_odometer_fallback_when_contraction_too_large(monkeypatch):
     P = pr.nand_predicate(2)
     ors = [fs.or_all(3), fs.or_all(3)]
-    ok, ce = pt.is_generalized_polymorphism(P, ors, contraction_cap=1)
+    monkeypatch.setattr(pt, "CONTRACTION_CAP", 1)
+    # the fallback is chosen before any transition is computed
+    monkeypatch.setattr(pt, "_transitions", _no_allocation)
+    ok, ce = pt.is_generalized_polymorphism(P, ors)
     assert not ok and ce is not None
     assert all(c in P for c in ce.columns())
     assert ce.outputs not in P
@@ -201,13 +208,20 @@ def test_single_function_predicate():
     assert rep.probability == 1.0
 
 
-def test_resource_and_domain_guards():
+def test_resource_and_domain_guards(monkeypatch):
     P = pr.nand_predicate(2)
     funcs = [fs.and_all(10), fs.and_all(10)]
-    with pytest.raises(ResourceError):
-        pt.violation_exact(P, funcs, cap=1000)
-    with pytest.raises(ResourceError):
-        pt.joint_output_distribution_contracted(P, funcs, cap=100)
+    # each cap raises before its engine builds anything
+    with monkeypatch.context() as mp:
+        mp.setattr(pt, "ODOMETER_CAP", 1000)
+        mp.setattr(pt, "_column_tables", _no_allocation)
+        with pytest.raises(ResourceError):
+            pt.violation_exact(P, funcs)
+    with monkeypatch.context() as mp:
+        mp.setattr(pt, "CONTRACTION_CAP", 100)
+        mp.setattr(pt, "_contract", _no_allocation)
+        with pytest.raises(ResourceError):
+            pt.joint_output_distribution_contracted(P, funcs)
     with pytest.raises(DomainError):
         pt.violation_exact(P, [fs.and_all(3)])
     with pytest.raises(DomainError):
@@ -315,7 +329,7 @@ def test_evaluate_columns_helper():
     assert pt.evaluate_columns(funcs, cols) == (1, 1)
 
 
-def test_violation_probability_agrees_with_both_engines():
+def test_violation_probability_agrees_with_both_engines(monkeypatch):
     rng = np.random.default_rng(12)
     for t in range(6):
         P = _random_predicate(rng, 2, 2)
@@ -323,8 +337,9 @@ def test_violation_probability_agrees_with_both_engines():
         direct = pt.violation_exact(P, funcs).probability
         assert abs(pt.violation_probability(P, funcs) - direct) < 1e-12
         # capped contraction falls back to the odometer
-        assert pt.violation_probability(P, funcs,
-                                        contraction_cap=1) == direct
+        with monkeypatch.context() as mp:
+            mp.setattr(pt, "CONTRACTION_CAP", 1)
+            assert pt.violation_probability(P, funcs) == direct
 
 
 @st.composite
@@ -379,10 +394,9 @@ def test_exact_engines_agree(instance):
     prob = float(Q[outside].sum())
     reach = Q > 0
     # both reachability paths, whichever the cost rule would pick
-    trans, sizes, _ = pt._transitions(P, funcs, pt.CONTRACTION_CAP)
+    trans, sizes, _ = pt._transitions(P, funcs)
     assert np.array_equal(pt._reach_by_classes(P, trans, sizes), reach)
-    assert np.array_equal(
-        pt._contract(P, funcs, None, pt.CONTRACTION_CAP, trans[1:]), reach)
+    assert np.array_equal(pt._contract(P, funcs, None, trans[1:]), reach)
     Qc = pt.joint_output_distribution_contracted(P, funcs)
     assert np.max(np.abs(Qc - Q)) < 1e-12
     assert abs(pt.violation_probability(P, funcs) - prob) < 1e-12
@@ -398,8 +412,7 @@ def test_exact_engines_agree(instance):
                  == alpha)
     assert ce.columns() == list(first)
     assert pt._search_by_classes(P, trans, sizes, alpha) == list(first)
-    assert pt._search_by_prefixes(P, funcs, alpha, pt.CONTRACTION_CAP,
-                                  trans[1:]) == list(first)
+    assert pt._search_by_prefixes(P, funcs, alpha, trans[1:]) == list(first)
 
 
 def _rng(seed):
@@ -448,16 +461,14 @@ def test_check_path_follows_the_class_count_rule(rate, by_classes):
         assert calls == {"_reach_by_classes": 1, "_search_by_classes": 1}
     else:
         assert set(calls) == {"_contract"} and calls["_contract"] > 10
-    trans, sizes, chosen = pt._transitions(P, funcs, pt.CONTRACTION_CAP)
+    trans, sizes, chosen = pt._transitions(P, funcs)
     assert chosen == by_classes
     reach = pt._reach_by_classes(P, trans, sizes)
-    assert np.array_equal(
-        pt._contract(P, funcs, None, pt.CONTRACTION_CAP, trans[1:]), reach)
+    assert np.array_equal(pt._contract(P, funcs, None, trans[1:]), reach)
     alpha = int(np.nonzero(reach & ~pt._member_table(P))[0][0])
     assert ce.outputs == fs.decode_point(alpha, P.m, P.s)
     assert ce.columns() == pt._search_by_classes(P, trans, sizes, alpha)
-    assert ce.columns() == pt._search_by_prefixes(
-        P, funcs, alpha, pt.CONTRACTION_CAP, trans[1:])
+    assert ce.columns() == pt._search_by_prefixes(P, funcs, alpha, trans[1:])
 
 
 @st.composite

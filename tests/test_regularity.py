@@ -276,7 +276,11 @@ def test_lowdeg_d1_uses_half_rho():
     assert cert.junta == (1,)
 
 
-def test_input_guards():
+def _no_cell_view(*args, **kwargs):
+    raise AssertionError("cells built before the cap check")
+
+
+def test_input_guards(monkeypatch):
     n = 3
     f = fs.dictator(n, 0)
     nu = fs.ProductMeasure.uniform(n, 2)
@@ -295,10 +299,12 @@ def test_input_guards():
         rg.build_junta_noisy([f], [nu, nu], rho=0.5, tau=0.1, eps=0.1)
     with pytest.raises(DomainError):
         rg.build_junta_noisy([f], nu, rho=0.5, tau=0.1, eps=0.1, initial=[7])
-    with pytest.raises(ResourceError):
-        rg.build_junta_noisy([fs.dictator(6, 0)],
-                             fs.ProductMeasure.uniform(6, 2),
-                             rho=0.5, tau=0.001, eps=0.1, cell_cap=1)
+    with monkeypatch.context() as mp:
+        mp.setattr(rg, "CELL_CAP", 1)
+        with pytest.raises(ResourceError):
+            rg.build_junta_noisy([fs.dictator(6, 0)],
+                                 fs.ProductMeasure.uniform(6, 2),
+                                 rho=0.5, tau=0.001, eps=0.1)
     with pytest.raises(DomainError):
         rg.cell_regular_fraction(f, [0], d=0, tau=0.1, nu=nu)
     # the per-cell check validates J and the measure before any reshape
@@ -312,9 +318,13 @@ def test_input_guards():
             with pytest.raises(DomainError):
                 check(f, [0], 1, 0.1, bad)
         big = fs.hybrid(12)
-        with pytest.raises(ResourceError):
-            check(big, range(10), 1, 0.1, fs.ProductMeasure.uniform(12, 2),
-                  cap=512)
+        with monkeypatch.context() as mp:
+            mp.setattr(rg, "CELL_CAP", 512)
+            # the cap is checked before the cell view is built
+            mp.setattr(rg, "_cell_view", _no_cell_view)
+            with pytest.raises(ResourceError):
+                check(big, range(10), 1, 0.1,
+                      fs.ProductMeasure.uniform(12, 2))
 
 
 def test_per_function_measures():
