@@ -265,6 +265,8 @@ def _run_spec(label: str, lines, base: Path) -> RunSpec:
     opts = {**RUN_DEFAULTS, **kv}
     if not 0 <= opts["flip"] < 0.5:
         raise ValidationError(f"{where}: flip rate must lie in [0, 1/2)")
+    if opts["repeats"] < 1:
+        raise ValidationError(f"{where}: repeats must be at least 1")
     if "eps" not in kv and pipeline != "polytest":
         raise ValidationError(f"{where}: missing eps")
     # an empty eta keeps the pipeline default, so it is read here

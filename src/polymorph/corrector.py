@@ -24,10 +24,10 @@ import numpy as np
 
 from .errors import DomainError, ResourceError, UnsupportedError, ValidationError
 from .funcspace import (FunctionTable, Measure, PartialAssignment,
-                        ProductMeasure, _cell_view, _digit_index, _kron,
-                        _once_per_table, character, constant, decode_point,
-                        distance, from_values)
-from .harmonics import _nonconstant_digits, _transform
+                        ProductMeasure, _cell_view, _check_size, _digit_index,
+                        _digits, _kron, _once_per_table, character, constant,
+                        decode_point, distance, from_values)
+from .harmonics import _transform
 from .predicates import (Predicate, affine_relations, classify_short_relations,
                          flexible_coordinates, maxterms, star_law)
 from .polytest import (ColumnRestriction, Counterexample,
@@ -219,12 +219,6 @@ def _negate_table(f: FunctionTable) -> FunctionTable:
     if f.s != 2 or f.codomain != "bit":
         raise UnsupportedError("negation normalization needs binary tables")
     return from_values(f.n, 2, "bit", 1 - f.values[::-1])
-
-
-def _negate_predicate(P: Predicate, N) -> Predicate:
-    members = [tuple(w[j] ^ (1 if j in N else 0) for j in range(P.m))
-               for w in P.members]
-    return Predicate(P.m, P.s, members, list(P.weights))
 
 
 def _forced_input_rejection(P: Predicate, fs, eta: float, roles: tuple,
@@ -596,28 +590,18 @@ def correct_general(P: Predicate, fs, eps: float, eta: float | None = None,
     m = P.m
     cls = classify_short_relations(P)
 
-    # forced constant inputs are a hard premise, checked in original polarity
+    # forced constant inputs are a hard premise
     for j, b in cls.constants.items():
         if fs[j].eval((b,) * n) != b:
             return _forced_input_rejection(
                 P, fs, eta, (None,) * m, f"f_{j} disagrees with constant "
                 f"coordinate {j} on its forced input")
 
-    negated = {j for j, b in cls.constants.items() if b == 1}
-    dup_of: dict[int, int] = {}
-    for rep, members in cls.classes.items():
-        for k, neg in members.items():
-            if k != rep:
-                dup_of[k] = rep
-                if neg == 1:
-                    negated.add(k)
-    P_neg = _negate_predicate(P, negated) if negated else P
-    fs_neg = [(_negate_table(f) if j in negated else f)
-              for j, f in enumerate(fs)]
-
+    # constant-1 and anti-equal coordinates are never representatives, so
+    # they are negated only where the outputs are assembled
     reps = list(cls.representatives)
-    P_rep = P_neg.project(reps) if len(reps) < m else P_neg
-    fs_rep = [fs_neg[j] for j in reps]
+    P_rep = P.project(reps) if len(reps) < m else P
+    fs_rep = [fs[j] for j in reps]
     peel = peel_affine_relations(P_rep, fs_rep, eps)
     char_of = {c.coordinate: c for c in peel.characters}
 
@@ -648,24 +632,27 @@ def correct_general(P: Predicate, fs, eps: float, eta: float | None = None,
         seed=seed, attempts=attempts,
         preserve={q: f_prime[r] for q, r in enumerate(I_pos) if r in char_of})
 
-    # extend over peeled coordinates, then duplicates and constants, then
-    # undo the negation normalization
-    gs_neg: list = [None] * m
+    # extend over peeled coordinates, then duplicates and constants
+    gs: list = [None] * m
     roles: list = [None] * m
     decisions: list = [()] * m
     for q, r in enumerate(I_pos):
         j = reps[r]
-        gs_neg[j], decisions[j] = win.gs[q], win.decisions[q]
+        gs[j], decisions[j] = win.gs[q], win.decisions[q]
         roles[j] = "character" if r in char_of else "rounded"
     for r in range(len(reps)):
         if r not in I_pos:
-            gs_neg[reps[r]], roles[reps[r]] = f_prime[r], "character"
-    for k, rep in dup_of.items():
-        gs_neg[k], roles[k] = gs_neg[rep], f"duplicate-of-{rep}"
+            gs[reps[r]], roles[reps[r]] = f_prime[r], "character"
+    for rep, members in cls.classes.items():
+        for k, neg in members.items():
+            if k != rep:
+                gs[k] = _negate_table(gs[rep]) if neg else gs[rep]
+                roles[k] = f"duplicate-of-{rep}"
     for j, b in cls.constants.items():
-        gs_neg[j], roles[j] = constant(n, 0, 2, "bit"), f"constant-{b}"
-    gs = tuple(_negate_table(g) if j in negated else g
-               for j, g in enumerate(gs_neg))
+        gs[j], roles[j] = constant(n, b, 2, "bit"), f"constant-{b}"
+    negated = [j for j, b in cls.constants.items() if b] + [
+        k for members in cls.classes.values() for k, neg in members.items()
+        if neg]
 
     exact, ce = is_generalized_polymorphism(P, gs)
     dists = tuple(float(distance(fs[j], gs[j], _iid_marginal(P, j, n)))
@@ -683,7 +670,7 @@ def correct_general(P: Predicate, fs, eps: float, eta: float | None = None,
                             attempts=attempt_log, peeling=peel,
                             certificate=cert, negated=tuple(sorted(negated)),
                             notes=tuple(notes))
-    return CorrectionResult(gs=gs, distances=dists, exact=exact,
+    return CorrectionResult(gs=tuple(gs), distances=dists, exact=exact,
                             accepted=accepted, counterexample=ce, trace=trace)
 
 
@@ -861,6 +848,7 @@ def friedgut_regev_lift(family, k: int, n: int | None = None) -> FunctionTable:
     else:
         if n is None:
             raise DomainError("n is required when the family is a subset list")
+        _check_size(n, 2)
         counts = np.zeros(2 ** n, dtype=np.int64)
         for S in family:
             S = frozenset(int(i) for i in S)
@@ -870,7 +858,7 @@ def friedgut_regev_lift(family, k: int, n: int | None = None) -> FunctionTable:
             counts[sum(1 << i for i in S)] = 1
     if not 1 <= k <= n:
         raise DomainError("k must lie in [1, n]")
-    widths = _nonconstant_digits(n, 2).sum(axis=0, dtype=np.int64)
+    widths = _digits(n, 2).sum(axis=0, dtype=np.int64)
     if np.any(counts[widths != k] != 0):
         raise ValidationError("family indicator is supported off weight k")
     # zeta transform: each coordinate adds the x_i = 0 entry to x_i = 1

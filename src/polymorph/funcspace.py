@@ -64,13 +64,35 @@ def _kron(vecs) -> np.ndarray:
     return out
 
 
+def _check_size(n: int, s: int, name: str = "n") -> None:
+    """Size gate of a dense array over Sigma^n, run before it is allocated;
+    messages call n by name."""
+    if s < 2:
+        raise ValidationError("alphabet needs at least two symbols")
+    if n < 1:
+        raise ValidationError("need at least one coordinate")
+    if s == 2 and n > BINARY_N_CAP:
+        raise ResourceError(f"binary {name} = {n} exceeds cap {BINARY_N_CAP}")
+    if s ** n > TABLE_CAP:
+        raise ResourceError(f"table size {s}^{n} exceeds cap {TABLE_CAP}")
+
+
+def _digits(n: int, s: int) -> np.ndarray:
+    """After the size gate, shape (n, s^n): row i holds the digit at
+    coordinate i of every point index, in the smallest unsigned dtype that
+    holds s - 1."""
+    _check_size(n, s)
+    return np.indices((s,) * n, dtype=np.min_scalar_type(s - 1)).reshape(
+        n, -1)[::-1]
+
+
 def _digit_index(n: int, s: int, coords) -> np.ndarray:
     """For every point index of Sigma^n, the index of its digits at coords,
     read with coords[0] least significant."""
-    idx = np.arange(s ** n)
+    digits = _digits(n, s)
     out = np.zeros(s ** n, dtype=np.int64)
     for k, c in enumerate(coords):
-        out += ((idx // s ** c) % s) * s ** k
+        out += digits[c] * np.int64(s ** k)
     return out
 
 
@@ -224,14 +246,7 @@ class FunctionTable:
     def __init__(self, n: int, s: int, codomain: str, values):
         if codomain not in CODOMAINS:
             raise ValidationError(f"unknown codomain {codomain!r}")
-        if s < 2:
-            raise ValidationError("alphabet needs at least two symbols")
-        if n < 1:
-            raise ValidationError("need at least one coordinate")
-        if s == 2 and n > BINARY_N_CAP:
-            raise ResourceError(f"binary n = {n} exceeds cap {BINARY_N_CAP}")
-        if s ** n > TABLE_CAP:
-            raise ResourceError(f"table size {s}^{n} exceeds cap {TABLE_CAP}")
+        _check_size(n, s)
         raw = np.asarray(values)
         if raw.shape != (s ** n,):
             raise ValidationError(
@@ -299,6 +314,7 @@ def constant(n: int, value, s: int = 2, codomain: str | None = None) -> Function
         codomain = "real" if isinstance(value, float) and value not in (0.0, 1.0) else "bit"
         if s > 2 and codomain == "bit":
             codomain = "sym"
+    _check_size(n, s)
     dtype = np.float64 if codomain == "real" else np.uint8
     return FunctionTable(n, s, codomain, np.full(s ** n, value, dtype=dtype))
 
@@ -307,9 +323,9 @@ def dictator(n: int, i: int, s: int = 2) -> FunctionTable:
     """f(x) = x_i."""
     if not (0 <= i < n):
         raise DomainError(f"coordinate {i} outside range(0, {n})")
-    idx = np.arange(s ** n)
-    vals = (idx // s ** i) % s
-    return FunctionTable(n, s, "bit" if s == 2 else "sym", vals)
+    # a copy, so the table does not keep every other row of digits alive
+    return FunctionTable(n, s, "bit" if s == 2 else "sym",
+                         _digits(n, s)[i].copy())
 
 
 def character(n: int, support: Iterable[int], offset: int = 0) -> FunctionTable:
@@ -317,20 +333,22 @@ def character(n: int, support: Iterable[int], offset: int = 0) -> FunctionTable:
     supp = sorted(set(support))
     if any(not (0 <= i < n) for i in supp):
         raise DomainError("character support outside range")
-    idx = np.arange(1 << n)
+    digits = _digits(n, 2)
     vals = np.full(1 << n, offset & 1, dtype=np.uint8)
     for i in supp:
-        vals ^= ((idx >> i) & 1).astype(np.uint8)
+        vals ^= digits[i]
     return FunctionTable(n, 2, "bit", vals)
 
 
 def and_all(n: int) -> FunctionTable:
+    _check_size(n, 2)
     vals = np.zeros(1 << n, dtype=np.uint8)
     vals[-1] = 1
     return FunctionTable(n, 2, "bit", vals)
 
 
 def or_all(n: int) -> FunctionTable:
+    _check_size(n, 2)
     vals = np.ones(1 << n, dtype=np.uint8)
     vals[0] = 0
     return FunctionTable(n, 2, "bit", vals)
@@ -360,14 +378,9 @@ def hybrid(n: int) -> FunctionTable:
     """x1 and x2 on points of weight <= 0.6*n, x1 or x2 above."""
     if n < 2:
         raise ValidationError("hybrid needs n >= 2")
-    idx = np.arange(1 << n)
-    weight = np.zeros(1 << n, dtype=np.int64)
-    for i in range(n):
-        weight += (idx >> i) & 1
-    x1 = (idx & 1).astype(np.uint8)
-    x2 = ((idx >> 1) & 1).astype(np.uint8)
-    low = weight <= 0.6 * n
-    return FunctionTable(n, 2, "bit", np.where(low, x1 & x2, x1 | x2))
+    x = _digits(n, 2)
+    low = x.sum(axis=0, dtype=np.int64) <= 0.6 * n
+    return FunctionTable(n, 2, "bit", np.where(low, x[0] & x[1], x[0] | x[1]))
 
 
 # -- metrics -----------------------------------------------------------------

@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DomainError, UnsupportedError, ValidationError
-from .funcspace import FunctionTable, Measure, ProductMeasure
+from .funcspace import FunctionTable, Measure, ProductMeasure, _digits
 
 IDENTITY_TOL = 1e-9
 
@@ -46,12 +46,6 @@ def _forward_mats(measures) -> list:
     """Per coordinate, the matrix taking a table's values along that axis
     to its coefficients in the orthonormal basis."""
     return [orthonormal_basis(m) * m.probs[np.newaxis, :] for m in measures]
-
-
-def _nonconstant_digits(n: int, s: int) -> np.ndarray:
-    """Shape (n, s^n): row i flags the coefficient indices whose basis
-    function at coordinate i is not the constant e_0."""
-    return np.indices((s,) * n, dtype=np.int8).reshape(n, -1)[::-1] != 0
 
 
 def orthonormal_basis(measure: Measure) -> np.ndarray:
@@ -91,7 +85,7 @@ class Decomposition:
         arr = f.as_real().reshape((1,) + (self.s,) * self.n)
         self.coeffs = _transform(arr, _forward_mats(nu.measures)).reshape(-1)
         # support bitmask and level of every coefficient index
-        digits = _nonconstant_digits(self.n, self.s)
+        digits = _digits(self.n, self.s) != 0
         levels = digits.sum(axis=0, dtype=np.int64)
         masks = np.zeros(levels.size, dtype=np.int64)
         c2 = self.coeffs ** 2

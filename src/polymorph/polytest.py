@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import DomainError, ResourceError, UnsupportedError
 from .funcspace import (FunctionTable, PartialAssignment, ProductMeasure,
-                        decode_point, encode_point)
+                        _check_size, decode_point, encode_point)
 from .predicates import Predicate
 
 ODOMETER_CAP = 1 << 24
@@ -65,6 +65,7 @@ class ViolationReport:
 
 
 def _check_functions(P: Predicate, fs) -> tuple[int, int]:
+    _check_size(P.m, P.s, "m")
     if len(fs) != P.m:
         raise DomainError(f"predicate has m={P.m}, got {len(fs)} functions")
     n = fs[0].n

@@ -17,10 +17,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DomainError, ResourceError, ValidationError
-from .funcspace import (FunctionTable, ProductMeasure, _cell_view, _kron,
-                        decode_point)
-from .harmonics import (IDENTITY_TOL, _forward_mats, _nonconstant_digits,
-                        _transform, indicator_table)
+from .funcspace import (FunctionTable, ProductMeasure, _cell_view, _digits,
+                        _kron, decode_point)
+from .harmonics import (IDENTITY_TOL, _forward_mats, _transform,
+                        indicator_table)
 
 CELL_CAP = 1 << 16
 GAIN_SLACK = 1e-15
@@ -270,7 +270,7 @@ def _cell_influences(f: FunctionTable, J, d: int, tau: float,
     free = [nu.measures[c] for c in F]
     fwd = _forward_mats(free)
     w_free = _kron(m.probs for m in free)
-    digits = _nonconstant_digits(len(F), s)
+    digits = _digits(len(F), s) != 0
     low = (digits & (digits.sum(axis=0) <= d)).T.astype(np.float64)
     infs = []
     for vals in _expand_real([f])[0]:

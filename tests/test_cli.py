@@ -378,6 +378,17 @@ def test_experiment_config_validation(tmp_path):
         cli.parse_experiment_config(bad)
 
 
+@pytest.mark.parametrize("repeats", [0, -2])
+def test_experiment_rejects_repeats_below_one(tmp_path, repeats):
+    cfg = _nand_batch_config(tmp_path, repeats=repeats)
+    with pytest.raises(ValidationError, match="run nand: repeats"):
+        cli.parse_experiment_config(cfg)
+    csv_path = tmp_path / "none.csv"
+    assert cli.main(["experiment", "--config", str(cfg),
+                     "--csv", str(csv_path)]) == 1
+    assert not csv_path.exists()
+
+
 def test_cli_errors_exit_1(tmp_path, capsys):
     assert cli.main(["validate", "--pred", str(tmp_path / "nope.pred")]) == 1
     assert "error:" in capsys.readouterr().err
@@ -419,6 +430,21 @@ MALFORMED = {
 }
 
 
+# inputs past the size caps: n = 40 tables, and a predicate with m = 40
+_M40_PRED = "pred m=40 sigma=2\nw=" + "0" * 40 + " p=1/2\nw=" + "1" * 40 \
+    + " p=1/2\n"
+OVERSIZED = {
+    "analyze-n40": ({"d40.fn": "fn n=40 sigma=2 codomain=bit\ndictator i=1\n"},
+                    ["analyze", "--fn", "d40.fn"]),
+    "fr-lift-n40": ({}, ["fr-lift", "--sets", "1", "--k", "1", "--n", "40"]),
+    "experiment-m40": ({"m40.pred": _M40_PRED,
+                        "m40.cfg": "seed = 1\n[run a]\npipeline = polytest\n"
+                                   "pred = m40.pred\nplant = dictator:1\n"
+                                   "n = 2\n"},
+                       ["experiment", "--config", "m40.cfg"]),
+}
+
+
 def _cli(args, cwd, *flags):
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     return subprocess.run([sys.executable, *flags, "-m", "polymorph.cli",
@@ -443,3 +469,15 @@ def test_module_entry_point_has_no_runtime_warning(tmp_path):
                 "-W", "error::RuntimeWarning")
     assert proc.returncode == 0, proc.stderr
     assert _lines(proc.stdout)["flexible"] == "1,2"
+
+
+@pytest.mark.parametrize("case", sorted(OVERSIZED))
+def test_oversized_input_exits_1_with_error_line(tmp_path, case):
+    files, args = OVERSIZED[case]
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    proc = _cli(args, tmp_path)
+    assert proc.returncode == 1
+    errors = [ln for ln in proc.stderr.splitlines() if ln.startswith("error:")]
+    assert len(errors) == 1 and "cap" in errors[0]
+    assert "Traceback" not in proc.stderr + proc.stdout

@@ -8,7 +8,8 @@ import polymorph.corrector as co
 import polymorph.funcspace as fs
 import polymorph.polytest as pt
 import polymorph.predicates as pr
-from polymorph.errors import DomainError, UnsupportedError, ValidationError
+from polymorph.errors import (DomainError, ResourceError, UnsupportedError,
+                             ValidationError)
 
 
 def _rng(seed):
@@ -326,6 +327,12 @@ def test_lift_validation():
         co.friedgut_regev_lift([{0}], 1)  # n missing for subset lists
 
 
+def test_lift_subset_list_gates_size_before_allocating():
+    # 2^40 subset counts cannot be allocated, so only the gate can raise
+    with pytest.raises(ResourceError, match="cap"):
+        co.friedgut_regev_lift([(0,)], 1, n=40)
+
+
 # -- restricted cell expectations (kernel oracle) --------------------------------
 
 
@@ -606,6 +613,30 @@ def test_general_short_relation_normalization():
     # anti-equal pair: g2 is the input-and-output negation of g1
     assert res.gs[2].equals(co._negate_table(res.gs[1]))
     assert all(d <= 0.1 for d in res.distances)
+
+
+def test_general_constant_one_and_anti_equal_outputs():
+    # w0 constant one, w2 the negation of w1, (w1, w3) a NAND2 member
+    P = pr.Predicate(4, 2, [(1, a, 1 ^ a, b)
+                            for a, b in ((0, 0), (0, 1), (1, 0))])
+    n = 8
+    noisy_one = _flip(fs.constant(n, 1), 0.05, 21)
+    vals = noisy_one.values.copy()
+    vals[-1] = 1              # the forced input of a constant-1 coordinate
+    funcs = [
+        fs.from_values(n, 2, "bit", vals),
+        _flip(fs.dictator(n, 3), 0.02, 22),
+        _flip(co._negate_table(fs.dictator(n, 3)), 0.02, 23),
+        _flip(fs.dictator(n, 3), 0.02, 24),
+    ]
+    res = co.correct_general(P, funcs, eps=0.1, attempts=16, seed=0)
+    assert res.exact and res.accepted
+    assert res.trace.negated == (0, 2)
+    assert res.trace.roles == ("constant-1", "rounded", "duplicate-of-1",
+                               "rounded")
+    assert res.gs[0].equals(fs.constant(n, 1))
+    assert res.gs[2].equals(co._negate_table(res.gs[1]))
+    assert not res.gs[1].equals(funcs[1])
 
 
 def test_general_forced_constant_premise_rejected():

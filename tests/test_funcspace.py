@@ -158,6 +158,23 @@ def test_codomain_guards():
         fs.FunctionTable(21, 2, "bit", np.zeros(1 << 21))
 
 
+@pytest.mark.parametrize("build", [
+    lambda n: fs.dictator(n, 0),
+    lambda n: fs.dictator(n, 0, 3),
+    lambda n: fs.character(n, [0, 1], 1),
+    lambda n: fs.constant(n, 0),
+    lambda n: fs.hybrid(n),
+    lambda n: fs.and_all(n),
+    lambda n: fs.or_all(n),
+    lambda n: fs.junta(n, [0], [0, 1]),
+], ids=["dictator", "dictator-s3", "character", "constant", "hybrid",
+        "and", "or", "junta"])
+def test_constructors_gate_size_before_allocating(build):
+    # 2^40 entries cannot be allocated, so only the gate can raise here
+    with pytest.raises(ResourceError, match="cap"):
+        build(40)
+
+
 def test_file_format_roundtrip_table():
     rng = np.random.default_rng(11)
     f = fs.FunctionTable(4, 3, "sym", rng.integers(0, 3, 81))

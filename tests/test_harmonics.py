@@ -278,3 +278,14 @@ def test_export_rows_format():
     assert labels == sorted(labels, key=lambda t: (
         0 if t == "S=" else len(t[2:].split(",")),
         tuple(int(c) for c in t[2:].split(",")) if t != "S=" else ()))
+
+
+def test_alphabet_past_one_byte_of_digits():
+    # s = 300 symbols: coefficient digits reach 299
+    rng = np.random.default_rng(300)
+    f = fs.from_values(1, 300, "real", rng.uniform(0, 1, 300))
+    nu = fs.ProductMeasure.uniform(1, 300)
+    assert abs(hm.noise_stability(f, 0.0, nu)
+               - hm.noise_stability_resample(f, 0.0, nu)) < 1e-12
+    mean = fs.expectation(f, nu)
+    assert abs(hm.Decomposition(f, nu).level_norm2[0] - mean ** 2) < 1e-12

@@ -208,6 +208,22 @@ def test_single_function_predicate():
     assert rep.probability == 1.0
 
 
+@pytest.mark.parametrize("entry", [
+    pt.violation_probability,
+    pt.violation_exact,
+    pt.is_generalized_polymorphism,
+    pt.joint_output_distribution,
+    pt.joint_output_distribution_contracted,
+    lambda P, funcs: pt.violation_mc(P, funcs, 10, 0),
+], ids=["probability", "exact", "check", "odometer", "contraction", "mc"])
+def test_oracle_entries_gate_output_arrays(entry):
+    # arrays over Sigma^m with m = 40 cannot be allocated
+    m = 40
+    P = pr.Predicate(m, 2, [(0,) * m, (1,) * m])
+    with pytest.raises(ResourceError, match="binary m = 40"):
+        entry(P, [fs.dictator(2, 0)] * m)
+
+
 def test_resource_and_domain_guards(monkeypatch):
     P = pr.nand_predicate(2)
     funcs = [fs.and_all(10), fs.and_all(10)]

@@ -423,3 +423,30 @@ def test_cell_check_matches_per_cell_decompositions(inst):
         assert w.coordinate == own[3]
         assert abs(w.influence - own[2]) < 1e-12
         assert abs(w.weight - own[1]) < 1e-12
+
+
+# -- per-cell growth figures against per-cell restrictions ----------------------
+
+@settings(max_examples=200, deadline=None)
+@given(cell_instances(), st.floats(0.05, 0.95))
+def test_cell_growth_tables_match_restrictions(inst, rho):
+    f, nu, J, _, _ = inst
+    Js = sorted(J)
+    subs = [f] if f.codomain != "sym" else [
+        hm.indicator_table(f, v) for v in range(f.s)]
+    for g in subs:
+        w_cells, stab, infs, F = rg._cell_influence_tables(
+            g.as_real(), f.n, f.s, J, nu, rho)
+        assert F == [i for i in range(f.n) if i not in Js]
+        nu_free = nu.subset(F)
+        for c in range(f.s ** len(Js)):
+            cell = fs.decode_point(c, len(Js), f.s)
+            weight = nu.subset(Js).weight_of(cell) if Js else 1.0
+            assert abs(w_cells[c] - weight) < 1e-12
+            a = fs.PartialAssignment.from_dict(f.n, dict(zip(Js, cell)),
+                                               s=f.s)
+            r = g.restrict(a)
+            assert abs(stab[c] - hm.noise_stability(r, rho, nu_free)) < 1e-12
+            for k in range(len(F)):
+                assert abs(infs[k, c]
+                           - hm.noisy_influence(r, k, rho, nu_free)) < 1e-12
