@@ -466,10 +466,14 @@ def correct_monotone(P: Predicate, fs, eps: float, d: int,
     if rest:
         cert, cell_idx, keep = _regular_heavy_cells(P, fs, rest, d, tau, eps)
         J = cert.junta
+        done: dict = {}  # one output per distinct (table, flags) pair
         for j, kept in zip(rest, keep):
-            gvals = np.where(kept[cell_idx], fs[j].values, 0).astype(np.uint8)
-            gs[j] = from_values(n, 2, "bit", gvals)
-            decisions[j] = tuple("kept" if k else "zeroed" for k in kept)
+            key = (id(fs[j]), id(kept))
+            if key not in done:
+                gvals = np.where(kept[cell_idx], fs[j].values, 0).astype(np.uint8)
+                done[key] = (from_values(n, 2, "bit", gvals),
+                             tuple("kept" if k else "zeroed" for k in kept))
+            gs[j], decisions[j] = done[key]
     exact, ce = is_generalized_polymorphism(P, gs)
     dists = tuple(float(distance(fs[j], gs[j], _iid_marginal(P, j, n)))
                   for j in range(P.m))

@@ -21,6 +21,7 @@ from .errors import DomainError, ResourceError, ValidationError
 NORM_TOL = 1e-12
 TABLE_CAP = 1 << 22   # max entries of a dense table
 BINARY_N_CAP = 20     # max n for s = 2
+SYMBOL_CAP = 256      # max alphabet of bit and sym tables (uint8 entries)
 
 CODOMAINS = ("bit", "sym", "real")
 
@@ -99,12 +100,13 @@ def _digit_index(n: int, s: int, coords) -> np.ndarray:
 def _cell_view(values: np.ndarray, n: int, s: int, J) -> tuple:
     """Reshape a flat table to (cells of J, free points), both indexed in
     the usual least-significant-first digit order over sorted coordinates.
-    Returns (view, sorted J, free coordinates)."""
+    A (T, s^n) stack of tables gives its T cell views one after another
+    along the cell axis.  Returns (view, sorted J, free coordinates)."""
     Js = sorted(J)
     F = [i for i in range(n) if i not in Js]
-    arr = values.reshape((s,) * n)
-    perm = [n - 1 - j for j in reversed(Js)] + [n - 1 - i for i in reversed(F)]
-    G = arr.transpose(perm).reshape(s ** len(Js), s ** len(F))
+    arr = values.reshape((-1,) + (s,) * n)  # axis 1 holds coordinate n - 1
+    perm = [0] + [n - j for j in reversed(Js)] + [n - i for i in reversed(F)]
+    G = arr.transpose(perm).reshape(-1, s ** len(F))
     return G, Js, F
 
 
@@ -247,6 +249,9 @@ class FunctionTable:
         if codomain not in CODOMAINS:
             raise ValidationError(f"unknown codomain {codomain!r}")
         _check_size(n, s)
+        if codomain != "real" and s > SYMBOL_CAP:
+            raise ResourceError(f"{codomain} table alphabet {s} exceeds cap "
+                                f"{SYMBOL_CAP} of its uint8 entries")
         raw = np.asarray(values)
         if raw.shape != (s ** n,):
             raise ValidationError(
@@ -315,8 +320,8 @@ def constant(n: int, value, s: int = 2, codomain: str | None = None) -> Function
         if s > 2 and codomain == "bit":
             codomain = "sym"
     _check_size(n, s)
-    dtype = np.float64 if codomain == "real" else np.uint8
-    return FunctionTable(n, s, codomain, np.full(s ** n, value, dtype=dtype))
+    # no dtype here: the table's own range check runs before its cast
+    return FunctionTable(n, s, codomain, np.full(s ** n, value))
 
 
 def dictator(n: int, i: int, s: int = 2) -> FunctionTable:

@@ -19,8 +19,7 @@ import numpy as np
 from .errors import DomainError, ResourceError, ValidationError
 from .funcspace import (FunctionTable, ProductMeasure, _cell_view, _digits,
                         _kron, decode_point)
-from .harmonics import (IDENTITY_TOL, _forward_mats, _transform,
-                        indicator_table)
+from .harmonics import IDENTITY_TOL, _forward_mats, _transform
 
 CELL_CAP = 1 << 16
 GAIN_SLACK = 1e-15
@@ -67,22 +66,14 @@ class RegularityCertificate:
     tau: float | None = None
 
 
-def _expand_real(fs) -> tuple[list, list]:
-    """Real-valued tables for the potential: bit and [0,1]-real functions
-    stand alone, sym functions contribute one indicator per symbol."""
-    tables = []
-    owners = []
-    for j, f in enumerate(fs):
-        if f.codomain == "sym":
-            for sigma in range(f.s):
-                tables.append(indicator_table(f, sigma).as_real())
-                owners.append(j)
-        else:
-            # real tables are [0, 1]-valued by construction, so every
-            # expanded table keeps the potential within [0, len(tables)]
-            tables.append(f.as_real())
-            owners.append(j)
-    return tables, owners
+def _real_stack(f: FunctionTable) -> np.ndarray:
+    """A function's real tables for the potential, shape (T, s^n): bit and
+    [0,1]-real functions give one table, sym functions one indicator per
+    symbol, symbol-major.  Every table is [0, 1]-valued, so the potential
+    stays within [0, total table count]."""
+    if f.codomain == "sym":
+        return (f.values == np.arange(f.s)[:, None]).astype(np.float64)
+    return f.as_real()[None]
 
 
 def _noise_op(probs: np.ndarray, rho: float) -> np.ndarray:
@@ -90,42 +81,47 @@ def _noise_op(probs: np.ndarray, rho: float) -> np.ndarray:
     return rho * np.eye(s) + (1 - rho) * np.tile(probs, (s, 1))
 
 
-def _stab_cells(Gt, axis_coords, nu, rho, w_free) -> np.ndarray:
+def _stab_cells(Gt, ops, w_free) -> np.ndarray:
     """Noise stability of every cell restriction at once.
 
-    Gt has shape (cells, s, ..., s); axis_coords[k] names the coordinate
-    living on tensor axis k + 1.
+    Gt has shape (cells, s, ..., s); ops[k] is the noise operator of the
+    coordinate living on tensor axis k + 1.
     """
     X = Gt
-    for a, coord in enumerate(axis_coords, start=1):
-        R = _noise_op(nu.measures[coord].probs, rho)
+    for a, R in enumerate(ops, start=1):
         X = np.moveaxis(np.tensordot(R, X, axes=([1], [a])), 0, a)
     C = Gt.shape[0]
     prod = (Gt * X).reshape(C, -1)
     return prod @ w_free
 
 
-def _cell_influence_tables(values, n, s, J, nu, rho):
-    """Per-cell stability and noisy influences of all free coordinates.
+def _cell_influence_tables(stack, n, s, J, nu, rho):
+    """Per-cell stability and noisy influences of all free coordinates, for
+    a (T, s^n) stack of tables sharing the measure nu.
 
-    Returns (cell weights, stabilities (C,), influences (|F|, C), free list).
+    The cell views of the T tables run as one batch of T * C cells, and
+    each free coordinate's noise operator is built once for the pass.
+    Returns (cell weights (C,), stabilities (T, C), influences (T, |F|, C),
+    free list).
     """
-    G, Js, F = _cell_view(values, n, s, J)
+    T = len(stack)
+    G, Js, F = _cell_view(stack, n, s, J)
     f = len(F)
-    C = G.shape[0]
+    C = G.shape[0] // T
     w_cells = _kron(nu.measures[c].probs for c in Js)
     w_free = _kron(nu.measures[c].probs for c in F)
-    Gt = G.reshape((C,) + (s,) * f)
+    Gt = G.reshape((T * C,) + (s,) * f)
     axis_coords = list(reversed(F))  # tensor axis k+1 holds this coordinate
-    stab = _stab_cells(Gt, axis_coords, nu, rho, w_free)
-    infs = np.zeros((f, C))
+    ops = [_noise_op(nu.measures[coord].probs, rho) for coord in axis_coords]
+    stab = _stab_cells(Gt, ops, w_free)
+    infs = np.zeros((T, f, C))
     for a, coord in enumerate(axis_coords, start=1):
         probs = nu.measures[coord].probs
         H = np.tensordot(probs, Gt, axes=([0], [a]))
         H = np.broadcast_to(np.expand_dims(H, a), Gt.shape)
-        stab_avg = _stab_cells(H, axis_coords, nu, rho, w_free)
-        infs[F.index(coord)] = stab - stab_avg
-    return w_cells, stab, infs, F
+        stab_avg = _stab_cells(H, ops, w_free)
+        infs[:, F.index(coord)] = (stab - stab_avg).reshape(T, C)
+    return w_cells, stab.reshape(T, C), infs, F
 
 
 def _check_inputs(fs, measures, rho) -> list:
@@ -154,12 +150,13 @@ def potential(fs, measures, rho: float, J) -> float:
     """Sum over functions of the cell-averaged noise stability under J,
     each function weighted by its own measure."""
     measures = _check_inputs(fs, measures, rho)
-    tables, owners = _expand_real(fs)
     n, s = fs[0].n, fs[0].s
     total = 0.0
-    for vals, j in zip(tables, owners):
-        w_cells, stab, _, _ = _cell_influence_tables(vals, n, s, J, measures[j], rho)
-        total += float(w_cells @ stab)
+    for f, nu in zip(fs, measures):
+        w_cells, stab, _, _ = _cell_influence_tables(_real_stack(f), n, s, J,
+                                                     nu, rho)
+        for row in stab:
+            total += float(w_cells @ row)
     return total
 
 
@@ -182,10 +179,10 @@ def build_junta_noisy(fs, measures, rho: float, tau: float, eps: float,
     if not tau > 0:  # also refuses NaN
         raise DomainError("tau must be positive")
     n, s = fs[0].n, fs[0].s
-    tables, owners = _expand_real(fs)
+    stacks = [_real_stack(f) for f in fs]
     coef = (1 - rho) / rho
     required = coef * eps * tau
-    step_bound = math.floor(len(tables) / (coef * eps * tau)) + 1
+    step_bound = math.floor(sum(map(len, stacks)) / (coef * eps * tau)) + 1
     J = sorted(set(initial))
     if any(not (0 <= i < n) for i in J):
         raise DomainError("initial junta outside coordinate range")
@@ -195,22 +192,16 @@ def build_junta_noisy(fs, measures, rho: float, tau: float, eps: float,
         if s ** len(J) > CELL_CAP:
             raise ResourceError(f"junta partition needs {s}^{len(J)} cells, "
                                 f"above CELL_CAP = {CELL_CAP}")
-        per_table = [
-            _cell_influence_tables(vals, n, s, J, measures[j], rho)
-            for vals, j in zip(tables, owners)]
-        phi = math.fsum(
-            float(w_cells @ stab) for w_cells, stab, _, _ in per_table)
+        per_fn = [_cell_influence_tables(stack, n, s, J, nu, rho)
+                  for stack, nu in zip(stacks, measures)]
+        phi = math.fsum(float(w_cells @ row)
+                        for w_cells, stab, _, _ in per_fn for row in stab)
         potentials.append(phi)
-        F = per_table[0][3]
-        bad_mass = [0.0] * len(fs)
-        if F:
-            bad_masks: dict[int, np.ndarray] = {}
-            for (w_cells, _, infs, _), j in zip(per_table, owners):
-                mask = (infs > tau).any(axis=0)
-                prev = bad_masks.get(j)
-                bad_masks[j] = mask if prev is None else prev | mask
-            for (w_cells, _, _, _), j in zip(per_table, owners):
-                bad_mass[j] = float(w_cells[bad_masks[j]].sum())
+        F = per_fn[0][3]
+        # a cell is bad for a function when any of its tables has a free
+        # coordinate of noisy influence above tau there
+        bad_mass = [float(w_cells[(infs > tau).any(axis=(0, 1))].sum())
+                    for w_cells, _, infs, _ in per_fn]
         if all(b <= eps for b in bad_mass) or not F:
             regular = all(b <= eps for b in bad_mass)
             regular_mass = tuple(1.0 - b for b in bad_mass)
@@ -219,8 +210,9 @@ def build_junta_noisy(fs, measures, rho: float, tau: float, eps: float,
                 rho=rho, threshold=tau, eps=eps, regular=regular,
                 regular_mass=regular_mass, step_bound=step_bound, mode="noisy")
         gains = np.zeros(len(F))
-        for w_cells, _, infs, _ in per_table:
-            gains += coef * (infs @ w_cells)
+        for w_cells, _, infs, _ in per_fn:
+            for table_infs in infs:
+                gains += coef * (table_infs @ w_cells)
         order = sorted(range(len(F)), key=lambda k: (-gains[k], F[k]))
         added = []
         got = 0.0
@@ -245,8 +237,9 @@ def _cell_influences(f: FunctionTable, J, d: int, tau: float,
     restriction (max over free coordinates, and over symbols for sym
     tables), with ties keeping the earliest coordinate.
 
-    Every cell is transformed at once: each free coordinate's forward
-    basis runs along the cell view, and the squared coefficients meet one
+    Every cell is transformed at once, those of a sym table's s indicator
+    tables in one stack: each free coordinate's forward basis runs along
+    the cell view, and the squared coefficients meet one
     (free coordinate x coefficient) mask of "non-constant at the
     coordinate and level at most d".  Returns (cell weights, influences,
     coordinates), or None when J leaves no coordinate free: every cell is
@@ -272,17 +265,17 @@ def _cell_influences(f: FunctionTable, J, d: int, tau: float,
     w_free = _kron(m.probs for m in free)
     digits = _digits(len(F), s) != 0
     low = (digits & (digits.sum(axis=0) <= d)).T.astype(np.float64)
-    infs = []
-    for vals in _expand_real([f])[0]:
-        G = _cell_view(vals, n, s, J)[0]
-        c2 = _transform(G.reshape((-1,) + (s,) * len(F)), fwd).reshape(G.shape) ** 2
-        total = (G ** 2) @ w_free
-        if np.any(np.abs(c2.sum(axis=1) - total)
-                  > IDENTITY_TOL * np.maximum(1.0, total)):
-            raise ValidationError("Parseval identity failed beyond tolerance")
-        infs.append(c2 @ low)
+    stack = _real_stack(f)
+    T = len(stack)
+    G = _cell_view(stack, n, s, J)[0]
+    c2 = _transform(G.reshape((-1,) + (s,) * len(F)), fwd).reshape(G.shape) ** 2
+    total = (G ** 2) @ w_free
+    if np.any(np.abs(c2.sum(axis=1) - total)
+              > IDENTITY_TOL * np.maximum(1.0, total)):
+        raise ValidationError("Parseval identity failed beyond tolerance")
     # columns run symbol-major, so argmax keeps the earliest on ties
-    infs = np.hstack(infs)
+    infs = (c2 @ low).reshape(T, -1, len(F)).transpose(1, 0, 2).reshape(
+        -1, T * len(F))
     k = infs.argmax(axis=1)
     return (_kron(nu.measures[c].probs for c in J), infs.max(axis=1),
             np.asarray(F)[k % len(F)])

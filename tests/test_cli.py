@@ -402,6 +402,8 @@ _RUN_CFG = ("seed = 1\n[run a]\npipeline = monotone\npred = nand2.pred\n"
 MALFORMED = {
     "fn-table": ("bad.fn", "fn n=1 sigma=2 codomain=bit\ntable x 1\n",
                  ["analyze", "--fn", "{}"]),
+    "fn-const": ("bad.fn", "fn n=2 sigma=2 codomain=bit\nconst 300\n",
+                 ["analyze", "--fn", "{}"]),
     "pred-weight": ("bad.pred", "pred m=2 sigma=2\nw=00 p=abc\n",
                     ["validate", "--pred", "{}"]),
     "config-seed": ("bad.cfg", "seed = abc\n",
@@ -430,12 +432,16 @@ MALFORMED = {
 }
 
 
-# inputs past the size caps: n = 40 tables, and a predicate with m = 40
+# inputs past the size caps: n = 40 tables, a sym table over 300
+# symbols, and a predicate with m = 40
 _M40_PRED = "pred m=40 sigma=2\nw=" + "0" * 40 + " p=1/2\nw=" + "1" * 40 \
     + " p=1/2\n"
 OVERSIZED = {
     "analyze-n40": ({"d40.fn": "fn n=40 sigma=2 codomain=bit\ndictator i=1\n"},
                     ["analyze", "--fn", "d40.fn"]),
+    "analyze-sigma300": ({"d300.fn": "fn n=1 sigma=300 codomain=sym\n"
+                                     "dictator i=1\n"},
+                         ["analyze", "--fn", "d300.fn"]),
     "fr-lift-n40": ({}, ["fr-lift", "--sets", "1", "--k", "1", "--n", "40"]),
     "experiment-m40": ({"m40.pred": _M40_PRED,
                         "m40.cfg": "seed = 1\n[run a]\npipeline = polytest\n"

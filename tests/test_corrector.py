@@ -516,6 +516,21 @@ def test_monotone_noisy_dictators():
         assert res.gs[0].equals(res.gs[1])  # equal inputs, equal outputs
 
 
+def test_monotone_shares_the_output_of_a_shared_input():
+    n = 8
+    P = pr.nand_predicate(2)
+    f = _flip(fs.dictator(n, 3), 0.02, 17)
+    res = co.correct_monotone(P, [f, f], eps=0.1, d=2, tau=0.2)
+    assert res.gs[0] is res.gs[1]
+    assert res.trace.decisions[0] is res.trace.decisions[1]
+    # an equal table that is another object gets its own, equal, output
+    twin = fs.from_values(n, 2, "bit", f.values.copy())
+    other = co.correct_monotone(P, [f, twin], eps=0.1, d=2, tau=0.2)
+    assert other.gs[0] is not other.gs[1]
+    assert all(g.equals(res.gs[0]) for g in other.gs)
+    assert other.trace.decisions == res.trace.decisions
+
+
 def test_monotone_all_ones_rejected_with_counterexample():
     P = pr.nand_predicate(2)
     one = fs.constant(5, 1)

@@ -228,6 +228,12 @@ def test_non_finite_and_out_of_range_values_rejected():
         fs.FunctionTable(1, 3, "sym", np.array([0.0, 1.25, 2.0]))
     assert fs.FunctionTable(1, 3, "sym", [0.0, 1.0, 2.0]).values.tolist() \
         == [0, 1, 2]
+    # symbols past 255 do not fit the uint8 table, real entries do
+    with pytest.raises(ResourceError):
+        fs.dictator(1, 0, 300)
+    with pytest.raises(ResourceError):
+        fs.from_values(1, 300, "sym", np.arange(300))
+    assert fs.FunctionTable(1, 300, "real", np.linspace(0, 1, 300)).s == 300
     with pytest.raises(ValidationError):
         fs.parse_function("fn n=1 sigma=2 codomain=real\ntable nan 0.5\n")
 

@@ -222,6 +222,33 @@ def test_cell_check_runs_once_per_distinct_table(monkeypatch):
     assert len(calls) == 0
 
 
+def test_growth_makes_one_pass_per_function(monkeypatch):
+    # every growth round runs one pass per function, on the stack of its
+    # s indicator tables, and builds each free coordinate's noise operator
+    # once in that pass
+    ops = _counting(monkeypatch, rg, "_noise_op")
+    passes = []
+    real = rg._cell_influence_tables
+
+    def counted(stack, n, s, J, nu, rho):
+        before = len(ops)
+        out = real(stack, n, s, J, nu, rho)
+        passes.append((len(stack), len(ops) - before, len(out[3])))
+        return out
+
+    monkeypatch.setattr(rg, "_cell_influence_tables", counted)
+    base = fs.dictator(5, 2, s=3)
+    funcs = [_sym_noise(base, 0.05, 220 + j) for j in range(3)]
+    cert = rg.build_junta_noisy(funcs, fs.ProductMeasure.uniform(5, 3),
+                                rho=0.5, tau=0.02, eps=0.1)
+    rounds = len(cert.potentials)
+    assert rounds >= 2
+    assert len(passes) == len(funcs) * rounds
+    assert [free for _, _, free in passes[:len(funcs)]] == [5] * len(funcs)
+    assert all(tables == 3 and built == free
+               for tables, built, free in passes)
+
+
 def test_failing_check_searches_by_classes(monkeypatch):
     # a failing check computes each function's residual transitions once,
     # f_0 included, and shares them between reachability and the search;

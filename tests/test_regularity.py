@@ -434,9 +434,9 @@ def test_cell_growth_tables_match_restrictions(inst, rho):
     Js = sorted(J)
     subs = [f] if f.codomain != "sym" else [
         hm.indicator_table(f, v) for v in range(f.s)]
-    for g in subs:
-        w_cells, stab, infs, F = rg._cell_influence_tables(
-            g.as_real(), f.n, f.s, J, nu, rho)
+    w_cells, stabs, infss, F = rg._cell_influence_tables(
+        np.stack([g.as_real() for g in subs]), f.n, f.s, J, nu, rho)
+    for g, stab, infs in zip(subs, stabs, infss):
         assert F == [i for i in range(f.n) if i not in Js]
         nu_free = nu.subset(F)
         for c in range(f.s ** len(Js)):
@@ -450,3 +450,34 @@ def test_cell_growth_tables_match_restrictions(inst, rho):
             for k in range(len(F)):
                 assert abs(infs[k, c]
                            - hm.noisy_influence(r, k, rho, nu_free)) < 1e-12
+
+
+@st.composite
+def table_stacks(draw):
+    """T real tables in [0, 1] of one domain, T in {1, ..., s}, with one
+    full-support measure and a cell set J in any order."""
+    s = draw(st.sampled_from((2, 3)))
+    T = draw(st.integers(1, s))
+    n = draw(st.integers(1, 6 if s == 2 else 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    stack = rng.uniform(0, 1, size=(T, s ** n))
+    nu = _random_measure(rng, n, s)
+    J = draw(st.lists(st.integers(0, n - 1), max_size=n, unique=True))
+    return stack, n, s, J, nu
+
+
+@settings(max_examples=200, deadline=None)
+@given(table_stacks(), st.floats(0.05, 0.95))
+def test_stacked_growth_pass_equals_single_table_passes(inst, rho):
+    stack, n, s, J, nu = inst
+    w_cells, stab, infs, F = rg._cell_influence_tables(stack, n, s, J, nu,
+                                                       rho)
+    assert stab.shape == (len(stack), s ** len(set(J)))
+    assert infs.shape == (len(stack), len(F), s ** len(set(J)))
+    for t in range(len(stack)):
+        w1, stab1, infs1, F1 = rg._cell_influence_tables(stack[t:t + 1], n,
+                                                         s, J, nu, rho)
+        assert F1 == F
+        assert np.array_equal(w1, w_cells)
+        assert np.allclose(stab[t], stab1[0], rtol=0, atol=1e-12)
+        assert np.allclose(infs[t], infs1[0], rtol=0, atol=1e-12)
