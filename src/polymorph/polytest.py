@@ -2,23 +2,23 @@
 
 A column tuple draws one member of P per input coordinate; function j reads
 row j of the columns.  The violation probability is the mu^n-mass of column
-tuples whose output tuple leaves P.  Two exact engines are provided: an
-odometer scan over all |P|^n column tuples, and a coordinate-by-coordinate
-tensor contraction whose state is indexed by the residual classes of the
-read inputs of functions 2..m (at most s^((m-1) n) joint classes).  Both
-produce the full joint output distribution; they are cross-checked in the
-tests.
-violation_probability runs whichever is cheaper by estimated cost.
-is_generalized_polymorphism follows the joint residual classes of all m
-functions, forward for the reachable outputs and backward for a
-counterexample, when they are fewer than the contraction's state cells.
+tuples whose output tuple leaves P.  Three exact engines produce the full
+joint output distribution, and the tests cross-check them: an odometer scan
+over all |P|^n column tuples; a coordinate-by-coordinate tensor contraction
+whose state is indexed by the residual classes of the read inputs of
+functions 2..m (at most s^((m-1) n) joint classes); and a forward pass over
+the joint residual class tuples of all m functions, whose last level is the
+outputs.  _plan checks the caps, then picks the cheapest engine from the
+real class counts, for violation_probability (the law) and for
+is_generalized_polymorphism (reachability, then a backward pass or
+per-prefix contractions for a counterexample).
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,7 +29,14 @@ from .predicates import Predicate
 
 ODOMETER_CAP = 1 << 24
 CONTRACTION_CAP = 1 << 22
-CHUNK = 1 << 16
+CHUNK = 1 << 14              # elements per odometer or Monte Carlo block
+# fitted engine costs in ns (README, "Which one runs"): per odometer column,
+# per member and contraction cell, per member and joint class tuple, and per
+# np.unique call of the residual transitions
+ODOMETER_NS = 12.0
+CONTRACT_NS = 6.0
+CLASS_NS = 8.0
+LABEL_NS = 25_000.0
 GUIDE_CELLS = 1 << 10        # Monte Carlo guide-table cells
 MC_GROUP_CAP = 1 << 12       # column codes per Monte Carlo group table
 WILSON_Z = 1.959963984540054  # two-sided 95%
@@ -258,30 +265,70 @@ def _contract(P: Predicate, fs, weights, trans=None, prefix=()):
     return A.transpose(list(range(m - 2, -1, -1)) + [m - 1]).ravel()
 
 
-# -- reachability and counterexamples ------------------------------------------
+# -- planning and the class-tuple pass -----------------------------------------
 
 def _transitions(P: Predicate, fs):
-    """(trans, sizes, by_classes) for one check: every function's residual
-    transitions, f_0's included, computed once; sizes[k] holds each
-    function's class count at level k = 0..n (at level n the classes are
-    the values); by_classes says whether the joint class tuples are the
-    cheaper state: their largest level set, max_k prod_j K_k^j, is no
-    larger than the contraction's, max_k s^(n-k) prod_{j>=1} K_k^j s.
-
-    The 1:1 ratio lies in the flat middle of the time lost to wrong picks
-    over planted NAND3, parity, NAE3 and one-hot tables; the break-even
-    ratio is near 0.6 on NAND3 and near 1.9 on parity (README, "Exact
-    engines").  f_0's transitions are computed even when the check then
-    contracts, which reads only trans[1:]: the joint size needs f_0's
-    class counts."""
+    """(trans, sizes): every function's residual transitions, f_0's
+    included, computed once per call; sizes[k] holds each function's class
+    count at level k = 0..n (at level n the classes are the values)."""
     n, s = _check_functions(P, fs)
     trans = [_residual_transitions(f.values, n, s) for f in fs]
     sizes = [tuple(T[k].shape[1] for T in trans) for k in range(n)]
     sizes.append((s,) * P.m)
-    joint = max(math.prod(z) for z in sizes)
-    state = max(s ** (n - k + 1) * math.prod(z[1:])
-                for k, z in enumerate(sizes))
-    return trans, sizes, joint <= state
+    return trans, sizes
+
+
+@dataclass(frozen=True)
+class _Plan:
+    """An exact engine ("odometer", "contraction" or "classes"), why it was
+    picked, the largest state it holds (odometer columns per block,
+    contraction cells or joint class tuples), and the transitions and class
+    counts it was costed from (None for an odometer picked before them)."""
+
+    engine: str
+    reason: str
+    peak: int
+    trans: list | None = field(default=None, repr=False)
+    sizes: list | None = None
+
+
+def _plan(P: Predicate, fs, odometer: bool = True) -> _Plan:
+    """The cheapest exact engine for fs by estimated cost (README, "Which
+    one runs").  The caps are checked before any allocation: past
+    CONTRACTION_CAP only the odometer can run.  The odometer also runs,
+    with no transitions, when it costs less than labelling them.  Else each
+    engine costs its constant times its work from the real class counts:
+    |P|^n columns, sum_k |P| s^(n-k+1) prod_{j>=1} K_k^j contraction cells,
+    or sum_k |P| prod_j K_k^j joint class tuples.  With odometer False (the
+    check, whose counterexample the odometer finds in another order) the
+    odometer runs only past the contraction's cap."""
+    n, s = _check_functions(P, fs)
+    K = len(P)
+    columns, block = K ** n, K ** _digits_within(K, n, CHUNK)
+    scan = ODOMETER_NS * columns if columns <= ODOMETER_CAP else math.inf
+    if _state_cells(P, n) > CONTRACTION_CAP:
+        if scan == math.inf:
+            raise ResourceError(
+                f"|P|^n = {K}^{n} exceeds ODOMETER_CAP = {ODOMETER_CAP} and "
+                f"the contraction state {s}^{(P.m - 1) * n} exceeds "
+                f"CONTRACTION_CAP = {CONTRACTION_CAP}; use violation_mc")
+        return _Plan("odometer", "contraction state over CONTRACTION_CAP",
+                     block)
+    labelling = LABEL_NS * P.m * n * (s - 1)
+    if odometer and scan <= labelling:
+        return _Plan("odometer", f"estimated odometer {scan / 1e6:.3g} ms, "
+                     f"transitions alone {labelling / 1e6:.3g} ms", block)
+    trans, sizes = _transitions(P, fs)
+    state = [s ** (n - k + 1) * math.prod(z[1:]) for k, z in enumerate(sizes)]
+    joint = [math.prod(z) for z in sizes]
+    est = {"classes": (CLASS_NS * K * sum(joint), max(joint)),
+           "contraction": (CONTRACT_NS * K * sum(state), max(state))}
+    if odometer and scan < math.inf:
+        est["odometer"] = (scan, block)
+    ranked = sorted(est, key=est.get)
+    reason = "estimated " + ", ".join(f"{e} {est[e][0] / 1e6:.3g} ms"
+                                      for e in ranked)
+    return _Plan(ranked[0], reason, est[ranked[0]][1], trans, sizes)
 
 
 def _member_chunks(memb: np.ndarray, cells: int):
@@ -297,19 +344,32 @@ def _class_steps(trans, sizes, k: int) -> list:
     return [T[k] * int(st) for T, st in zip(trans, strides)]
 
 
-def _reach_by_classes(P: Predicate, trans, sizes) -> np.ndarray:
-    """Reachable-output table from the set of joint class tuples: starting
-    from the all-zero tuple, every member moves each reachable level-k
-    tuple to its level-(k+1) tuple.  The level-n tuples are the outputs."""
+def _forward_by_classes(P: Predicate, trans, sizes, weights=None):
+    """Push the all-zero class tuple forward one coordinate at a time:
+    every member moves each live level-k tuple to its level-(k+1) tuple.
+    The level-n tuples are the outputs.  With weights None the result is
+    the boolean reachable-output table, so the check never turns on float
+    underflow; with member weights it is the joint output law, one weighted
+    np.bincount per block of members."""
     memb = _member_array(P)
-    R = np.ones(1, dtype=bool)
+    R = np.ones(1, dtype=bool if weights is None else np.float64)
     for k in range(len(sizes) - 1):
-        tuples = np.unravel_index(np.flatnonzero(R), sizes[k])
+        live = np.flatnonzero(R)
+        tuples = np.unravel_index(live, sizes[k])
         steps = [S[:, c] for S, c in zip(_class_steps(trans, sizes, k), tuples)]
-        R = np.zeros(math.prod(sizes[k + 1]), dtype=bool)
-        for w in _member_chunks(memb, tuples[0].size):
-            # (member, tuple) grid of next codes; repeats all store True
-            R[sum(S[w[:, j]] for j, S in enumerate(steps))] = True
+        size = math.prod(sizes[k + 1])
+        if weights is None:
+            R = np.zeros(size, dtype=bool)
+            for w in _member_chunks(memb, live.size):
+                # (member, tuple) grid of next codes; repeats all store True
+                R[sum(S[w[:, j]] for j, S in enumerate(steps))] = True
+        else:
+            mass, R = R[live], np.zeros(size)
+            for w, p in zip(_member_chunks(memb, live.size),
+                            _member_chunks(weights, live.size)):
+                code = sum(S[w[:, j]] for j, S in enumerate(steps))
+                R += np.bincount(code.ravel(), (p[:, None] * mass).ravel(),
+                                 size)
     # axes are (a_0, ..., a_{m-1}); output codes put a_0 lowest
     return R.reshape(sizes[-1]).ravel(order="F")
 
@@ -372,16 +432,15 @@ def joint_output_distribution_contracted(P: Predicate, fs) -> np.ndarray:
 
 
 def violation_probability(P: Predicate, fs) -> float:
-    """Exact violation probability from the cheaper engine: the odometer
-    costs about |P|^n * n, the contraction |P| * s^((m-1) n); the odometer
-    also runs whenever the contraction state exceeds CONTRACTION_CAP."""
-    n, _ = _check_functions(P, fs)
-    columns, cells = len(P) ** n, _state_cells(P, n)
-    if columns <= ODOMETER_CAP and (columns * n <= len(P) * cells
-                                    or cells > CONTRACTION_CAP):
+    """Exact violation probability from the engine _plan picks."""
+    plan = _plan(P, fs)
+    if plan.engine == "odometer":
         Q, _ = joint_output_distribution(P, fs)
     else:
-        Q = joint_output_distribution_contracted(P, fs)
+        weights = np.array([float(w) for w in P.weights])
+        Q = (_forward_by_classes(P, plan.trans, plan.sizes, weights)
+             if plan.engine == "classes"
+             else _contract(P, fs, weights, plan.trans[1:]))
     return float(Q[~_member_table(P)].sum())
 
 
@@ -407,15 +466,16 @@ def _counterexample_from_code(P: Predicate, fs, code: int) -> Counterexample:
 
 def is_generalized_polymorphism(P: Predicate, fs):
     """(exact flag, counterexample).  Reachability and the counterexample
-    search by joint residual classes or by contraction, as _transitions
-    decides, whenever the worst-case contraction state fits
-    CONTRACTION_CAP, else the odometer scan."""
-    n, _ = _check_functions(P, fs)
-    if _state_cells(P, n) > CONTRACTION_CAP:
+    search by joint residual classes or by contraction, as _plan decides;
+    the odometer scan only when the contraction state exceeds
+    CONTRACTION_CAP."""
+    plan = _plan(P, fs, odometer=False)
+    if plan.engine == "odometer":
         report = violation_exact(P, fs)
         return report.probability == 0.0, report.counterexample
-    trans, sizes, by_classes = _transitions(P, fs)
-    reach = _reach_by_classes(P, trans, sizes) if by_classes \
+    trans, sizes = plan.trans, plan.sizes
+    by_classes = plan.engine == "classes"
+    reach = _forward_by_classes(P, trans, sizes) if by_classes \
         else _contract(P, fs, None, trans[1:])
     bad = np.nonzero(reach & ~_member_table(P))[0]
     if bad.size == 0:
@@ -488,10 +548,11 @@ def violation_mc(P: Predicate, fs, samples: int, seed: int) -> ViolationReport:
     tables = {g: _column_tables(memb, muvec, g, s)[0] for g in {c, n % c or c}}
     # counter-based generator: streams are reproducible across platforms
     rng = np.random.Generator(np.random.Philox(key=seed))
+    block = max(1, CHUNK // n)
     bad = 0
     done = 0
     while done < samples:
-        take = min(CHUNK, samples - done)
+        take = min(block, samples - done)
         d = draw(rng, (take, n))
         x = np.zeros((P.m, take), dtype=np.int64)
         for a in range(0, n, c):

@@ -238,6 +238,13 @@ def test_resource_and_domain_guards(monkeypatch):
         mp.setattr(pt, "_contract", _no_allocation)
         with pytest.raises(ResourceError):
             pt.joint_output_distribution_contracted(P, funcs)
+        # past both caps the planner raises before any transition
+        mp.setattr(pt, "ODOMETER_CAP", 1000)
+        mp.setattr(pt, "_transitions", _no_allocation)
+        for entry in (pt.violation_probability, pt.is_generalized_polymorphism):
+            with pytest.raises(ResourceError,
+                               match="ODOMETER_CAP .* CONTRACTION_CAP"):
+                entry(P, funcs)
     with pytest.raises(DomainError):
         pt.violation_exact(P, [fs.and_all(3)])
     with pytest.raises(DomainError):
@@ -409,9 +416,9 @@ def test_exact_engines_agree(instance):
                         for c in range(Q.size)])
     prob = float(Q[outside].sum())
     reach = Q > 0
-    # both reachability paths, whichever the cost rule would pick
-    trans, sizes, _ = pt._transitions(P, funcs)
-    assert np.array_equal(pt._reach_by_classes(P, trans, sizes), reach)
+    # both reachability paths, whichever the planner would pick
+    trans, sizes = pt._transitions(P, funcs)
+    assert np.array_equal(pt._forward_by_classes(P, trans, sizes), reach)
     assert np.array_equal(pt._contract(P, funcs, None, trans[1:]), reach)
     Qc = pt.joint_output_distribution_contracted(P, funcs)
     assert np.max(np.abs(Qc - Q)) < 1e-12
@@ -448,21 +455,20 @@ def _nand3_tables(rate, seed: int):
 
 
 @pytest.mark.parametrize("rate, by_classes",
-                         [(0.01, True), (0.07, True), (0.08, False),
+                         [(0.01, True), (0.07, True), (0.09, False),
                           (None, False)])
 def test_check_path_follows_the_class_count_rule(rate, by_classes):
-    # the joint class tuples against the contraction's peak state: 960
-    # against 10,752 at flip rate 0.01; 54,612 against 59,392 (ratio
-    # 0.92) at 0.07 and 68,800 against 61,440 (ratio 1.12) at 0.08, either
-    # side of the rule's 1:1 ratio; about 1.05M against 0.16M on random
-    # tables.  The class path runs once each way; the contraction runs
-    # once for reachability and once per tried prefix.  Either way the
-    # result is the other path's
+    # the planner's estimates, classes against contraction: 0.23 against
+    # 1.87 ms at flip rate 0.01; 6.84 against 8.02 ms at 0.07 and 9.10
+    # against 8.88 ms at 0.09, either side of the break-even; 75.8 against
+    # 17.9 ms on random tables.  The class path runs once each way; the
+    # contraction runs once for reachability and once per tried prefix.
+    # Either way the result is the other path's
     P = pr.nand_predicate(3)
     funcs = _nand3_tables(rate, 190)
     calls = {}
     spied = {name: getattr(pt, name) for name in
-             ("_reach_by_classes", "_search_by_classes", "_contract")}
+             ("_forward_by_classes", "_search_by_classes", "_contract")}
 
     def spy(name):
         def wrapper(*args, **kwargs):
@@ -474,12 +480,13 @@ def test_check_path_follows_the_class_count_rule(rate, by_classes):
         ok, ce = pt.is_generalized_polymorphism(P, funcs)
     assert not ok
     if by_classes:
-        assert calls == {"_reach_by_classes": 1, "_search_by_classes": 1}
+        assert calls == {"_forward_by_classes": 1, "_search_by_classes": 1}
     else:
         assert set(calls) == {"_contract"} and calls["_contract"] > 10
-    trans, sizes, chosen = pt._transitions(P, funcs)
-    assert chosen == by_classes
-    reach = pt._reach_by_classes(P, trans, sizes)
+    plan = pt._plan(P, funcs, odometer=False)
+    assert plan.engine == ("classes" if by_classes else "contraction")
+    trans, sizes = plan.trans, plan.sizes
+    reach = pt._forward_by_classes(P, trans, sizes)
     assert np.array_equal(pt._contract(P, funcs, None, trans[1:]), reach)
     alpha = int(np.nonzero(reach & ~pt._member_table(P))[0][0])
     assert ce.outputs == fs.decode_point(alpha, P.m, P.s)
@@ -533,10 +540,13 @@ def test_float_contraction_memory_stays_small():
     assert peak < 4 * 2 ** 20
 
 
+ENGINES = {"odometer": "joint_output_distribution",
+           "contraction": "_contract", "classes": "_forward_by_classes"}
+
+
 def _count_engines(monkeypatch):
     calls = []
-    for name in ("joint_output_distribution",
-                 "joint_output_distribution_contracted"):
+    for name in list(ENGINES.values()) + ["_transitions"]:
         real = getattr(pt, name)
 
         def wrapper(*args, _real=real, _name=name, **kwargs):
@@ -548,18 +558,104 @@ def _count_engines(monkeypatch):
 
 
 @pytest.mark.parametrize("P, n, engine", [
-    (pr.one_hot_predicate(4), 7, "joint_output_distribution"),
-    (pr.parity_predicate(3, 0), 10, "joint_output_distribution_contracted"),
+    # 4^7 columns cost less than the transitions, which are not computed
+    (pr.one_hot_predicate(4), 7, "odometer"),
+    (pr.parity_predicate(3, 0), 10, "classes"),
     # the contraction state 4^12 exceeds CONTRACTION_CAP: odometer only,
-    # without a failed contraction first
-    (pr.parity_predicate(3, 0), 12, "joint_output_distribution"),
+    # without transitions or a failed contraction first
+    (pr.parity_predicate(3, 0), 12, "odometer"),
 ], ids=["one_hot_n7", "parity_n10", "parity_n12"])
 def test_violation_probability_runs_the_cheaper_engine_only(monkeypatch, P, n,
                                                             engine):
     funcs = [fs.dictator(n, 1) for _ in range(P.m)]
+    assert pt._plan(P, funcs).engine == engine
     calls = _count_engines(monkeypatch)
     assert pt.violation_probability(P, funcs) == 0.0
-    assert calls == [engine]
+    planned = [] if engine == "odometer" else ["_transitions"]
+    assert calls == planned + [ENGINES[engine]]
+
+
+def _oracle_item(P, n, rate, seed):
+    """P.m tables: a planted dictator on coordinate 1 with each entry moved
+    to another symbol at the rate, or uniformly random when it is None."""
+    rng = _rng(seed)
+    base = fs.dictator(n, 1, P.s).values.astype(np.int64)
+    codomain = "bit" if P.s == 2 else "sym"
+    out = []
+    for _ in range(P.m):
+        if rate is None:
+            v = rng.integers(0, P.s, P.s ** n)
+        else:
+            shift = np.where(rng.random(base.size) < rate,
+                             rng.integers(1, P.s, base.size), 0)
+            v = (base + shift) % P.s
+        out.append(fs.from_values(n, P.s, codomain, v))
+    return out
+
+
+def _ternary_nae():
+    return pr.Predicate(3, 3, [w for w in itertools.product(range(3), repeat=3)
+                               if len(set(w)) > 1])
+
+
+@pytest.mark.parametrize("P, n, rate, law, check", [
+    # the oracle shapes of the benchmark, planted at flip 0.01; one-hot's
+    # 4^7 columns cost less than its transitions
+    (pr.nand_predicate(3), 10, 0.01, "classes", "classes"),
+    (_ternary_nae(), 6, 0.01, "classes", "classes"),
+    (pr.parity_predicate(3, 0), 10, 0.01, "classes", "classes"),
+    (pr.one_hot_predicate(4), 7, 0.01, "odometer", "classes"),
+    # noisy tables keep far more joint class tuples than contraction cells
+    (pr.nand_predicate(3), 10, None, "contraction", "contraction"),
+    (_ternary_nae(), 6, 0.3, "contraction", "contraction"),
+    # random parity at n = 11: contraction 42-49 ms against odometer 53-59
+    # ms, medians of 9 interleaved runs on four seeds (CHANGES.md)
+    (pr.parity_predicate(3, 0), 11, None, "contraction", "contraction"),
+], ids=["nand3", "nae3", "par3", "onehot", "nand3_random", "nae3_flip03",
+        "par3_n11_random"])
+def test_planner_picks(P, n, rate, law, check):
+    funcs = _oracle_item(P, n, rate, 7)
+    for plan, engine in ((pt._plan(P, funcs), law),
+                         (pt._plan(P, funcs, odometer=False), check)):
+        assert plan.engine == engine
+        assert plan.reason.startswith(f"estimated {engine} ")
+        if engine == "odometer":
+            assert plan.trans is None and plan.peak == len(P) ** n
+            continue
+        state = max(P.s ** (n - k + 1) * math.prod(z[1:])
+                    for k, z in enumerate(plan.sizes))
+        joint = max(math.prod(z) for z in plan.sizes)
+        assert plan.peak == {"contraction": state, "classes": joint}[engine]
+
+
+@settings(max_examples=150, deadline=None)
+@given(oracle_instances())
+def test_class_law_equals_the_other_engines(instance):
+    P, funcs = instance
+    trans, sizes = pt._transitions(P, funcs)
+    weights = np.array([float(w) for w in P.weights])
+    law = pt._forward_by_classes(P, trans, sizes, weights)
+    assert np.max(np.abs(law - pt._contract(P, funcs, weights))) < 1e-12
+    Q, _ = pt.joint_output_distribution(P, funcs)
+    assert np.max(np.abs(law - Q)) < 1e-12
+    assert np.array_equal(law > 0, pt._forward_by_classes(P, trans, sizes))
+
+
+def test_class_law_memory_stays_small():
+    # the planted parity tuple of the contraction's bound above; its class
+    # law holds one float per joint class tuple of a level
+    P = pr.parity_predicate(3, 0)
+    funcs = list(cli.plant_and_perturb(P, 10, "character:1,2,3:0,0,0",
+                                       0.01, 1).fs)
+    trans, sizes = pt._transitions(P, funcs)
+    weights = np.array([float(w) for w in P.weights])
+    tracemalloc.start()
+    try:
+        pt._forward_by_classes(P, trans, sizes, weights)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 18
 
 
 # -- column tables and the Monte Carlo sampler ---------------------------------
@@ -704,10 +800,13 @@ def _mc_reference(P, funcs, samples, seed):
 
 
 @settings(max_examples=60, deadline=None)
-@given(oracle_instances(), st.sampled_from((1, 999, pt.CHUNK + 7)),
+@given(oracle_instances(), st.sampled_from((1, 999, pt.CHUNK + 7, None)),
        st.integers(0, 2 ** 128 - 1))
 def test_violation_mc_equals_the_choice_loop(instance, samples, seed):
+    # None: three whole blocks of CHUNK // n samples and a part block
     P, funcs = instance
+    if samples is None:
+        samples = 3 * (pt.CHUNK // funcs[0].n) + 5
     assert (pt.violation_mc(P, funcs, samples, seed)
             == _mc_reference(P, funcs, samples, seed))
 
