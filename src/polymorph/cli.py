@@ -12,6 +12,7 @@ labeled derivation, so reruns are bit-identical.
 
 import argparse
 import csv
+import functools
 import hashlib
 import io
 import sys
@@ -645,6 +646,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"error: {message}\n")
 
 
+@functools.cache  # built once per process; parsing leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
     p = _Parser(
         prog="polymorph",
@@ -728,8 +730,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     if args.command == "correct" and args.mode != "fractional" \
             and not args.pred:
         print("error: --pred is required for this mode", file=sys.stderr)

@@ -188,10 +188,11 @@ def _cell_averages(values: np.ndarray, f: FunctionTable, J, assignment,
                    marginal: Measure) -> np.ndarray:
     """Average of a table on f's domain over every cell of sorted J under
     the restriction; open coordinates outside J average against the
-    marginal."""
+    marginal.  A (T, s^n) stack of tables gives a (T, cells) array."""
     G, _, F = _cell_view(values, f.n, f.s, J)
     # fixed entries contribute a point mass, stars the marginal
     entries = [assignment.entries[c] for c in F]
+    # one matrix-vector product per table, as for a lone table
     return G @ _kron(marginal.probs if v is None else np.eye(f.s)[v]
                      for v in entries)
 
@@ -205,9 +206,8 @@ def _restricted_cell_expectations(f: FunctionTable, J, assignment,
 def _restricted_value_probs(f: FunctionTable, J, assignment,
                             marginal: Measure) -> np.ndarray:
     """Shape (s, cells): probability of each output symbol per cell."""
-    return np.vstack([_cell_averages((f.values == sigma).astype(float), f, J,
-                                     assignment, marginal)
-                      for sigma in range(f.s)])
+    indicators = (f.values == np.arange(f.s)[:, None]).astype(float)
+    return _cell_averages(indicators, f, J, assignment, marginal)
 
 
 def _iid_marginal(P: Predicate, j: int, n: int) -> ProductMeasure:

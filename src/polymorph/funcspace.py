@@ -99,14 +99,14 @@ def _digit_index(n: int, s: int, coords) -> np.ndarray:
 
 def _cell_view(values: np.ndarray, n: int, s: int, J) -> tuple:
     """Reshape a flat table to (cells of J, free points), both indexed in
-    the usual least-significant-first digit order over sorted coordinates.
-    A (T, s^n) stack of tables gives its T cell views one after another
-    along the cell axis.  Returns (view, sorted J, free coordinates)."""
+    the usual least-significant-first digit order over sorted coordinates;
+    a (T, s^n) stack gives (T, cells, free points), each table laid out as
+    it would be alone.  Returns (view, sorted J, free coordinates)."""
     Js = sorted(J)
     F = [i for i in range(n) if i not in Js]
     arr = values.reshape((-1,) + (s,) * n)  # axis 1 holds coordinate n - 1
     perm = [0] + [n - j for j in reversed(Js)] + [n - i for i in reversed(F)]
-    G = arr.transpose(perm).reshape(-1, s ** len(F))
+    G = arr.transpose(perm).reshape(values.shape[:-1] + (-1, s ** len(F)))
     return G, Js, F
 
 

@@ -6,12 +6,11 @@ tuples whose output tuple leaves P.  Three exact engines produce the full
 joint output distribution, and the tests cross-check them: an odometer scan
 over all |P|^n column tuples; a coordinate-by-coordinate tensor contraction
 whose state is indexed by the residual classes of the read inputs of
-functions 2..m (at most s^((m-1) n) joint classes); and a forward pass over
-the joint residual class tuples of all m functions, whose last level is the
-outputs.  _plan checks the caps, then picks the cheapest engine from the
-real class counts, for violation_probability (the law) and for
-is_generalized_polymorphism (reachability, then a backward pass or
-per-prefix contractions for a counterexample).
+functions 2..m; and a forward pass over the joint residual class tuples of
+all m functions, whose last level is the outputs.  _plan admits each engine
+by the largest array it allocates and runs the cheapest admitted one, for
+the law and for is_generalized_polymorphism (reachability, then a backward
+pass or per-prefix contractions for a counterexample).
 """
 
 from __future__ import annotations
@@ -175,12 +174,6 @@ def joint_output_distribution(P: Predicate, fs):
     return Q, first_bad
 
 
-def _state_cells(P: Predicate, n: int) -> int:
-    """Worst-case cells of the contraction state, one per joint input of
-    functions 1..m-1; residual classes never need more."""
-    return P.s ** ((P.m - 1) * n)
-
-
 def _residual_transitions(values: np.ndarray, n: int, s: int) -> list:
     """Residual classes of a table's read prefixes, as transition tables.
 
@@ -205,7 +198,7 @@ def _residual_transitions(values: np.ndarray, n: int, s: int) -> list:
     return T[::-1]
 
 
-def _contract(P: Predicate, fs, weights, trans=None, prefix=()):
+def _contract(P: Predicate, fs, weights, trans, prefix=()):
     """Joint output law of fs, one coordinate at a time; with weights None,
     the boolean table of reachable outputs instead.  With a prefix of
     member columns, the law of the outputs given those first columns.
@@ -216,12 +209,10 @@ def _contract(P: Predicate, fs, weights, trans=None, prefix=()):
     member w moves the slice at f_0's next digit w_0 to the new digits
     w_1..w_{m-1}; each function's axis is then merged by class in a stable
     order.  After the last coordinate the classes are the values.  The
-    caller checks the worst-case state against CONTRACTION_CAP.
+    caller admits the pre-merge buffer (_contraction_cells) first.
     """
     n, s = _check_functions(P, fs)
     m = P.m
-    if trans is None:
-        trans = [_residual_transitions(f.values, n, s) for f in fs[1:]]
     reach = weights is None
     reduceat = np.logical_or.reduceat if reach else np.add.reduceat
     t = len(prefix)
@@ -278,12 +269,19 @@ def _transitions(P: Predicate, fs):
     return trans, sizes
 
 
+def _contraction_cells(s: int, sizes) -> int:
+    """The contraction's largest array, its pre-merge buffer (README, "Exact
+    engines"): max_{k<n} s^(n-k+max(m-1,1)) prod_{j>=1} K_k^j cells."""
+    n, m = len(sizes) - 1, len(sizes[0])
+    return max(s ** (n - k + max(m - 1, 1)) * math.prod(z[1:])
+               for k, z in enumerate(sizes[:-1]))
+
+
 @dataclass(frozen=True)
 class _Plan:
-    """An exact engine ("odometer", "contraction" or "classes"), why it was
-    picked, the largest state it holds (odometer columns per block,
-    contraction cells or joint class tuples), and the transitions and class
-    counts it was costed from (None for an odometer picked before them)."""
+    """An exact engine ("odometer", "contraction" or "classes"), why, the
+    largest array it was admitted by, and the transitions and class counts
+    it was costed from (None for an odometer picked before them)."""
 
     engine: str
     reason: str
@@ -293,27 +291,18 @@ class _Plan:
 
 
 def _plan(P: Predicate, fs, odometer: bool = True) -> _Plan:
-    """The cheapest exact engine for fs by estimated cost (README, "Which
-    one runs").  The caps are checked before any allocation: past
-    CONTRACTION_CAP only the odometer can run.  The odometer also runs,
-    with no transitions, when it costs less than labelling them.  Else each
-    engine costs its constant times its work from the real class counts:
-    |P|^n columns, sum_k |P| s^(n-k+1) prod_{j>=1} K_k^j contraction cells,
-    or sum_k |P| prod_j K_k^j joint class tuples.  With odometer False (the
-    check, whose counterexample the odometer finds in another order) the
-    odometer runs only past the contraction's cap."""
+    """The cheapest admitted exact engine for fs (README, "Which one
+    runs").  The odometer runs, unlabelled, when it costs less than the
+    transitions.  Else the class counts K_k^j admit the class pass (max_k
+    prod_j K_k^j tuples) and the contraction (_contraction_cells) under
+    CONTRACTION_CAP, and the odometer (|P|^n columns) under ODOMETER_CAP;
+    with odometer False (the check) the odometer only when neither fits.
+    Each costs its constant times its work: |P|^n columns, sum_k |P|
+    s^(n-k+1) prod_{j>=1} K_k^j cells, or sum_k |P| prod_j K_k^j tuples."""
     n, s = _check_functions(P, fs)
     K = len(P)
     columns, block = K ** n, K ** _digits_within(K, n, CHUNK)
     scan = ODOMETER_NS * columns if columns <= ODOMETER_CAP else math.inf
-    if _state_cells(P, n) > CONTRACTION_CAP:
-        if scan == math.inf:
-            raise ResourceError(
-                f"|P|^n = {K}^{n} exceeds ODOMETER_CAP = {ODOMETER_CAP} and "
-                f"the contraction state {s}^{(P.m - 1) * n} exceeds "
-                f"CONTRACTION_CAP = {CONTRACTION_CAP}; use violation_mc")
-        return _Plan("odometer", "contraction state over CONTRACTION_CAP",
-                     block)
     labelling = LABEL_NS * P.m * n * (s - 1)
     if odometer and scan <= labelling:
         return _Plan("odometer", f"estimated odometer {scan / 1e6:.3g} ms, "
@@ -321,10 +310,17 @@ def _plan(P: Predicate, fs, odometer: bool = True) -> _Plan:
     trans, sizes = _transitions(P, fs)
     state = [s ** (n - k + 1) * math.prod(z[1:]) for k, z in enumerate(sizes)]
     joint = [math.prod(z) for z in sizes]
-    est = {"classes": (CLASS_NS * K * sum(joint), max(joint)),
-           "contraction": (CONTRACT_NS * K * sum(state), max(state))}
-    if odometer and scan < math.inf:
+    labelled = {"classes": (CLASS_NS * K * sum(joint), max(joint)),
+                "contraction": (CONTRACT_NS * K * sum(state),
+                                _contraction_cells(s, sizes))}
+    est = {e: v for e, v in labelled.items() if v[1] <= CONTRACTION_CAP}
+    if scan < math.inf and (odometer or not est):
         est["odometer"] = (scan, block)
+    if not est:
+        raise ResourceError(
+            f"|P|^n = {K}^{n} exceeds ODOMETER_CAP = {ODOMETER_CAP} and "
+            f"{min(v[1] for v in labelled.values())} cells exceed "
+            f"CONTRACTION_CAP = {CONTRACTION_CAP}; use violation_mc")
     ranked = sorted(est, key=est.get)
     reason = "estimated " + ", ".join(f"{e} {est[e][0] / 1e6:.3g} ms"
                                       for e in ranked)
@@ -421,27 +417,30 @@ def _search_by_prefixes(P: Predicate, fs, alpha_code: int, trans) -> list:
 
 
 def joint_output_distribution_contracted(P: Predicate, fs) -> np.ndarray:
-    """Exact joint output law by tensor contraction (no column scan), with
-    a worst-case state of at most CONTRACTION_CAP cells."""
-    n, _ = _check_functions(P, fs)
-    if _state_cells(P, n) > CONTRACTION_CAP:
-        raise ResourceError(
-            f"contraction state {P.s}^{(P.m - 1) * n} exceeds "
-            f"CONTRACTION_CAP = {CONTRACTION_CAP}")
-    return _contract(P, fs, [float(w) for w in P.weights])
+    """Exact joint output law by tensor contraction (no column scan), when
+    its pre-merge buffer fits CONTRACTION_CAP."""
+    trans, sizes = _transitions(P, fs)
+    cells = _contraction_cells(P.s, sizes)
+    if cells > CONTRACTION_CAP:
+        raise ResourceError(f"contraction buffer of {cells} cells exceeds "
+                            f"CONTRACTION_CAP = {CONTRACTION_CAP}")
+    return _contract(P, fs, [float(w) for w in P.weights], trans[1:])
+
+
+def _law(P: Predicate, fs) -> np.ndarray:
+    """Exact joint output law from the engine _plan picks."""
+    plan = _plan(P, fs)
+    if plan.engine == "odometer":
+        return joint_output_distribution(P, fs)[0]
+    weights = np.array([float(w) for w in P.weights])
+    if plan.engine == "classes":
+        return _forward_by_classes(P, plan.trans, plan.sizes, weights)
+    return _contract(P, fs, weights, plan.trans[1:])
 
 
 def violation_probability(P: Predicate, fs) -> float:
     """Exact violation probability from the engine _plan picks."""
-    plan = _plan(P, fs)
-    if plan.engine == "odometer":
-        Q, _ = joint_output_distribution(P, fs)
-    else:
-        weights = np.array([float(w) for w in P.weights])
-        Q = (_forward_by_classes(P, plan.trans, plan.sizes, weights)
-             if plan.engine == "classes"
-             else _contract(P, fs, weights, plan.trans[1:]))
-    return float(Q[~_member_table(P)].sum())
+    return float(_law(P, fs)[~_member_table(P)].sum())
 
 
 def violation_exact(P: Predicate, fs) -> ViolationReport:
@@ -467,8 +466,7 @@ def _counterexample_from_code(P: Predicate, fs, code: int) -> Counterexample:
 def is_generalized_polymorphism(P: Predicate, fs):
     """(exact flag, counterexample).  Reachability and the counterexample
     search by joint residual classes or by contraction, as _plan decides;
-    the odometer scan only when the contraction state exceeds
-    CONTRACTION_CAP."""
+    the odometer scan only when neither fits CONTRACTION_CAP."""
     plan = _plan(P, fs, odometer=False)
     if plan.engine == "odometer":
         report = violation_exact(P, fs)
@@ -614,16 +612,16 @@ def joint_value_probability(P: Predicate, fs, alpha,
                             restriction=None) -> float:
     """Exact Pr[every f_j outputs alpha_j] over coupled columns.
 
-    Without a restriction the columns are i.i.d. mu; with one, each
-    coordinate is pinned to its pattern and only star positions stay
-    random (independently, from the star-conditional marginals), so the
-    probability factors across functions.
+    Without a restriction the columns are i.i.d. mu, and the law comes
+    from the engine _plan picks.  With one, each coordinate is pinned to
+    its pattern and only star positions stay random (independently, from
+    the star-conditional marginals), so the probability factors across
+    functions.
     """
     if len(alpha) != P.m:
         raise DomainError("alpha must assign one output per function")
     if restriction is None:
-        Q, _ = joint_output_distribution(P, fs)
-        return float(Q[encode_point(alpha, P.s)])
+        return float(_law(P, fs)[encode_point(alpha, P.s)])
     prob = 1.0
     for j, f in enumerate(fs):
         dist = restricted_value_distribution(

@@ -104,10 +104,9 @@ def _cell_influence_tables(stack, n, s, J, nu, rho):
     Returns (cell weights (C,), stabilities (T, C), influences (T, |F|, C),
     free list).
     """
-    T = len(stack)
     G, Js, F = _cell_view(stack, n, s, J)
+    T, C, _ = G.shape
     f = len(F)
-    C = G.shape[0] // T
     w_cells = _kron(nu.measures[c].probs for c in Js)
     w_free = _kron(nu.measures[c].probs for c in F)
     Gt = G.reshape((T * C,) + (s,) * f)
@@ -267,7 +266,7 @@ def _cell_influences(f: FunctionTable, J, d: int, tau: float,
     low = (digits & (digits.sum(axis=0) <= d)).T.astype(np.float64)
     stack = _real_stack(f)
     T = len(stack)
-    G = _cell_view(stack, n, s, J)[0]
+    G = _cell_view(stack, n, s, J)[0].reshape(-1, s ** len(F))
     c2 = _transform(G.reshape((-1,) + (s,) * len(F)), fwd).reshape(G.shape) ** 2
     total = (G ** 2) @ w_free
     if np.any(np.abs(c2.sum(axis=1) - total)

@@ -349,6 +349,26 @@ def test_experiment_saved_outputs_reverify(tmp_path):
         assert pt.is_generalized_polymorphism(P, gs)[0]
 
 
+def test_experiment_alphabet_row_past_the_old_state_gate(tmp_path, capsys):
+    # ternary NAE at n = 8: planting, both laws and the final check once
+    # raised ResourceError, and the command exited 1
+    nae = pr.Predicate(3, 3, [w for w in itertools.product(range(3), repeat=3)
+                              if len(set(w)) > 1])
+    pr.save_predicate(tmp_path / "nae3.pred", nae)
+    cfg = tmp_path / "nae.cfg"
+    cfg.write_text(
+        "seed = 5\n"
+        "[run nae]\n"
+        "pipeline = alphabet\npred = nae3.pred\nn = 8\n"
+        "plant = dictator:2\nflip = 0.02\neps = 0.1\nattempts = 16\n")
+    csv_path = tmp_path / "nae.csv"
+    assert cli.main(["experiment", "--config", str(cfg),
+                     "--csv", str(csv_path)]) == 0
+    assert "error:" not in capsys.readouterr().err
+    header, row = (ln.split(",") for ln in csv_path.read_text().splitlines())
+    assert row[header.index("exact")] == "yes"
+
+
 def test_experiment_timings_column_is_optional(tmp_path):
     cfg = _nand_batch_config(tmp_path, repeats=1)
     config = cli.parse_experiment_config(cfg)

@@ -556,6 +556,21 @@ def test_monotone_constant_coordinate_premise():
     assert ok.distances[0] == 0.0
 
 
+def test_monotone_past_the_old_state_gate():
+    # planted NAND3 at n = 12: 7^12 columns and 2^24 worst-case contraction
+    # cells once refused the final check, though the corrected juntas keep
+    # a handful of residual classes
+    n = 12
+    P = pr.nand_predicate(3)
+    funcs = [_flip(fs.dictator(n, 3), 0.01, 30 + j) for j in range(3)]
+    res = co.correct_monotone(P, funcs, eps=0.1, d=2, tau=0.2)
+    assert res.exact and res.accepted
+    # the check ran on class tuples; the contraction confirms it
+    assert pt._plan(P, res.gs, odometer=False).engine == "classes"
+    Q = pt.joint_output_distribution_contracted(P, res.gs)
+    assert Q[~pt._member_table(P)].sum() == 0.0
+
+
 def test_monotone_rejects_non_monotone_predicate():
     with pytest.raises(ValidationError):
         co.correct_monotone(pr.parity_predicate(3, 0),
@@ -735,6 +750,21 @@ def test_alphabet_rare_symbol_remapped():
     assert res.exact
     assert all(np.all(g.values == 0) for g in res.gs)
     assert all(r == "rounded" for r in res.trace.roles)
+
+
+def test_alphabet_past_the_old_state_gate():
+    # ternary NAE at n = 8: 24^8 columns and 3^16 worst-case contraction
+    # cells once refused the final check
+    n = 8
+    P = pr.Predicate(3, 3, [w for w in itertools.product(range(3), repeat=3)
+                            if len(set(w)) > 1])
+    base = fs.dictator(n, 1, s=3)
+    funcs = [_sym_noise(base, 0.02, 40 + j) for j in range(3)]
+    res = co.correct_alphabet(P, funcs, eps=0.1, attempts=16, seed=0)
+    assert res.exact and res.accepted
+    assert pt._plan(P, res.gs, odometer=False).engine == "classes"
+    Q = pt.joint_output_distribution_contracted(P, res.gs)
+    assert Q[~pt._member_table(P)].sum() == 0.0
 
 
 def test_alphabet_requires_flexibility():

@@ -166,12 +166,17 @@ def _no_allocation(*args, **kwargs):
     raise AssertionError("work began before the cap check")
 
 
+LABELLED_ENGINES = ("_contract", "_forward_by_classes", "_search_by_classes",
+                    "_search_by_prefixes")
+
+
 def test_odometer_fallback_when_contraction_too_large(monkeypatch):
     P = pr.nand_predicate(2)
     ors = [fs.or_all(3), fs.or_all(3)]
     monkeypatch.setattr(pt, "CONTRACTION_CAP", 1)
-    # the fallback is chosen before any transition is computed
-    monkeypatch.setattr(pt, "_transitions", _no_allocation)
+    # neither labelled engine fits, so neither runs
+    for name in LABELLED_ENGINES:
+        monkeypatch.setattr(pt, name, _no_allocation)
     ok, ce = pt.is_generalized_polymorphism(P, ors)
     assert not ok and ce is not None
     assert all(c in P for c in ce.columns())
@@ -238,13 +243,16 @@ def test_resource_and_domain_guards(monkeypatch):
         mp.setattr(pt, "_contract", _no_allocation)
         with pytest.raises(ResourceError):
             pt.joint_output_distribution_contracted(P, funcs)
-        # past both caps the planner raises before any transition
+        # past both caps the planner raises before any engine allocates:
+        # random tables keep 32 classes each after five coordinates
         mp.setattr(pt, "ODOMETER_CAP", 1000)
-        mp.setattr(pt, "_transitions", _no_allocation)
+        for name in LABELLED_ENGINES + ("_column_tables",):
+            mp.setattr(pt, name, _no_allocation)
+        noisy = _random_functions(np.random.default_rng(19), 2, 10, 2)
         for entry in (pt.violation_probability, pt.is_generalized_polymorphism):
             with pytest.raises(ResourceError,
                                match="ODOMETER_CAP .* CONTRACTION_CAP"):
-                entry(P, funcs)
+                entry(P, noisy)
     with pytest.raises(DomainError):
         pt.violation_exact(P, [fs.and_all(3)])
     with pytest.raises(DomainError):
@@ -561,9 +569,9 @@ def _count_engines(monkeypatch):
     # 4^7 columns cost less than the transitions, which are not computed
     (pr.one_hot_predicate(4), 7, "odometer"),
     (pr.parity_predicate(3, 0), 10, "classes"),
-    # the contraction state 4^12 exceeds CONTRACTION_CAP: odometer only,
-    # without transitions or a failed contraction first
-    (pr.parity_predicate(3, 0), 12, "odometer"),
+    # past the old worst-case gate (4^12 cells), dictators keep 8 class
+    # tuples: the class path, where 4^12 columns once ran
+    (pr.parity_predicate(3, 0), 12, "classes"),
 ], ids=["one_hot_n7", "parity_n10", "parity_n12"])
 def test_violation_probability_runs_the_cheaper_engine_only(monkeypatch, P, n,
                                                             engine):
@@ -593,6 +601,55 @@ def _oracle_item(P, n, rate, seed):
     return out
 
 
+def test_refusal_past_both_caps_stays_small():
+    # random NAND3 tables at n = 20: 7^20 columns, and both labelled
+    # engines' largest arrays are over CONTRACTION_CAP; the planner labels
+    # the classes, then refuses before any engine allocates
+    P = pr.nand_predicate(3)
+    funcs = _oracle_item(P, 20, None, 20)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceError,
+                           match="ODOMETER_CAP .* CONTRACTION_CAP"):
+            pt.is_generalized_polymorphism(P, funcs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2 ** 20
+
+
+def test_joint_value_probability_reads_the_planned_law():
+    # planted NAND3 at n = 12: 7^12 columns are over ODOMETER_CAP, which
+    # the unrestricted entry once required
+    P = pr.nand_predicate(3)
+    funcs = _oracle_item(P, 12, 0.01, 7)
+    assert pt._plan(P, funcs).engine == "classes"
+    Q = pt.joint_output_distribution_contracted(P, funcs)
+    for code in range(Q.size):
+        alpha = fs.decode_point(code, P.m, P.s)
+        assert abs(pt.joint_value_probability(P, funcs, alpha) - Q[code]) \
+            < 1e-12
+
+
+def test_noisy_parity_laws_at_n12_run_on_class_tuples():
+    # the two exact laws of acceptance criterion 3, drawn as it draws them:
+    # f, f, f for a character with 1% of its entries flipped
+    rng = np.random.default_rng(303)
+    n = 12
+    P = pr.parity_predicate(3, 0)
+    for _ in range(2):
+        size = int(rng.integers(1, n + 1))
+        S = sorted(rng.choice(n, size=size, replace=False).tolist())
+        vals = fs.character(n, S, int(rng.integers(0, 2))).values.copy()
+        vals[rng.choice(vals.size, size=round(0.01 * 2 ** n),
+                        replace=False)] ^= 1
+        funcs = [fs.from_values(n, 2, "bit", vals)] * 3
+        assert pt._plan(P, funcs).engine == "classes"
+        Q = pt.joint_output_distribution_contracted(P, funcs)
+        assert abs(pt.violation_probability(P, funcs)
+                   - Q[~pt._member_table(P)].sum()) < 1e-12
+
+
 def _ternary_nae():
     return pr.Predicate(3, 3, [w for w in itertools.product(range(3), repeat=3)
                                if len(set(w)) > 1])
@@ -609,7 +666,9 @@ def _ternary_nae():
     (pr.nand_predicate(3), 10, None, "contraction", "contraction"),
     (_ternary_nae(), 6, 0.3, "contraction", "contraction"),
     # random parity at n = 11: contraction 42-49 ms against odometer 53-59
-    # ms, medians of 9 interleaved runs on four seeds (CHANGES.md)
+    # ms, medians of 9 interleaved runs on four seeds (CHANGES.md); its
+    # 4.68M class tuples are over CONTRACTION_CAP, so classes are not
+    # admitted
     (pr.parity_predicate(3, 0), 11, None, "contraction", "contraction"),
 ], ids=["nand3", "nae3", "par3", "onehot", "nand3_random", "nae3_flip03",
         "par3_n11_random"])
@@ -622,10 +681,13 @@ def test_planner_picks(P, n, rate, law, check):
         if engine == "odometer":
             assert plan.trans is None and plan.peak == len(P) ** n
             continue
-        state = max(P.s ** (n - k + 1) * math.prod(z[1:])
-                    for k, z in enumerate(plan.sizes))
+        # the contraction's pre-merge buffer at level k has an f_0 input
+        # axis, a digit and class axis per function j >= 1, and f_0's value
+        buffer = max(P.s ** (n - k - 1) * P.s ** (P.m - 1) * P.s
+                     * math.prod(z[1:]) for k, z in enumerate(plan.sizes[:n]))
         joint = max(math.prod(z) for z in plan.sizes)
-        assert plan.peak == {"contraction": state, "classes": joint}[engine]
+        assert plan.peak == {"contraction": buffer, "classes": joint}[engine]
+        assert plan.peak <= pt.CONTRACTION_CAP
 
 
 @settings(max_examples=150, deadline=None)
@@ -635,10 +697,36 @@ def test_class_law_equals_the_other_engines(instance):
     trans, sizes = pt._transitions(P, funcs)
     weights = np.array([float(w) for w in P.weights])
     law = pt._forward_by_classes(P, trans, sizes, weights)
-    assert np.max(np.abs(law - pt._contract(P, funcs, weights))) < 1e-12
+    contracted = pt._contract(P, funcs, weights, trans[1:])
+    assert np.max(np.abs(law - contracted)) < 1e-12
     Q, _ = pt.joint_output_distribution(P, funcs)
     assert np.max(np.abs(law - Q)) < 1e-12
     assert np.array_equal(law > 0, pt._forward_by_classes(P, trans, sizes))
+
+
+@settings(max_examples=150, deadline=None)
+@given(oracle_instances(), st.integers(1, 1 << 12))
+def test_admitted_engines_fit_the_contraction_cap(instance, cap):
+    # a labelled engine runs only when its largest array fits the cap; the
+    # check runs the odometer only when neither fits
+    P, funcs = instance
+    n = funcs[0].n
+    Q, _ = pt.joint_output_distribution(P, funcs)
+    prob = float(Q[~pt._member_table(P)].sum())
+    with mock.patch.object(pt, "CONTRACTION_CAP", cap):
+        for odometer in (True, False):
+            plan = pt._plan(P, funcs, odometer)
+            if plan.engine != "odometer":
+                assert plan.peak <= cap
+            elif not odometer:
+                joint = max(math.prod(z) for z in plan.sizes)
+                # a lone function's largest array is its first state
+                buffer = max(P.s ** (n - k + max(P.m - 1, 1))
+                             * math.prod(z[1:])
+                             for k, z in enumerate(plan.sizes[:n]))
+                assert min(joint, buffer) > cap
+        assert abs(pt.violation_probability(P, funcs) - prob) < 1e-12
+        assert pt.is_generalized_polymorphism(P, funcs)[0] == (prob == 0.0)
 
 
 def test_class_law_memory_stays_small():
