@@ -150,9 +150,7 @@ def _parse_plant(spec: str, P: pr.Predicate, n: int) -> list:
     kind, _, rest = spec.partition(":")
     where = f"plant spec {spec!r}"
     if kind == "dictator":
-        i = fs.parse_numbers([rest], int, where)[0] - 1
-        if not 0 <= i < n:
-            raise DomainError("dictator coordinate out of range")
+        i = fs.parse_coordinates([rest], n, where)[0]
         return [fs.dictator(n, i, P.s) for _ in range(P.m)]
     if kind == "constant":
         v = fs.parse_numbers([rest], int, where)[0]
@@ -161,8 +159,7 @@ def _parse_plant(spec: str, P: pr.Predicate, n: int) -> list:
         if P.s != 2:
             raise DomainError("characters need a binary alphabet")
         s_part, _, b_part = rest.partition(":")
-        support = [t - 1 for t in fs.parse_numbers(s_part.split(","), int,
-                                                   where)]
+        support = fs.parse_coordinates(s_part.split(","), n, where)
         offs = fs.parse_numbers(b_part.split(","), int, where) if b_part \
             else [0] * P.m
         if len(offs) == 1:

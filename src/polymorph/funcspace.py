@@ -435,6 +435,21 @@ def parse_numbers(tokens: Sequence[str], kind, where: str) -> list:
     return out
 
 
+def parse_coordinates(tokens: Sequence[str], n: int, where: str) -> list:
+    """1-based coordinate tokens as 0-based indices.  A coordinate outside
+    1..n raises DomainError and a repeated one ValidationError, each naming
+    the token as written."""
+    coords = []
+    for tok, i in zip(tokens, parse_numbers(tokens, int, where)):
+        if not 1 <= i <= n:
+            raise DomainError(f"{where}: coordinate {tok.strip()} outside "
+                              f"1..{n}")
+        if i - 1 in coords:
+            raise ValidationError(f"{where}: coordinate {tok.strip()} repeats")
+        coords.append(i - 1)
+    return coords
+
+
 def read_fields(tokens: Iterable[str], types: dict, where: str,
                 required: Sequence[str] = ()) -> dict:
     """The key=value tokenizer shared by every text format.
@@ -494,12 +509,13 @@ def parse_function(text: str) -> FunctionTable:
         return FunctionTable(n, s, codomain, parse_numbers(rest, kind, "table"))
     if word == "char":
         opts = read_fields(rest, {"b": int}, "char")
-        supp = parse_numbers(opts["S"].split(","), int, "char S") \
+        supp = parse_coordinates(opts["S"].split(","), n, "char S") \
             if opts.get("S") else []
-        return character(n, [i - 1 for i in supp], opts.get("b", 0))
+        return character(n, supp, opts.get("b", 0))
     if word == "dictator":
-        opts = read_fields(rest, {"i": int}, "dictator", required=("i",))
-        return dictator(n, opts["i"] - 1, s)
+        opts = read_fields(rest, {}, "dictator", required=("i",))
+        return dictator(n, parse_coordinates([opts["i"]], n, "dictator i")[0],
+                        s)
     if word == "hybrid":
         return hybrid(n)
     if word == "and":

@@ -39,6 +39,8 @@ LABEL_NS = 25_000.0
 GUIDE_CELLS = 1 << 10        # Monte Carlo guide-table cells
 MC_GROUP_CAP = 1 << 12       # column codes per Monte Carlo group table
 WILSON_Z = 1.959963984540054  # two-sided 95%
+# the previous _transitions call's residual transitions, by table content
+_LABELLED: dict = {}
 
 
 @dataclass(frozen=True)
@@ -182,7 +184,9 @@ def _residual_transitions(values: np.ndarray, n: int, s: int) -> list:
     a full input's class is its value, and a k-digit prefix's class is the
     tuple of the classes of its s one-digit extensions, relabelled one digit
     at a time, so codes stay below s^(2n).  T[k][w, c] is the level-(k+1)
-    class of a level-k prefix of class c extended by digit w.
+    class of a level-k prefix of class c extended by digit w.  The engines
+    reach it only through _transitions, which runs it once per distinct
+    table content and hands its tables on to the next call.
     """
     cls = values.astype(np.int64)
     T = []
@@ -260,10 +264,26 @@ def _contract(P: Predicate, fs, weights, trans, prefix=()):
 
 def _transitions(P: Predicate, fs):
     """(trans, sizes): every function's residual transitions, f_0's
-    included, computed once per call; sizes[k] holds each function's class
-    count at level k = 0..n (at level n the classes are the values)."""
+    included; sizes[k] holds each function's class count at level k =
+    0..n (at level n the classes are the values).  Each distinct table is
+    labelled once; the call takes its hits from _LABELLED, releases the
+    rest, and leaves its own labels there, read-only, for the next call.
+    Keys are the table bytes, never the object, as values is a public
+    mutable array (README, "Which one runs")."""
+    global _LABELLED
     n, s = _check_functions(P, fs)
-    trans = [_residual_transitions(f.values, n, s) for f in fs]
+    keys = [(n, s, f.values.dtype.str, f.values.tobytes()) for f in fs]
+    # a published memo is never changed in place, so threads need no lock
+    last, _LABELLED = _LABELLED, {}
+    held = {key: last[key] for key in keys if key in last}
+    del last
+    for f, key in zip(fs, keys):
+        if key not in held:
+            held[key] = tuple(_residual_transitions(f.values, n, s))
+            for T in held[key]:
+                T.flags.writeable = False
+    _LABELLED = held
+    trans = [held[key] for key in keys]
     sizes = [tuple(T[k].shape[1] for T in trans) for k in range(n)]
     sizes.append((s,) * P.m)
     return trans, sizes

@@ -409,6 +409,29 @@ def test_experiment_rejects_repeats_below_one(tmp_path, repeats):
     assert not csv_path.exists()
 
 
+@pytest.mark.parametrize("plant, message", [
+    # x_1 xor x_1 is a constant, not x_1; a repeat is refused as written
+    ("character:1,1:0", "coordinate 1 repeats"),
+    ("character:2,02:0", "coordinate 02 repeats"),
+    ("character:1,5:0", "coordinate 5 outside 1..4"),
+    ("dictator:0", "coordinate 0 outside 1..4"),
+    ("dictator:5", "coordinate 5 outside 1..4"),
+])
+def test_plant_coordinates_are_checked_as_written(tmp_path, capsys, plant,
+                                                  message):
+    _write_fixtures(tmp_path)
+    cfg = tmp_path / "plant.cfg"
+    cfg.write_text("seed = 1\n[run a]\npipeline = polytest\n"
+                   f"pred = par3.pred\nn = 4\nplant = {plant}\n")
+    assert cli.main(["experiment", "--config", str(cfg)]) == 1
+    errors = [ln for ln in capsys.readouterr().err.splitlines()
+              if ln.startswith("error:")]
+    assert len(errors) == 1 and message in errors[0]
+    error = ValidationError if "repeats" in message else DomainError
+    with pytest.raises(error, match=message):
+        cli.plant_and_perturb(pr.parity_predicate(3, 0), 4, plant, 0.0, 1)
+
+
 def test_cli_errors_exit_1(tmp_path, capsys):
     assert cli.main(["validate", "--pred", str(tmp_path / "nope.pred")]) == 1
     assert "error:" in capsys.readouterr().err

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from polymorph import cli
 from polymorph import funcspace as fs
 from polymorph import predicates as pr
-from polymorph.errors import ValidationError
+from polymorph.errors import DomainError, ValidationError
 
 
 @st.composite
@@ -118,3 +118,24 @@ def test_junk_fields_raise_validation_error_only(config_dir, template, junk):
     kind, text, _ = template
     with pytest.raises(ValidationError):
         _parse(kind, text.replace("{}", junk), config_dir)
+
+
+@pytest.mark.parametrize("body, error, message", [
+    # 1-based in the file, so the message is too
+    ("dictator i=9", DomainError, "coordinate 9 outside 1..3"),
+    ("dictator i=0", DomainError, "coordinate 0 outside 1..3"),
+    ("char S=1,4 b=0", DomainError, "coordinate 4 outside 1..3"),
+    # x_1 xor x_1 is a constant, not x_1
+    ("char S=1,1 b=0", ValidationError, "coordinate 1 repeats"),
+    ("char S=3,2,03", ValidationError, "coordinate 03 repeats"),
+])
+def test_constructor_coordinates_are_checked_as_written(body, error, message):
+    with pytest.raises(error, match=message):
+        fs.parse_function(FN.format(n=3, s=2, c="bit", body=body))
+
+
+def test_constructor_coordinates_read_one_based():
+    f = fs.parse_function(FN.format(n=3, s=2, c="bit", body="char S=3,1 b=1"))
+    assert f.equals(fs.character(3, [0, 2], 1))
+    d = fs.parse_function(FN.format(n=3, s=3, c="sym", body="dictator i=3"))
+    assert d.equals(fs.dictator(3, 2, 3))

@@ -249,13 +249,18 @@ def test_growth_makes_one_pass_per_function(monkeypatch):
                for tables, built, free in passes)
 
 
+def _distinct_tables(funcs):
+    return len({f.values.tobytes() for f in funcs})
+
+
 def test_failing_check_searches_by_classes(monkeypatch):
-    # a failing check computes each function's residual transitions once,
-    # f_0 included, and shares them between reachability and the search;
-    # planted tables take the joint-class path, which runs no contraction
-    # and restricts no table
+    # a failing check labels each distinct table once, f_0's included, and
+    # shares the transitions between reachability and the search; a second
+    # check on the same tables labels nothing; planted tables take the
+    # joint-class path, which runs no contraction and restricts no table
     P = pr.nand_predicate(3)
     funcs = [_flip(fs.dictator(8, j), 0.05, 170 + j) for j in range(3)]
+    assert _distinct_tables(funcs) == P.m
     restricts = _counting(monkeypatch, fs.FunctionTable, "restrict")
     transitions = _counting(monkeypatch, pt, "_residual_transitions")
     contractions = _counting(monkeypatch, pt, "_contract")
@@ -263,17 +268,20 @@ def test_failing_check_searches_by_classes(monkeypatch):
     assert not ok and ce is not None
     assert len(contractions) == 0
     assert len(restricts) == 0
-    assert len(transitions) == P.m
+    assert len(transitions) == _distinct_tables(funcs)
+    assert pt.is_generalized_polymorphism(P, funcs) == (ok, ce)
+    assert len(transitions) == _distinct_tables(funcs)
 
 
 def test_failing_check_on_random_tables_contracts_per_prefix(monkeypatch):
     # random tables keep more joint class tuples (26,970) than the
     # contraction's peak state (14,384 cells): the check contracts once
-    # for reachability and once per tried prefix, from the same one set
-    # of transitions
+    # for reachability and once per tried prefix, from one set of
+    # transitions that labels each distinct table once
     P = pr.nand_predicate(3)
     funcs = [fs.from_values(8, 2, "bit", _rng(180 + j).integers(0, 2, 256))
              for j in range(3)]
+    assert _distinct_tables(funcs) == P.m
     restricts = _counting(monkeypatch, fs.FunctionTable, "restrict")
     transitions = _counting(monkeypatch, pt, "_residual_transitions")
     contractions = _counting(monkeypatch, pt, "_contract")
@@ -281,7 +289,7 @@ def test_failing_check_on_random_tables_contracts_per_prefix(monkeypatch):
     assert not ok and ce is not None
     assert len(contractions) > 8
     assert len(restricts) == 0
-    assert len(transitions) == P.m
+    assert len(transitions) == _distinct_tables(funcs)
 
 
 # -- accepted results re-verify by the odometer -------------------------------

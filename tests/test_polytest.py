@@ -1,5 +1,7 @@
 import itertools
 import math
+import sys
+import threading
 import tracemalloc
 from fractions import Fraction
 from unittest import mock
@@ -909,3 +911,177 @@ def test_wilson_interval_covers_at_its_nominal_rate(samples):
         lo, hi = pt.violation_mc(P, ors, samples, seed).interval
         covered += lo <= 2 / 9 <= hi
     assert 0.92 <= covered / 400 <= 0.98
+
+
+# -- labelled tables reused by content -------------------------------------------
+
+
+def _keys(funcs):
+    return {(f.n, f.s, f.values.dtype.str, f.values.tobytes()) for f in funcs}
+
+
+def _count_labellings(monkeypatch):
+    calls, real = [], pt._residual_transitions
+
+    def counted(values, n, s):
+        calls.append(set(pt._LABELLED))
+        return real(values, n, s)
+
+    monkeypatch.setattr(pt, "_residual_transitions", counted)
+    return calls
+
+
+def test_check_then_law_labels_each_table_once(monkeypatch):
+    P = pr.nand_predicate(3)
+    funcs = _oracle_item(P, 8, 0.05, 41)
+    calls = _count_labellings(monkeypatch)
+    assert not pt.is_generalized_polymorphism(P, funcs)[0]
+    assert pt.violation_probability(P, funcs) > 0
+    assert len(calls) == 3
+
+
+def test_equal_tables_are_labelled_once(monkeypatch):
+    P = pr.nand_predicate(3)
+    d = fs.dictator(8, 1)
+    calls = _count_labellings(monkeypatch)
+    trans, _ = pt._transitions(P, [d, d, d])
+    assert len(calls) == 1
+    assert trans[0] is trans[1] is trans[2]
+
+
+def test_equal_content_copies_are_hits(monkeypatch):
+    P = pr.nand_predicate(3)
+    funcs = _oracle_item(P, 8, 0.05, 42)
+    trans, sizes = pt._transitions(P, funcs)
+    calls = _count_labellings(monkeypatch)
+    copies = [fs.from_values(f.n, f.s, f.codomain, f.values.copy())
+              for f in funcs]
+    again, again_sizes = pt._transitions(P, copies)
+    assert calls == [] and again_sizes == sizes
+    assert all(a is b for a, b in zip(again, trans))
+    # the stored tables are read-only, so an engine cannot edit them
+    with pytest.raises(ValueError):
+        again[0][0][0, 0] = 1
+
+
+def test_mutated_table_gets_the_verdict_of_a_cleared_memo():
+    # from_values wraps the caller's uint8 array, so the table changes with
+    # it; a key by content sees the change where a key by object would not
+    P = pr.nand_predicate(2)
+    values = fs.dictator(6, 1).values.copy()
+    f = fs.from_values(6, 2, "bit", values)
+    assert f.values is values
+    assert pt.is_generalized_polymorphism(P, [f, f]) == (True, None)
+    values[0] ^= 1
+    warm = pt.is_generalized_polymorphism(P, [f, f])
+    pt._LABELLED.clear()
+    cold = pt.is_generalized_polymorphism(P, [f, f])
+    assert warm == cold and not cold[0]
+
+
+@pytest.mark.parametrize("P, n, rate", [
+    (pr.nand_predicate(3), 10, 0.01),
+    (pr.nand_predicate(3), 10, None),
+    (_ternary_nae(), 6, 0.3),
+    (pr.one_hot_predicate(4), 7, 0.01),
+], ids=["nand3", "nand3_random", "nae3_flip03", "onehot"])
+def test_plan_does_not_depend_on_earlier_labelling(P, n, rate):
+    # a hit is still charged the labelling, so the pick, its reason and
+    # its peak are the same with a cold or a warm memo
+    funcs = _oracle_item(P, n, rate, 43)
+    for odometer in (True, False):
+        pt._LABELLED.clear()
+        cold = pt._plan(P, funcs, odometer)
+        pt._transitions(P, funcs)
+        warm = pt._plan(P, funcs, odometer)
+        assert (warm.engine, warm.reason, warm.peak, warm.sizes) \
+            == (cold.engine, cold.reason, cold.peak, cold.sizes)
+
+
+def test_a_miss_is_labelled_after_the_previous_entries_are_released(
+        monkeypatch):
+    P = pr.nand_predicate(3)
+    first = _oracle_item(P, 8, 0.05, 44)
+    pt._transitions(P, first)
+    before = set(pt._LABELLED)
+    assert before == _keys(first)
+    calls = _count_labellings(monkeypatch)
+    second = first[:1] + _oracle_item(P, 8, 0.05, 45)[1:]
+    pt._transitions(P, second)
+    assert len(calls) == 2
+    assert all(not held & before for held in calls)
+    assert set(pt._LABELLED) == _keys(second)
+
+
+def test_memo_holds_only_the_last_call():
+    P = pr.nand_predicate(3)
+    large = _oracle_item(P, 16, None, 46)
+    pt._transitions(P, large)
+    assert set(pt._LABELLED) == _keys(large)
+    small = _oracle_item(P, 8, None, 47)
+    pt._transitions(P, small)
+    assert set(pt._LABELLED) == _keys(small)
+
+
+def test_threads_sharing_the_memo_get_cold_results():
+    # more threads than cores, switching often: every check sees a memo
+    # another thread may just have replaced
+    P = pr.nand_predicate(3)
+    items = [_oracle_item(P, 6, 0.05, 50 + t) for t in range(4)]
+    cold = []
+    for funcs in items:
+        pt._LABELLED.clear()
+        cold.append(pt.is_generalized_polymorphism(P, funcs))
+    errors = []
+
+    def work(t):
+        try:
+            for _ in range(25):
+                assert pt.is_generalized_polymorphism(P, items[t]) == cold[t]
+        except Exception as exc:  # reported by the main thread
+            errors.append(exc)
+
+    threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert errors == []
+
+
+def _memo_call(kind, P, funcs, code):
+    if kind == "check":
+        return pt.is_generalized_polymorphism(P, funcs)
+    if kind == "law":
+        return pt.violation_probability(P, funcs)
+    alpha = fs.decode_point(code % P.s ** P.m, P.m, P.s)
+    return pt.joint_value_probability(P, funcs, alpha)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(oracle_instances(), min_size=1, max_size=3), st.data())
+def test_memoized_calls_equal_cold_calls(instances, data):
+    ops = data.draw(st.lists(st.tuples(
+        st.integers(0, len(instances) - 1),
+        st.sampled_from(("check", "law", "joint")), st.integers(0, 80)),
+        min_size=1, max_size=8))
+    cold = []
+    for i, kind, code in ops:
+        pt._LABELLED.clear()
+        cold.append(_memo_call(kind, *instances[i], code))
+    pt._LABELLED.clear()
+    for (i, kind, code), expected in zip(ops, cold):
+        assert _memo_call(kind, *instances[i], code) == expected
+        # every memoized table equals a fresh labelling of its key
+        for (n, s, dtype, raw), trans in pt._LABELLED.items():
+            fresh = pt._residual_transitions(
+                np.frombuffer(raw, dtype=dtype), n, s)
+            assert len(trans) == len(fresh)
+            assert all(np.array_equal(a, b) and not a.flags.writeable
+                       for a, b in zip(trans, fresh))
