@@ -406,26 +406,32 @@ def round_general_cell(fs, J, rho, eta: float, P: Predicate) -> RoundedCells:
 # -- cells kept by regularity and mass ----------------------------------------
 
 def _regular_heavy_cells(P: Predicate, fs, coords, d: int, tau: float,
-                         eps: float):
-    """Grow one regularity junta J for the functions at coords, then flag,
-    per function, the cells of J that are regular and have expectation
-    above eps / 2: the only cells the monotone and fractional rules keep.
+                         eps: float, kept: str):
+    """Grow one regularity junta J for the functions at coords, then round
+    each function cell by cell: a cell that is regular and has expectation
+    above eps / 2 is kept, as the function's values when kept == "kept" and
+    as constant 1 when kept == "fixed-1"; every other cell is zeroed.
 
-    Returns (certificate, point -> cell index map, one flag array per
-    function in coords).
+    Returns (certificate, one (output, cell decisions) pair per function
+    in coords).  A position holding the same table object as an earlier
+    one, under an equal measure, shares that position's pair.
     """
     n = fs[0].n
     measures = [_iid_marginal(P, j, n) for j in coords]
     cert = build_junta_lowdeg([fs[j] for j in coords], measures, d, tau, eps)
     J = cert.junta
+    cell_idx = _digit_index(n, 2, J)
     everywhere = PartialAssignment([None] * n, 2)
 
-    def keep(f, nu):
+    def round_cells(f, nu):
         E = _restricted_cell_expectations(f, J, everywhere, nu.measures[0])
-        return regular_cell_mask(f, J, d, tau, nu) & (E > eps / 2)
+        on = regular_cell_mask(f, J, d, tau, nu) & (E > eps / 2)
+        gvals = np.where(on[cell_idx], f.values if kept == "kept" else 1, 0)
+        return (from_values(n, 2, "bit", gvals.astype(np.uint8)),
+                tuple(kept if k else "zeroed" for k in on))
 
-    return cert, _digit_index(n, 2, J), _once_per_table(
-        keep, [fs[j] for j in coords], measures)
+    return cert, _once_per_table(round_cells, [fs[j] for j in coords],
+                                 measures)
 
 
 # -- monotone predicates -------------------------------------------------------
@@ -464,16 +470,10 @@ def correct_monotone(P: Predicate, fs, eps: float, d: int,
     gs = list(fs)
     decisions: list[tuple] = [() for _ in fs]
     if rest:
-        cert, cell_idx, keep = _regular_heavy_cells(P, fs, rest, d, tau, eps)
+        cert, outs = _regular_heavy_cells(P, fs, rest, d, tau, eps, "kept")
         J = cert.junta
-        done: dict = {}  # one output per distinct (table, flags) pair
-        for j, kept in zip(rest, keep):
-            key = (id(fs[j]), id(kept))
-            if key not in done:
-                gvals = np.where(kept[cell_idx], fs[j].values, 0).astype(np.uint8)
-                done[key] = (from_values(n, 2, "bit", gvals),
-                             tuple("kept" if k else "zeroed" for k in kept))
-            gs[j], decisions[j] = done[key]
+        for j, out in zip(rest, outs):
+            gs[j], decisions[j] = out
     exact, ce = is_generalized_polymorphism(P, gs)
     dists = tuple(float(distance(fs[j], gs[j], _iid_marginal(P, j, n)))
                   for j in range(P.m))
@@ -896,14 +896,11 @@ def correct_fractional_nand(f1: FunctionTable, f2: FunctionTable, p: float,
     n, _ = _require_tables(fs, 2, codomains=("bit", "real"))
     pf = Fraction(p)
     P = Predicate(2, 2, [(0, 0), (0, 1), (1, 0)], [1 - 2 * pf, pf, pf])
-    cert, cell_idx, keep = _regular_heavy_cells(P, fs, (0, 1), d, tau, eps)
-    gs, decisions, losses = [], [], []
-    for j, (f, one) in enumerate(zip(fs, keep)):
-        gvals = one[cell_idx].astype(np.uint8)
-        gs.append(from_values(n, 2, "bit", gvals))
-        decisions.append(tuple("fixed-1" if v else "zeroed" for v in one))
-        w = _iid_marginal(P, j, n).weights()
-        losses.append(float(w @ ((1.0 - gvals) * f.as_real())))
+    cert, outs = _regular_heavy_cells(P, fs, (0, 1), d, tau, eps, "fixed-1")
+    gs, decisions = zip(*outs)
+    losses = tuple(float(_iid_marginal(P, j, n).weights()
+                         @ ((1.0 - g.values) * f.as_real()))
+                   for j, (f, g) in enumerate(zip(fs, gs)))
     if f1.equals(f2) and not gs[0].equals(gs[1]):
         raise AssertionError("equal inputs produced different outputs")
     exact, ce = is_generalized_polymorphism(P, gs)

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
+from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -21,6 +23,7 @@ from .errors import DomainError, ResourceError, ValidationError
 NORM_TOL = 1e-12
 TABLE_CAP = 1 << 22   # max entries of a dense table
 BINARY_N_CAP = 20     # max n for s = 2
+FRACTION_EXP_CAP = 400  # max |exponent| of a rational token, past any float
 SYMBOL_CAP = 256      # max alphabet of bit and sym tables (uint8 entries)
 
 CODOMAINS = ("bit", "sym", "real")
@@ -74,7 +77,9 @@ def _check_size(n: int, s: int, name: str = "n") -> None:
         raise ValidationError("need at least one coordinate")
     if s == 2 and n > BINARY_N_CAP:
         raise ResourceError(f"binary {name} = {n} exceeds cap {BINARY_N_CAP}")
-    if s ** n > TABLE_CAP:
+    # s >= 2, so n past TABLE_CAP's bit length is over the cap already; the
+    # power of a huge parsed n would run for minutes before the comparison
+    if n > TABLE_CAP.bit_length() or s ** n > TABLE_CAP:
         raise ResourceError(f"table size {s}^{n} exceeds cap {TABLE_CAP}")
 
 
@@ -334,8 +339,12 @@ def dictator(n: int, i: int, s: int = 2) -> FunctionTable:
 
 
 def character(n: int, support: Iterable[int], offset: int = 0) -> FunctionTable:
-    """Binary character: offset xor (xor of x_i over the support)."""
-    supp = sorted(set(support))
+    """Binary character: offset xor (xor of x_i over the support).  A
+    repeated coordinate raises ValidationError, as x_i xor x_i is the
+    constant 0 and not x_i."""
+    supp = sorted(support)
+    if len(set(supp)) != len(supp):
+        raise ValidationError("character support repeats a coordinate")
     if any(not (0 <= i < n) for i in supp):
         raise DomainError("character support outside range")
     digits = _digits(n, 2)
@@ -424,9 +433,14 @@ def _once_per_table(fn, fs, measures) -> list:
 
 def parse_numbers(tokens: Sequence[str], kind, where: str) -> list:
     """Convert every token with kind (int, float or Fraction).  A token that
-    does not convert, or a non-finite float, raises ValidationError naming
-    where."""
+    does not convert, a non-finite float, or a Fraction whose exponent is
+    past FRACTION_EXP_CAP raises ValidationError naming where; Fraction
+    would compute 10 ** exponent first, for minutes on a huge one."""
     try:
+        if kind is Fraction and any(
+                abs(int(e)) > FRACTION_EXP_CAP
+                for t in tokens for e in re.findall(r"[eE]([-+]?[\d_]+)", t)):
+            raise ValueError("exponent out of range")
         out = [kind(t) for t in tokens]
     except (ValueError, ZeroDivisionError) as exc:
         raise ValidationError(f"{where}: {exc}") from None

@@ -137,7 +137,7 @@ def joint_output_distribution(P: Predicate, fs):
     if total > ODOMETER_CAP:
         raise ResourceError(
             f"|P|^n = {K}^{n} exceeds ODOMETER_CAP = {ODOMETER_CAP}; use "
-            f"violation_mc or the contraction engine")
+            f"violation_probability or violation_mc")
     memb = _member_array(P)
     muvec = np.array([float(w) for w in P.weights])
     in_p = _member_table(P)
@@ -318,7 +318,9 @@ def _plan(P: Predicate, fs, odometer: bool = True) -> _Plan:
     CONTRACTION_CAP, and the odometer (|P|^n columns) under ODOMETER_CAP;
     with odometer False (the check) the odometer only when neither fits.
     Each costs its constant times its work: |P|^n columns, sum_k |P|
-    s^(n-k+1) prod_{j>=1} K_k^j cells, or sum_k |P| prod_j K_k^j tuples."""
+    s^(n-k+1) prod_{j>=1} K_k^j cells, or sum_k |P| prod_j K_k^j tuples.
+    A refused call empties _LABELLED, so its labels are not kept alive."""
+    global _LABELLED
     n, s = _check_functions(P, fs)
     K = len(P)
     columns, block = K ** n, K ** _digits_within(K, n, CHUNK)
@@ -337,6 +339,7 @@ def _plan(P: Predicate, fs, odometer: bool = True) -> _Plan:
     if scan < math.inf and (odometer or not est):
         est["odometer"] = (scan, block)
     if not est:
+        _LABELLED = {}
         raise ResourceError(
             f"|P|^n = {K}^{n} exceeds ODOMETER_CAP = {ODOMETER_CAP} and "
             f"{min(v[1] for v in labelled.values())} cells exceed "

@@ -56,8 +56,9 @@ class Predicate:
         weights = [_to_fraction(w) for w in weights]
         if len(weights) != len(members):
             raise ValidationError("need one weight per member")
-        if any(w <= 0 for w in weights):
-            raise ValidationError("member weights must be strictly positive")
+        # above 1 the sum check fails anyway, and float(total) could overflow
+        if any(not 0 < w <= 1 for w in weights):
+            raise ValidationError("member weights must lie in (0, 1]")
         total = sum(weights)
         if abs(float(total) - 1.0) > 1e-12:
             raise ValidationError(f"weights sum to {float(total)}, not 1")

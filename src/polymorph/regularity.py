@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DomainError, ResourceError, ValidationError
 from .funcspace import (FunctionTable, ProductMeasure, _cell_view, _digits,
-                        _kron, decode_point)
+                        _kron, _once_per_table, decode_point)
 from .harmonics import IDENTITY_TOL, _forward_mats, _transform
 
 CELL_CAP = 1 << 16
@@ -145,18 +145,24 @@ def _check_inputs(fs, measures, rho) -> list:
     return measures
 
 
+def _growth_pass(stacks, measures, n, s, J, rho) -> tuple:
+    """One growth round: every position's (w_cells, stab, infs, F) record and
+    the potential, an fsum over every position's tables.  Positions sharing
+    a stack object under an equal measure share one record."""
+    per_fn = _once_per_table(
+        lambda stack, nu: _cell_influence_tables(stack, n, s, J, nu, rho),
+        stacks, measures)
+    phi = math.fsum(float(w_cells @ row)
+                    for w_cells, stab, _, _ in per_fn for row in stab)
+    return per_fn, phi
+
+
 def potential(fs, measures, rho: float, J) -> float:
     """Sum over functions of the cell-averaged noise stability under J,
     each function weighted by its own measure."""
     measures = _check_inputs(fs, measures, rho)
-    n, s = fs[0].n, fs[0].s
-    total = 0.0
-    for f, nu in zip(fs, measures):
-        w_cells, stab, _, _ = _cell_influence_tables(_real_stack(f), n, s, J,
-                                                     nu, rho)
-        for row in stab:
-            total += float(w_cells @ row)
-    return total
+    stacks = _once_per_table(lambda f, nu: _real_stack(f), fs, measures)
+    return _growth_pass(stacks, measures, fs[0].n, fs[0].s, J, rho)[1]
 
 
 def build_junta_noisy(fs, measures, rho: float, tau: float, eps: float,
@@ -178,7 +184,7 @@ def build_junta_noisy(fs, measures, rho: float, tau: float, eps: float,
     if not tau > 0:  # also refuses NaN
         raise DomainError("tau must be positive")
     n, s = fs[0].n, fs[0].s
-    stacks = [_real_stack(f) for f in fs]
+    stacks = _once_per_table(lambda f, nu: _real_stack(f), fs, measures)
     coef = (1 - rho) / rho
     required = coef * eps * tau
     step_bound = math.floor(sum(map(len, stacks)) / (coef * eps * tau)) + 1
@@ -191,10 +197,7 @@ def build_junta_noisy(fs, measures, rho: float, tau: float, eps: float,
         if s ** len(J) > CELL_CAP:
             raise ResourceError(f"junta partition needs {s}^{len(J)} cells, "
                                 f"above CELL_CAP = {CELL_CAP}")
-        per_fn = [_cell_influence_tables(stack, n, s, J, nu, rho)
-                  for stack, nu in zip(stacks, measures)]
-        phi = math.fsum(float(w_cells @ row)
-                        for w_cells, stab, _, _ in per_fn for row in stab)
+        per_fn, phi = _growth_pass(stacks, measures, n, s, J, rho)
         potentials.append(phi)
         F = per_fn[0][3]
         # a cell is bad for a function when any of its tables has a free

@@ -1,5 +1,6 @@
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -614,6 +615,30 @@ def test_general_already_exact_is_kept():
     assert res.exact and res.accepted
     assert res.distances == (0.0, 0.0, 0.0)
     assert all(g.equals(f) for g in res.gs)
+
+
+MAJ3 = fs.FunctionTable(3, 2, "bit", [int(sum(fs.decode_point(i, 3, 2)) >= 2)
+                                      for i in range(8)])
+
+
+@pytest.mark.parametrize("P", [
+    # AND testing: P = {(0,0,0), (0,1,0), (1,0,0), (1,1,1)}
+    pr.functional_predicate(fs.and_all(2)),
+    pr.functional_predicate(fs.and_all(2), [Fraction(1, 2), Fraction(1, 4),
+                                            Fraction(1, 8), Fraction(1, 8)]),
+    # f-testing with f = MAJ3: P = {(x, MAJ3(x))}
+    pr.functional_predicate(MAJ3),
+], ids=["and-uniform", "and-skewed", "maj3"])
+def test_general_corrects_the_named_testing_predicates(P):
+    # a planted dictator, flipped 1% per function, on the paper's named
+    # AND-testing and f-testing predicates
+    n = 9
+    funcs = [_flip(fs.dictator(n, 4), 0.01, 300 + j) for j in range(P.m)]
+    assert pt.violation_probability(P, funcs) > 0
+    res = co.correct_general(P, funcs, eps=0.1, attempts=16, seed=0)
+    assert res.accepted and res.exact
+    assert pt.violation_probability(P, res.gs) == 0.0
+    assert all(d <= co.DISTANCE_BUDGET for d in res.distances)
 
 
 def test_general_short_relation_normalization():

@@ -1,15 +1,17 @@
 """Property tests for the text formats: round-trips and malformed fields."""
 
+import re
 import string
+import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from polymorph import cli
 from polymorph import funcspace as fs
 from polymorph import predicates as pr
-from polymorph.errors import DomainError, ValidationError
+from polymorph.errors import DomainError, PolymorphError, ValidationError
 
 
 @st.composite
@@ -92,6 +94,7 @@ JUNK = st.text(alphabet=string.ascii_letters + "!$%&*+-./:;?@^_|~,",
 def config_dir(tmp_path_factory):
     d = tmp_path_factory.mktemp("cfg")
     pr.save_predicate(d / "p.pred", pr.nand_predicate(2))
+    fs.save_function(d / "f.fn", fs.dictator(4, 0))
     return d
 
 
@@ -102,6 +105,10 @@ def _parse(kind, text, config_dir):
         return pr.parse_predicate(text)
     if kind == "chain":
         return cli.parse_chain(text)
+    if kind == "plant":
+        return cli._parse_plant(text, pr.nand_predicate(2), 4)
+    if kind == "measure":
+        return cli._parse_measure(text, 4, 2)
     path = config_dir / "junk.cfg"
     path.write_text(text)
     return cli.parse_experiment_config(path)
@@ -139,3 +146,99 @@ def test_constructor_coordinates_read_one_based():
     assert f.equals(fs.character(3, [0, 2], 1))
     d = fs.parse_function(FN.format(n=3, s=3, c="sym", body="dictator i=3"))
     assert d.equals(fs.dictator(3, 2, 3))
+
+
+# -- grammar-mutation fuzz of the six text entry points ----------------------
+#
+# Valid texts are cut into tokens (separators kept), and a few tokens are
+# replaced, inserted, deleted or swapped, new ones drawn from every seed
+# and from a list of extreme values; one operation puts an extreme value
+# in place of a number.  Inputs so stay close to the grammar and reach
+# past the header lines.
+
+FUZZ_SEEDS = {
+    "fn": ["fn n=3 sigma=2 codomain=bit\ntable 0 1 1 0 1 0 0 1\n",
+           "fn n=2 sigma=3 codomain=sym\ntable 0 1 2 2 1 0 0 0 1\n",
+           "fn n=2 sigma=2 codomain=real\ntable 0.5 1 0 0.25\n",
+           "fn n=4 sigma=2 codomain=bit\nchar S=1,3 b=1\n",
+           "fn n=3 sigma=3 codomain=sym\ndictator i=2\n",
+           "fn n=4 sigma=2 codomain=bit\nhybrid\n",
+           "fn n=3 sigma=2 codomain=bit\nand\n",
+           "fn n=3 sigma=2 codomain=bit\nor\n",
+           "fn n=2 sigma=4 codomain=sym\nconst 3\n",
+           "fn n=2 sigma=2 codomain=real\nconst 0.5\n"],
+    "pred": ["pred m=2 sigma=2\nw=00 p=1/3\nw=01 p=1/3\nw=10 p=1/3\n",
+             "pred m=3 sigma=3\nw=012 p=0.5\nw=120 p=1/4\nw=201 p=25e-2\n"],
+    "chain": [CHAIN.format(y=2, k=1, a=0.5, j="1 1 1"),
+              "chain y=2 factors=2\nfactor\n0.5 0.5\n0.5 0.5\nfactor\n"
+              "0.9 0.1\n0.1 0.9\nassign 1 2\n"],
+    "config": ["seed = 3\n" + RUN,
+               "seed = 1\n[run b]\npipeline = polytest\npred = p.pred\n"
+               "fn = f.fn,f.fn\nflip = 0.1\n"],
+    "plant": ["dictator:2", "character:1,3:0,1", "character:2", "constant:0"],
+    "measure": ["uniform", "p:0.3", "probs:0.25,0.75"],
+}
+EXTREMES = ["0", "-1", "1000000000", "4194305", "300", "1e999", "1e99999999",
+            "-1e-99999999", "nan", "-inf", "1/0", "9" * 30, "#", "[run c]",
+            "\n", ""]
+FUZZ_SECONDS = 2.0
+
+
+def _tokens(text):
+    return [t for t in re.split(r"(\s+|[=,:/\[\]])", text) if t]
+
+
+SEED_TOKENS = sorted({t for seeds in FUZZ_SEEDS.values() for text in seeds
+                      for t in _tokens(text)})
+
+
+@st.composite
+def mutated(draw):
+    kind = draw(st.sampled_from(sorted(FUZZ_SEEDS)))
+    tokens = _tokens(draw(st.sampled_from(FUZZ_SEEDS[kind])))
+    new = st.one_of(st.sampled_from(SEED_TOKENS), st.sampled_from(EXTREMES))
+    for _ in range(draw(st.integers(1, 4))):
+        op = draw(st.sampled_from(("number", "replace", "insert", "delete",
+                                   "swap")))
+        numbers = [i for i, t in enumerate(tokens) if t[:1].isdigit()]
+        if op == "number" and numbers:
+            tokens[draw(st.sampled_from(numbers))] = draw(
+                st.sampled_from(EXTREMES))
+            continue
+        i = draw(st.integers(0, max(len(tokens) - 1, 0)))
+        if op == "insert" or not tokens:
+            tokens.insert(i, draw(new))
+        elif op == "replace":
+            tokens[i] = draw(new)
+        elif op == "delete":
+            del tokens[i]
+        else:
+            j = draw(st.integers(0, len(tokens) - 1))
+            tokens[i], tokens[j] = tokens[j], tokens[i]
+    return kind, "".join(tokens)
+
+
+def test_fuzz_seeds_parse(config_dir):
+    for kind, seeds in FUZZ_SEEDS.items():
+        for text in seeds:
+            _parse(kind, text, config_dir)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(mutated())
+# each of these once hung for minutes or raised outside PolymorphError
+@example(("fn", "fn n=1000000000 sigma=3 codomain=sym\ndictator i=2\n"))
+@example(("pred", "pred m=2 sigma=2\nw=00 p=1e999\nw=11 p=1/2\n"))
+@example(("pred", "pred m=2 sigma=2\nw=00 p=1e99999999\n"))
+def test_mutated_text_parses_or_raises_a_polymorph_error(config_dir, case):
+    kind, text = case
+    # a config names other files; a path that names none is an OSError,
+    # which the CLI reports as an error line too
+    allowed = (PolymorphError, OSError) if kind == "config" \
+        else PolymorphError
+    start = time.perf_counter()
+    try:
+        _parse(kind, text, config_dir)
+    except allowed:
+        pass
+    assert time.perf_counter() - start < FUZZ_SECONDS

@@ -1,6 +1,10 @@
 """Tables, measures, restriction, distance, cells, and the file format."""
 
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -66,6 +70,9 @@ def test_dictator_and_character_tables():
     c = fs.character(3, [0, 2], offset=1)
     for x in itertools.product(range(2), repeat=3):
         assert c.eval(x) == 1 ^ x[0] ^ x[2]
+    # x_1 xor x_1 is the constant 0, not x_1
+    with pytest.raises(ValidationError, match="repeats"):
+        fs.character(3, [0, 0])
 
 
 def test_hybrid_matches_definition():
@@ -173,6 +180,34 @@ def test_constructors_gate_size_before_allocating(build):
     # 2^40 entries cannot be allocated, so only the gate can raise here
     with pytest.raises(ResourceError, match="cap"):
         build(40)
+
+
+HUGE_N = """
+import time
+from polymorph import funcspace as fs
+from polymorph.errors import ResourceError
+start = time.perf_counter()
+for text in ("fn n=1000000000 sigma=3 codomain=sym\\ndictator i=2\\n",
+             "fn n=1000000000 sigma=5 codomain=sym\\nconst 0\\n"):
+    try:
+        fs.parse_function(text)
+    except ResourceError as exc:
+        assert "cap" in str(exc)
+    else:
+        raise AssertionError("no ResourceError")
+print(time.perf_counter() - start)
+"""
+
+
+def test_size_gate_refuses_a_huge_n_before_any_power():
+    # 3 ** (10 ** 9) would run for far longer than the timeout, so a gate
+    # that computed it first fails here instead of hanging the suite
+    env = {**os.environ,
+           "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    proc = subprocess.run([sys.executable, "-c", HUGE_N], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout) < 1.0
 
 
 def test_file_format_roundtrip_table():

@@ -249,6 +249,31 @@ def test_growth_makes_one_pass_per_function(monkeypatch):
                for tables, built, free in passes)
 
 
+def test_growth_grows_a_shared_table_object_once(monkeypatch):
+    # NAND2 with one table object in both coordinates grows it once per
+    # round; an equal-content twin object is grown on its own, and both
+    # runs give the same certificate, decisions and outputs
+    passes = _counting(monkeypatch, rg, "_cell_influence_tables")
+    P = pr.nand_predicate(2)
+    f = _flip(fs.dictator(8, 3), 0.02, 240)
+    twin = fs.from_values(8, 2, "bit", f.values.copy())
+    runs = []
+    for pair in ([f, f], [f, twin]):
+        passes.clear()
+        res = co.correct_monotone(P, pair, eps=0.1, d=2, tau=0.2)
+        runs.append((res, len(passes)))
+    (shared, one), (twinned, two) = runs
+    rounds = len(shared.trace.certificate.potentials)
+    assert rounds >= 2
+    assert (one, two) == (rounds, 2 * rounds)
+    a, b = shared.trace.certificate, twinned.trace.certificate
+    assert (a.junta, a.steps, a.potentials, a.regular_mass) \
+        == (b.junta, b.steps, b.potentials, b.regular_mass)
+    assert shared.trace.decisions == twinned.trace.decisions
+    assert (shared.accepted, shared.exact) == (twinned.accepted, twinned.exact)
+    assert all(g.equals(h) for g, h in zip(shared.gs, twinned.gs))
+
+
 def _distinct_tables(funcs):
     return len({f.values.tobytes() for f in funcs})
 

@@ -240,6 +240,10 @@ def test_resource_and_domain_guards(monkeypatch):
         mp.setattr(pt, "_column_tables", _no_allocation)
         with pytest.raises(ResourceError):
             pt.violation_exact(P, funcs)
+        # the text names public calls that take such inputs
+        with pytest.raises(ResourceError, match="ODOMETER_CAP = 1000; use "
+                           "violation_probability or violation_mc$"):
+            pt.joint_output_distribution(P, funcs)
     with monkeypatch.context() as mp:
         mp.setattr(pt, "CONTRACTION_CAP", 100)
         mp.setattr(pt, "_contract", _no_allocation)
@@ -618,6 +622,8 @@ def test_refusal_past_both_caps_stays_small():
     finally:
         tracemalloc.stop()
     assert peak < 64 * 2 ** 20
+    # the refused call's labels are released with it
+    assert pt._LABELLED == {}
 
 
 def test_joint_value_probability_reads_the_planned_law():
