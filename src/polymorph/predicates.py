@@ -27,7 +27,9 @@ RELATION_M_CAP = 16
 
 
 def _to_fraction(w) -> Fraction:
-    if isinstance(w, (Fraction, int, float, str)):
+    if isinstance(w, str):  # as in the .pred format: exponent capped
+        return parse_numbers([w], Fraction, f"weight {w!r}")[0]
+    if isinstance(w, (Fraction, int, float)):
         try:
             return Fraction(w)
         except (ValueError, ZeroDivisionError, OverflowError):

@@ -21,6 +21,14 @@ def test_constructor_validation():
         pr.Predicate(2, 2, [(0, 0), (1, 1)], [Fraction(1, 2), Fraction(0)])
     with pytest.raises(ValidationError):
         pr.Predicate(2, 2, [(0, 0), (1, 1)], [0.6, 0.5])
+    # a weight above 1 overflowed the sum's float, and a string weight's
+    # huge exponent made Fraction compute 10 ** exponent for minutes
+    for weights in ([Fraction(10) ** 999, Fraction(1, 2)],
+                    ["1e99999999", "1/2"], ["1/2", "-1e-99999999"]):
+        with pytest.raises(ValidationError):
+            pr.Predicate(2, 2, [(0, 0), (1, 1)], weights)
+    assert pr.Predicate(2, 2, [(0, 0), (1, 1)], ["25e-2", "3/4"]).weights \
+        == [Fraction(1, 4), Fraction(3, 4)]
 
 
 def test_marginals_and_min_weight():
