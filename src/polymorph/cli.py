@@ -239,6 +239,13 @@ class ExperimentConfig:
 
 def _run_spec(label: str, lines, base: Path) -> RunSpec:
     where = f"run {label}"
+
+    def load(key, rel, loader):
+        try:
+            return loader(base / rel)
+        except OSError as exc:      # the message names the path
+            raise ValidationError(f"{where}: {key} = {rel!r}: {exc}") from exc
+
     kv = fs.read_fields(lines, RUN_TYPES, where)
     for key in kv:
         if key not in RUN_KEYS:
@@ -248,7 +255,7 @@ def _run_spec(label: str, lines, base: Path) -> RunSpec:
         raise ValidationError(f"{where}: unknown pipeline {pipeline!r}")
     if "pred" not in kv:
         raise ValidationError(f"{where}: missing pred")
-    P = pr.load_predicate(base / kv["pred"])
+    P = load("pred", kv["pred"], pr.load_predicate)
     pr.validate(P)
     plant = kv.get("plant")
     fns = tuple(kv["fn"].split(",")) if "fn" in kv else ()
@@ -257,7 +264,7 @@ def _run_spec(label: str, lines, base: Path) -> RunSpec:
     if plant and "n" not in kv:
         raise ValidationError(f"{where}: plant needs n")
     for rel in fns:
-        if fs.load_function(base / rel).s != P.s:
+        if load("fn", rel, fs.load_function).s != P.s:
             raise ValidationError(f"{where}: function alphabet does not "
                                   "match the predicate")
     opts = {**RUN_DEFAULTS, **kv}

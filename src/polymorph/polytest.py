@@ -350,12 +350,6 @@ def _plan(P: Predicate, fs, odometer: bool = True) -> _Plan:
     return _Plan(ranked[0], reason, est[ranked[0]][1], trans, sizes)
 
 
-def _member_chunks(memb: np.ndarray, cells: int):
-    """Row blocks of the member array, at most CHUNK // cells rows each."""
-    step = max(1, CHUNK // max(cells, 1))
-    return (memb[a:a + step] for a in range(0, len(memb), step))
-
-
 def _class_steps(trans, sizes, k: int) -> list:
     """Each T_j[k] times axis j's stride in the flat (row-major) code of a
     level-(k+1) class tuple: the flat next code is the sum over j."""
@@ -365,30 +359,28 @@ def _class_steps(trans, sizes, k: int) -> list:
 
 def _forward_by_classes(P: Predicate, trans, sizes, weights=None):
     """Push the all-zero class tuple forward one coordinate at a time:
-    every member moves each live level-k tuple to its level-(k+1) tuple.
-    The level-n tuples are the outputs.  With weights None the result is
-    the boolean reachable-output table, so the check never turns on float
-    underflow; with member weights it is the joint output law, one weighted
-    np.bincount per block of members."""
+    every member moves each live level-k tuple, in blocks of CHUNK // |P|
+    tuples, to its level-(k+1) tuple.  The level-n tuples are the outputs.
+    With weights None the result is the boolean reachable-output table, so
+    the check never turns on float underflow; with member weights it is the
+    joint output law, summed by np.add.at in (block, member, tuple) order."""
     memb = _member_array(P)
+    step = max(1, CHUNK // len(memb))
     R = np.ones(1, dtype=bool if weights is None else np.float64)
     for k in range(len(sizes) - 1):
         live = np.flatnonzero(R)
-        tuples = np.unravel_index(live, sizes[k])
-        steps = [S[:, c] for S, c in zip(_class_steps(trans, sizes, k), tuples)]
-        size = math.prod(sizes[k + 1])
-        if weights is None:
-            R = np.zeros(size, dtype=bool)
-            for w in _member_chunks(memb, live.size):
-                # (member, tuple) grid of next codes; repeats all store True
-                R[sum(S[w[:, j]] for j, S in enumerate(steps))] = True
-        else:
-            mass, R = R[live], np.zeros(size)
-            for w, p in zip(_member_chunks(memb, live.size),
-                            _member_chunks(weights, live.size)):
-                code = sum(S[w[:, j]] for j, S in enumerate(steps))
-                R += np.bincount(code.ravel(), (p[:, None] * mass).ravel(),
-                                 size)
+        steps = _class_steps(trans, sizes, k)
+        last, R = R, np.zeros(math.prod(sizes[k + 1]), dtype=R.dtype)
+        for a in range(0, live.size, step):
+            block = live[a:a + step]
+            code = sum(S[:, c][memb[:, j]] for j, (S, c) in enumerate(
+                zip(steps, np.unravel_index(block, sizes[k]))))
+            if weights is None:
+                R[code] = True          # repeats all store True
+            else:
+                # raveled: np.add.at is about 6x slower on a 2-D index
+                np.add.at(R, code.ravel(),
+                          (weights[:, None] * last[block]).ravel())
     # axes are (a_0, ..., a_{m-1}); output codes put a_0 lowest
     return R.reshape(sizes[-1]).ravel(order="F")
 
@@ -396,20 +388,27 @@ def _forward_by_classes(P: Predicate, trans, sizes, weights=None):
 def _search_by_classes(P: Predicate, trans, sizes, alpha_code: int) -> list:
     """The columns _search_by_prefixes finds, from one backward pass:
     B[k] marks the level-k class tuples from which alpha is reachable, so
-    a prefix keeps alpha reachable exactly when its tuple is in B."""
-    m, n = P.m, len(sizes) - 1
+    a prefix keeps alpha reachable exactly when its tuple is in B.  A
+    level goes in blocks of rows of its longest axis, all members each:
+    CHUNK grid cells, or one row, the least that broadcasting allows."""
+    m, n, K = P.m, len(sizes) - 1, len(P)
     memb = _member_array(P)
     B = [np.zeros(sizes[n], dtype=bool)]
     B[0][decode_point(alpha_code, m, P.s)] = True
     for k in range(n - 1, -1, -1):
-        steps = _class_steps(trans, sizes, k)
-        b = np.zeros(sizes[k], dtype=bool)
-        for w in _member_chunks(memb, math.prod(sizes[k])):
-            # (member, class tuple) grid: axis j adds T_j[k][w_j]
-            code = sum(S[w[:, j]].reshape(
-                (len(w),) + tuple(-1 if i == j else 1 for i in range(m)))
-                for j, S in enumerate(steps))
-            b |= B[-1].ravel()[code].any(axis=0)
+        z = sizes[k]
+        # (member, class tuple) grid: axis j adds T_j[k][w_j]
+        grids = [S[memb[:, j]].reshape(
+            (K,) + tuple(-1 if i == j else 1 for i in range(m)))
+            for j, S in enumerate(_class_steps(trans, sizes, k))]
+        j = z.index(max(z))
+        along, nxt = grids.pop(j), B[-1].ravel()
+        rest = sum(grids)
+        b = np.zeros(z, dtype=bool)
+        rows = max(1, CHUNK // (K * (math.prod(z) // z[j])))
+        for a in range(0, z[j], rows):
+            cut = (slice(None),) * j + (slice(a, a + rows),)
+            b[cut] = nxt[along[(slice(None),) + cut] + rest].any(axis=0)
         B.append(b)
     B.reverse()
     tup, chosen = (0,) * m, []
@@ -613,19 +612,20 @@ class ColumnRestriction:
 
 def restricted_value_distribution(f: FunctionTable, assignment: PartialAssignment,
                                   marginal) -> np.ndarray:
-    """Law of f(x) when free coordinates draw i.i.d. from the marginal."""
+    """Law of f(x) over the table's alphabet when free coordinates draw
+    i.i.d. from the marginal."""
     if f.codomain == "real":
         raise UnsupportedError("value distributions need discrete outputs")
+    if marginal.s != f.s or assignment.s != f.s:
+        raise DomainError(f"marginal and assignment alphabets ({marginal.s}, "
+                          f"{assignment.s}) must match the table's {f.s}")
+    out = np.zeros(f.s)
     free = assignment.free
     if not free:
-        v = f.eval([int(a) for a in assignment.entries])
-        out = np.zeros(f.s if f.codomain == "sym" else 2)
-        out[int(v)] = 1.0
+        out[f.eval([int(a) for a in assignment.entries])] = 1.0
         return out
     sub = f.restrict(assignment)
-    nu = ProductMeasure.iid(marginal, len(free))
-    w = nu.weights()
-    out = np.zeros(f.s if f.codomain == "sym" else 2)
+    w = ProductMeasure.iid(marginal, len(free)).weights()
     for sigma in range(out.size):
         out[sigma] = float(w[sub.values == sigma].sum())
     return out
@@ -641,13 +641,16 @@ def joint_value_probability(P: Predicate, fs, alpha,
     the star-conditional marginals), so the probability factors across
     functions.
     """
-    if len(alpha) != P.m:
-        raise DomainError("alpha must assign one output per function")
+    _check_functions(P, fs)
+    if len(alpha) != P.m or not all(isinstance(a, numbers.Integral)
+                                    and 0 <= a < P.s for a in alpha):
+        raise DomainError(f"alpha must assign one output in range({P.s}) "
+                          f"per function, got {tuple(alpha)!r}")
     if restriction is None:
         return float(_law(P, fs)[encode_point(alpha, P.s)])
     prob = 1.0
     for j, f in enumerate(fs):
         dist = restricted_value_distribution(
             f, restriction.assignment_for(j), P.marginal_measure(j))
-        prob *= float(dist[int(alpha[j])])
+        prob *= float(dist[alpha[j]])
     return prob

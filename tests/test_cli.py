@@ -394,8 +394,26 @@ def test_experiment_config_validation(tmp_path):
     bad.write_text("seed = 1\n[run x]\npipeline = monotone\n"
                    "pred = missing.pred\nn = 4\nplant = dictator:1\n"
                    "eps = 0.1\n")
-    with pytest.raises(OSError):
+    with pytest.raises(ValidationError, match="run x: pred = 'missing.pred'"):
         cli.parse_experiment_config(bad)
+
+
+@pytest.mark.parametrize("line, key, rel", [
+    ("pred = nope.pred", "pred", "nope.pred"),      # FileNotFoundError
+    ("pred =", "pred", ""),                          # the config's directory
+    ("pred = nand2.pred\nfn = noisy0.fn,nope.fn", "fn", "nope.fn"),
+])
+def test_config_paths_that_name_no_file(tmp_path, capsys, line, key, rel):
+    _write_fixtures(tmp_path)
+    cfg = tmp_path / "paths.cfg"
+    cfg.write_text(f"seed = 1\n[run x]\npipeline = polytest\n{line}\n")
+    with pytest.raises(ValidationError) as err:
+        cli.parse_experiment_config(cfg)
+    assert str(err.value).startswith(f"run x: {key} = {rel!r}: ")
+    assert str(tmp_path / rel) in str(err.value)
+    assert cli.main(["experiment", "--config", str(cfg)]) == 1
+    errors = capsys.readouterr().err.splitlines()
+    assert len(errors) == 1 and errors[0].startswith("error: run x")
 
 
 @pytest.mark.parametrize("repeats", [0, -2])

@@ -628,7 +628,10 @@ MAJ3 = fs.FunctionTable(3, 2, "bit", [int(sum(fs.decode_point(i, 3, 2)) >= 2)
                                             Fraction(1, 8), Fraction(1, 8)]),
     # f-testing with f = MAJ3: P = {(x, MAJ3(x))}
     pr.functional_predicate(MAJ3),
-], ids=["and-uniform", "and-skewed", "maj3"])
+    pr.nae_predicate(3, [Fraction(1, 2), Fraction(1, 4), Fraction(1, 8),
+                         Fraction(1, 16), Fraction(1, 32), Fraction(1, 32)]),
+    pr.nand_predicate(2, [Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)]),
+], ids=["and-uniform", "and-skewed", "maj3", "nae3-skewed", "nand2-skewed"])
 def test_general_corrects_the_named_testing_predicates(P):
     # a planted dictator, flipped 1% per function, on the paper's named
     # AND-testing and f-testing predicates
@@ -639,6 +642,21 @@ def test_general_corrects_the_named_testing_predicates(P):
     assert res.accepted and res.exact
     assert pt.violation_probability(P, res.gs) == 0.0
     assert all(d <= co.DISTANCE_BUDGET for d in res.distances)
+
+
+def test_general_corrects_a_skewed_blr_character():
+    # BLR's P_{3,0} under skewed weights; the dictator tuple is not a
+    # P_{3,0} polymorphism, so the plant is a character
+    P = pr.parity_predicate(3, 0, [Fraction(1, 2), Fraction(1, 4),
+                                   Fraction(1, 8), Fraction(1, 8)])
+    n, sup = 9, (1, 4, 6)
+    funcs = [_flip(fs.character(n, sup, b), 0.02, 500 + j)
+             for j, b in enumerate((1, 0, 1))]
+    assert pt.violation_probability(P, funcs) > 0
+    res = co.correct_general(P, funcs, eps=0.1, attempts=16, seed=0)
+    assert res.accepted and res.exact
+    assert pt.violation_probability(P, res.gs) == 0.0
+    assert all(c.support == sup for c in res.trace.peeling.characters)
 
 
 def test_general_short_relation_normalization():
@@ -790,6 +808,21 @@ def test_alphabet_past_the_old_state_gate():
     assert pt._plan(P, res.gs, odometer=False).engine == "classes"
     Q = pt.joint_output_distribution_contracted(P, res.gs)
     assert Q[~pt._member_table(P)].sum() == 0.0
+
+
+@pytest.mark.parametrize("n", [5, 6, 7])
+def test_alphabet_corrects_skewed_ternary_nae(n):
+    # ternary NAE with weights 1/300, ..., 24/300 on its 24 members
+    members = [w for w in itertools.product(range(3), repeat=3)
+               if len(set(w)) > 1]
+    P = pr.Predicate(3, 3, members, [Fraction(i + 1, 300)
+                                     for i in range(len(members))])
+    base = fs.dictator(n, 1, s=3)
+    funcs = [_sym_noise(base, 0.02, 60 + j) for j in range(3)]
+    assert pt.violation_probability(P, funcs) > 0
+    res = co.correct_alphabet(P, funcs, eps=0.1, attempts=16, seed=0)
+    assert res.exact and res.accepted
+    assert pt.violation_probability(P, res.gs) == 0.0
 
 
 def test_alphabet_requires_flexibility():

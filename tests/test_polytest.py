@@ -348,6 +348,32 @@ def test_joint_value_probability_with_restriction():
             assert abs(got - want) < 1e-12
 
 
+@pytest.mark.parametrize("alpha", [(2, 0), (-1, 1), (0, 7), (0.5, 0)])
+@pytest.mark.parametrize("restricted", [False, True])
+def test_joint_value_probability_refuses_outputs_off_the_alphabet(
+        alpha, restricted):
+    # unchecked, (2, 0) and (-1, 1) read the law at other output codes and
+    # (0, 7) indexed past it
+    P = pr.nand_predicate(2)
+    funcs = [fs.dictator(3, 0)] * 2
+    rho = pt.ColumnRestriction([(None, None), (0, 1), (None, 0)], 2) \
+        if restricted else None
+    with pytest.raises(DomainError, match="alpha"):
+        pt.joint_value_probability(P, funcs, alpha, restriction=rho)
+
+
+def test_restricted_value_distribution_refuses_another_alphabet():
+    f = fs.from_values(2, 3, "sym", [0, 1, 2] * 3)
+    free = fs.PartialAssignment([None, 1], 3)
+    with pytest.raises(DomainError, match="alphabet"):
+        pt.restricted_value_distribution(f, free, fs.Measure([0.5, 0.5]))
+    with pytest.raises(DomainError, match="alphabet"):
+        pt.restricted_value_distribution(f, fs.PartialAssignment([None, 1]),
+                                         fs.Measure.uniform(3))
+    law = pt.restricted_value_distribution(f, free, fs.Measure.uniform(3))
+    assert np.allclose(law, [1 / 3] * 3)
+
+
 def test_restriction_star_positions_and_assignments():
     P = pr.nand_predicate(2)
     rho = pt.ColumnRestriction([(None, 0), (0, 0), (0, None)], s=2)
@@ -422,8 +448,9 @@ def structured_values(draw, n, s):
 
 
 @settings(max_examples=150, deadline=None)
-@given(oracle_instances())
-def test_exact_engines_agree(instance):
+@given(oracle_instances(), st.sampled_from((1, 5, pt.CHUNK)))
+def test_exact_engines_agree(instance, chunk):
+    # chunk: the class pass's block size, down to one tuple or row a block
     P, funcs = instance
     Q, _ = pt.joint_output_distribution(P, funcs)
     outside = np.array([fs.decode_point(c, P.m, P.s) not in P
@@ -432,7 +459,8 @@ def test_exact_engines_agree(instance):
     reach = Q > 0
     # both reachability paths, whichever the planner would pick
     trans, sizes = pt._transitions(P, funcs)
-    assert np.array_equal(pt._forward_by_classes(P, trans, sizes), reach)
+    with mock.patch.object(pt, "CHUNK", chunk):
+        assert np.array_equal(pt._forward_by_classes(P, trans, sizes), reach)
     assert np.array_equal(pt._contract(P, funcs, None, trans[1:]), reach)
     Qc = pt.joint_output_distribution_contracted(P, funcs)
     assert np.max(np.abs(Qc - Q)) < 1e-12
@@ -448,7 +476,8 @@ def test_exact_engines_agree(instance):
                  if fs.encode_point(pt.evaluate_columns(funcs, cols), P.s)
                  == alpha)
     assert ce.columns() == list(first)
-    assert pt._search_by_classes(P, trans, sizes, alpha) == list(first)
+    with mock.patch.object(pt, "CHUNK", chunk):
+        assert pt._search_by_classes(P, trans, sizes, alpha) == list(first)
     assert pt._search_by_prefixes(P, funcs, alpha, trans[1:]) == list(first)
 
 
@@ -699,12 +728,13 @@ def test_planner_picks(P, n, rate, law, check):
 
 
 @settings(max_examples=150, deadline=None)
-@given(oracle_instances())
-def test_class_law_equals_the_other_engines(instance):
+@given(oracle_instances(), st.sampled_from((1, 5, pt.CHUNK)))
+def test_class_law_equals_the_other_engines(instance, chunk):
     P, funcs = instance
     trans, sizes = pt._transitions(P, funcs)
     weights = np.array([float(w) for w in P.weights])
-    law = pt._forward_by_classes(P, trans, sizes, weights)
+    with mock.patch.object(pt, "CHUNK", chunk):
+        law = pt._forward_by_classes(P, trans, sizes, weights)
     contracted = pt._contract(P, funcs, weights, trans[1:])
     assert np.max(np.abs(law - contracted)) < 1e-12
     Q, _ = pt.joint_output_distribution(P, funcs)
@@ -752,6 +782,27 @@ def test_class_law_memory_stays_small():
     finally:
         tracemalloc.stop()
     assert peak < 2 ** 18
+
+
+def test_admitted_class_pass_memory_follows_its_tuples():
+    # planted NAND3 at n = 13: the widest level has 720,544 class tuples
+    # and a level has up to 364,127 live ones.  Blocks of CHUNK // |P| live
+    # tuples leave the level arrays (bool or float, and the live indices) as
+    # the working set; whole levels of int64 indices and next codes held 63
+    # (check) and 76 (law) bytes per tuple here
+    P = pr.nand_predicate(3)
+    funcs = list(cli.plant_and_perturb(P, 13, "dictator:1", 0.02, 1).fs)
+    weights = np.array([float(w) for w in P.weights])
+    for odometer, w, per_tuple in ((False, None, 16), (True, weights, 40)):
+        plan = pt._plan(P, funcs, odometer)
+        assert plan.engine == "classes" and plan.peak > 32 * pt.CHUNK
+        tracemalloc.start()
+        try:
+            pt._forward_by_classes(P, plan.trans, plan.sizes, w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= per_tuple * plan.peak
 
 
 # -- column tables and the Monte Carlo sampler ---------------------------------
