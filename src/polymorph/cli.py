@@ -138,7 +138,7 @@ def load_chain(path) -> co.TransitionChain:
 
 # -- planted instances ---------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PlantedInstance:
     fs: tuple                     # the perturbed functions
     base: tuple                   # the exact planted polymorphism
@@ -214,7 +214,7 @@ PIPELINES = ("monotone", "general", "alphabet", "polytest")
 RUN_KEYS = {*RUN_TYPES, "pipeline", "pred", "plant", "fn", "eta"}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RunSpec:
     label: str
     pipeline: str
@@ -231,7 +231,7 @@ class RunSpec:
     attempts: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExperimentConfig:
     seed: int
     runs: tuple

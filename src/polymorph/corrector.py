@@ -43,7 +43,7 @@ CHAIN_TOL = 1e-12          # symmetry / stochasticity tolerance for chains
 
 # -- result containers ---------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CharacterFit:
     """Closest parity character: chi(x) = offset xor (xor of x_i over support)."""
 
@@ -52,7 +52,7 @@ class CharacterFit:
     distance: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BlrDecoding:
     support: tuple
     offset: int
@@ -60,7 +60,7 @@ class BlrDecoding:
     max_coefficient: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DecodedCharacter:
     coordinate: int
     support: tuple
@@ -68,7 +68,7 @@ class DecodedCharacter:
     distance: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PeelingResult:
     """Outcome of iterated affine-relation peeling.
 
@@ -88,7 +88,7 @@ class PeelingResult:
     unique_extension: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RoundedCells:
     """Cell-rounded tables plus the per-function cell decisions:
     decisions[j][c] is "fixed-0" or "fixed-1" when cell c of function j
@@ -99,7 +99,7 @@ class RoundedCells:
     decisions: tuple
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RestrictionAttempt:
     index: int
     exact: bool
@@ -107,7 +107,7 @@ class RestrictionAttempt:
     total_distance: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CorrectionTrace:
     junta: tuple
     eta: float | None
@@ -121,7 +121,7 @@ class CorrectionTrace:
     notes: tuple = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CorrectionResult:
     """Corrected tuple with verification and audit trail.
 
@@ -139,7 +139,7 @@ class CorrectionResult:
     trace: CorrectionTrace
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FractionalCorrection:
     """Boolean junta pair replacing a fractional NAND polymorphism.
 
@@ -154,7 +154,7 @@ class FractionalCorrection:
     trace: CorrectionTrace
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AgreementReport:
     """Nearly invariant functions are nearly constant: the certificate."""
 
@@ -499,7 +499,7 @@ def _draw_outside(law, n: int, J, rng) -> ColumnRestriction:
     return ColumnRestriction(patterns, law.predicate.s)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class _Rounding:
     """The winning attempt of a restriction search."""
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import re
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
@@ -207,15 +208,25 @@ class ProductMeasure:
                 and self.measures == other.measures)
 
 
+def _symbol(v, s: int) -> int:
+    """v as an int in range(s); a float such as 0.5 or NaN raises, as does
+    anything else that is not an integer (numpy integers are)."""
+    try:
+        k = operator.index(v)
+    except TypeError:
+        raise DomainError(f"symbol {v!r} is not an integer") from None
+    if not 0 <= k < s:
+        raise DomainError(f"symbol {v} outside alphabet of size {s}")
+    return k
+
+
 class PartialAssignment:
     """A point of (Sigma union {*})^n; None marks a free coordinate."""
 
     def __init__(self, entries: Sequence[int | None], s: int = 2):
-        self.entries = tuple(entries)
+        self.entries = tuple(None if v is None else _symbol(v, s)
+                             for v in entries)
         self.s = s
-        for v in self.entries:
-            if v is not None and not (0 <= v < s):
-                raise DomainError(f"symbol {v} outside alphabet of size {s}")
 
     @classmethod
     def from_dict(cls, n: int, fixed: dict[int, int], s: int = 2) -> "PartialAssignment":
@@ -250,6 +261,8 @@ class PartialAssignment:
 class FunctionTable:
     """A dense table for f: Sigma^n -> codomain."""
 
+    __slots__ = ("n", "s", "codomain", "values")
+
     def __init__(self, n: int, s: int, codomain: str, values):
         if codomain not in CODOMAINS:
             raise ValidationError(f"unknown codomain {codomain!r}")
@@ -283,10 +296,8 @@ class FunctionTable:
     def eval(self, x: Sequence[int]):
         if len(x) != self.n:
             raise DomainError(f"point has {len(x)} coordinates, expected {self.n}")
-        for v in x:
-            if not (0 <= v < self.s):
-                raise DomainError(f"symbol {v} outside alphabet of size {self.s}")
-        v = self.values[encode_point(x, self.s)]
+        point = [_symbol(v, self.s) for v in x]
+        v = self.values[encode_point(point, self.s)]
         return float(v) if self.codomain == "real" else int(v)
 
     def restrict(self, assignment: PartialAssignment) -> "FunctionTable":

@@ -43,7 +43,7 @@ WILSON_Z = 1.959963984540054  # two-sided 95%
 _LABELLED: dict = {}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Counterexample:
     """Concrete violating inputs: columns are members, outputs leave P."""
 
@@ -62,7 +62,7 @@ class Counterexample:
         return [tuple(x[i] for x in self.inputs) for i in range(n)]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ViolationReport:
     probability: float
     method: str
@@ -297,7 +297,7 @@ def _contraction_cells(s: int, sizes) -> int:
                for k, z in enumerate(sizes[:-1]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class _Plan:
     """An exact engine ("odometer", "contraction" or "classes"), why, the
     largest array it was admitted by, and the transitions and class counts

@@ -114,7 +114,7 @@ class Predicate:
         return f"Predicate(m={self.m}, s={self.s}, |P|={len(self.members)})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ValidationReport:
     m: int
     s: int
@@ -209,7 +209,7 @@ def affine_relations(P: Predicate) -> list[tuple[frozenset, int]]:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ShortRelationClassification:
     """Size-1 and size-2 affine relations, reduced to representatives.
 
@@ -252,7 +252,7 @@ def classify_short_relations(P: Predicate) -> ShortRelationClassification:
     return ShortRelationClassification(constants, classes, reps)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FlexibleCoordinate:
     coordinate: int
     flexible: bool

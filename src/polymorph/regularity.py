@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DomainError, ResourceError, ValidationError
 from .funcspace import (FunctionTable, ProductMeasure, _cell_view, _digits,
-                        _kron, _once_per_table, decode_point)
+                        _kron, decode_point)
 from .harmonics import IDENTITY_TOL, _forward_mats, _transform
 
 CELL_CAP = 1 << 16
@@ -26,7 +26,7 @@ GAIN_SLACK = 1e-15
 WORST_CELLS = 10      # offending cells listed by cell_regular_fraction
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GrowthStep:
     added: tuple
     gain: float        # splitting-identity lower bound measured before the step
@@ -34,7 +34,7 @@ class GrowthStep:
     bad_mass: tuple    # per input function, before the step
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WorstCell:
     cell: tuple
     influence: float
@@ -42,7 +42,7 @@ class WorstCell:
     weight: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CellRegularityReport:
     regular_mass: float
     worst: tuple
@@ -50,7 +50,7 @@ class CellRegularityReport:
     tau: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RegularityCertificate:
     junta: tuple
     steps: tuple
@@ -145,13 +145,39 @@ def _check_inputs(fs, measures, rho) -> list:
     return measures
 
 
-def _growth_pass(stacks, measures, n, s, J, rho) -> tuple:
-    """One growth round: every position's (w_cells, stab, infs, F) record and
-    the potential, an fsum over every position's tables.  Positions sharing
-    a stack object under an equal measure share one record."""
-    per_fn = _once_per_table(
-        lambda stack, nu: _cell_influence_tables(stack, n, s, J, nu, rho),
-        stacks, measures)
+def _stack_by_measure(fs, measures) -> tuple:
+    """Group positions by equal measure and stack each group's distinct
+    table objects once, in position order.  Returns the groups as
+    (stack, measure) pairs and, per position, (group index, its rows of
+    that stack); positions holding one table object in a group read the
+    same rows."""
+    keys, tables, rows = [], [], []
+    for f, nu in zip(fs, measures):
+        g = next((g for g, mu in enumerate(keys)
+                  if mu.measures == nu.measures), len(keys))
+        if g == len(keys):
+            keys.append(nu)
+            tables.append({})
+        if id(f) not in tables[g]:  # fs keeps every f alive, so ids hold
+            start = sum(len(t) for t, _ in tables[g].values())
+            t = _real_stack(f)
+            tables[g][id(f)] = (t, slice(start, start + len(t)))
+        rows.append((g, tables[g][id(f)][1]))
+    groups = [(np.concatenate([t for t, _ in tabs.values()]), nu)
+              for nu, tabs in zip(keys, tables)]
+    return groups, rows
+
+
+def _growth_pass(groups, rows, n, s, J, rho) -> tuple:
+    """One growth round: one pass per measure group, every position's
+    (w_cells, stab, infs, F) record read off its group's rows, and the
+    potential, an fsum over every position's tables."""
+    recs = [_cell_influence_tables(stack, n, s, J, nu, rho)
+            for stack, nu in groups]
+    per_fn = []
+    for g, r in rows:
+        w_cells, stab, infs, F = recs[g]
+        per_fn.append((w_cells, stab[r], infs[r], F))
     phi = math.fsum(float(w_cells @ row)
                     for w_cells, stab, _, _ in per_fn for row in stab)
     return per_fn, phi
@@ -161,8 +187,8 @@ def potential(fs, measures, rho: float, J) -> float:
     """Sum over functions of the cell-averaged noise stability under J,
     each function weighted by its own measure."""
     measures = _check_inputs(fs, measures, rho)
-    stacks = _once_per_table(lambda f, nu: _real_stack(f), fs, measures)
-    return _growth_pass(stacks, measures, fs[0].n, fs[0].s, J, rho)[1]
+    groups, rows = _stack_by_measure(fs, measures)
+    return _growth_pass(groups, rows, fs[0].n, fs[0].s, J, rho)[1]
 
 
 def build_junta_noisy(fs, measures, rho: float, tau: float, eps: float,
@@ -184,10 +210,11 @@ def build_junta_noisy(fs, measures, rho: float, tau: float, eps: float,
     if not tau > 0:  # also refuses NaN
         raise DomainError("tau must be positive")
     n, s = fs[0].n, fs[0].s
-    stacks = _once_per_table(lambda f, nu: _real_stack(f), fs, measures)
+    groups, rows = _stack_by_measure(fs, measures)
     coef = (1 - rho) / rho
     required = coef * eps * tau
-    step_bound = math.floor(sum(map(len, stacks)) / (coef * eps * tau)) + 1
+    tables = sum(r.stop - r.start for _, r in rows)
+    step_bound = math.floor(tables / (coef * eps * tau)) + 1
     J = sorted(set(initial))
     if any(not (0 <= i < n) for i in J):
         raise DomainError("initial junta outside coordinate range")
@@ -197,7 +224,7 @@ def build_junta_noisy(fs, measures, rho: float, tau: float, eps: float,
         if s ** len(J) > CELL_CAP:
             raise ResourceError(f"junta partition needs {s}^{len(J)} cells, "
                                 f"above CELL_CAP = {CELL_CAP}")
-        per_fn, phi = _growth_pass(stacks, measures, n, s, J, rho)
+        per_fn, phi = _growth_pass(groups, rows, n, s, J, rho)
         potentials.append(phi)
         F = per_fn[0][3]
         # a cell is bad for a function when any of its tables has a free

@@ -1,5 +1,7 @@
 """Property tests for the text formats: round-trips and malformed fields."""
 
+import contextlib
+import io
 import re
 import string
 import time
@@ -193,8 +195,8 @@ SEED_TOKENS = sorted({t for seeds in FUZZ_SEEDS.values() for text in seeds
 
 
 @st.composite
-def mutated(draw):
-    kind = draw(st.sampled_from(sorted(FUZZ_SEEDS)))
+def mutated(draw, kinds=tuple(sorted(FUZZ_SEEDS))):
+    kind = draw(st.sampled_from(kinds))
     tokens = _tokens(draw(st.sampled_from(FUZZ_SEEDS[kind])))
     new = st.one_of(st.sampled_from(SEED_TOKENS), st.sampled_from(EXTREMES))
     for _ in range(draw(st.integers(1, 4))):
@@ -238,3 +240,36 @@ def test_mutated_text_parses_or_raises_a_polymorph_error(config_dir, case):
     except PolymorphError:
         pass
     assert time.perf_counter() - start < FUZZ_SECONDS
+
+
+# -- the same mutations through the command line ------------------------------
+
+CLI_FILES = {"fn": ("f_fuzz.fn", "analyze", "--fn"),
+             "pred": ("p_fuzz.pred", "validate", "--pred"),
+             "config": ("fuzz.cfg", "experiment", "--config")}
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated(tuple(sorted(CLI_FILES))))
+@example(("fn", "fn n=1000000000 sigma=3 codomain=sym\ndictator i=2\n"))
+@example(("config", "seed = 3\n" + RUN.replace("n = 4", "n = 300")))
+def test_mutated_files_exit_0_or_1_with_one_error_line(config_dir, case):
+    kind, text = case
+    name, command, flag = CLI_FILES[kind]
+    path = config_dir / name
+    path.write_text(text)
+    argv = [command, flag, str(path)]
+    if kind == "config":
+        argv += ["--csv", str(config_dir / "fuzz.csv")]
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert time.perf_counter() - start < FUZZ_SECONDS
+    lines = err.getvalue().splitlines()
+    if code == 0:
+        assert lines == []
+    else:
+        assert code == 1
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "Traceback" not in err.getvalue()

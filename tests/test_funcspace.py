@@ -113,6 +113,24 @@ def test_restriction_on_sym_alphabet():
         assert sub.eval(x) == f.eval((x[0], 2, x[1]))
 
 
+@pytest.mark.parametrize("bad", [0.5, np.nan, 1.0, "1"])
+def test_non_integer_symbols_are_refused(bad):
+    # int() would truncate 0.5 to 0, and numpy would refuse it as an index
+    f = fs.dictator(3, 0)
+    with pytest.raises(DomainError, match="is not an integer"):
+        f.eval([bad, 0, 1])
+    with pytest.raises(DomainError, match="is not an integer"):
+        fs.PartialAssignment([bad, None, None], 2)
+
+
+def test_numpy_integer_symbols_are_accepted():
+    f = fs.dictator(3, 0, s=3)
+    assert f.eval([np.int64(2), np.uint8(0), 1]) == 2
+    a = fs.PartialAssignment([np.uint8(2), None, np.int32(1)], 3)
+    assert a.entries == (2, None, 1)
+    assert f.restrict(a).equals(fs.constant(1, 2, s=3))
+
+
 def test_distance_dictator_to_zero_is_p():
     p = 0.3
     n = 6

@@ -222,10 +222,8 @@ def test_cell_check_runs_once_per_distinct_table(monkeypatch):
     assert len(calls) == 0
 
 
-def test_growth_makes_one_pass_per_function(monkeypatch):
-    # every growth round runs one pass per function, on the stack of its
-    # s indicator tables, and builds each free coordinate's noise operator
-    # once in that pass
+def _counting_passes(monkeypatch):
+    """Per growth pass: (stack rows, noise operators built, free coords)."""
     ops = _counting(monkeypatch, rg, "_noise_op")
     passes = []
     real = rg._cell_influence_tables
@@ -237,23 +235,42 @@ def test_growth_makes_one_pass_per_function(monkeypatch):
         return out
 
     monkeypatch.setattr(rg, "_cell_influence_tables", counted)
+    return passes
+
+
+def test_growth_makes_one_pass_per_measure(monkeypatch):
+    # every growth round runs one pass per distinct measure, on the stack
+    # of all that measure's indicator tables, and builds each free
+    # coordinate's noise operator once in that pass
+    passes = _counting_passes(monkeypatch)
     base = fs.dictator(5, 2, s=3)
     funcs = [_sym_noise(base, 0.05, 220 + j) for j in range(3)]
-    cert = rg.build_junta_noisy(funcs, fs.ProductMeasure.uniform(5, 3),
-                                rho=0.5, tau=0.02, eps=0.1)
+    uniform = fs.ProductMeasure.uniform(5, 3)
+    cert = rg.build_junta_noisy(funcs, uniform, rho=0.5, tau=0.02, eps=0.1)
     rounds = len(cert.potentials)
     assert rounds >= 2
-    assert len(passes) == len(funcs) * rounds
-    assert [free for _, _, free in passes[:len(funcs)]] == [5] * len(funcs)
-    assert all(tables == 3 and built == free
+    assert len(passes) == rounds
+    assert passes[0][2] == 5
+    assert all(tables == 9 and built == free
                for tables, built, free in passes)
+    # two distinct measures give two passes per round: 6 rows, then 3
+    passes.clear()
+    skewed = fs.ProductMeasure.iid(fs.Measure([0.5, 0.3, 0.2]), 5)
+    cert = rg.build_junta_noisy(funcs, [uniform, uniform, skewed], rho=0.5,
+                                tau=0.02, eps=0.1)
+    rounds = len(cert.potentials)
+    assert rounds >= 2
+    assert len(passes) == 2 * rounds
+    assert [tables for tables, _, _ in passes] == [6, 3] * rounds
+    assert all(built == free for _, built, free in passes)
 
 
 def test_growth_grows_a_shared_table_object_once(monkeypatch):
-    # NAND2 with one table object in both coordinates grows it once per
-    # round; an equal-content twin object is grown on its own, and both
-    # runs give the same certificate, decisions and outputs
-    passes = _counting(monkeypatch, rg, "_cell_influence_tables")
+    # NAND2 with one table object in both coordinates grows it on one row
+    # per round; an equal-content twin object gets its own row in the same
+    # pass.  Both runs give the same junta, steps, decisions and outputs;
+    # the batched pass may move potentials and gains in their last bits
+    passes = _counting_passes(monkeypatch)
     P = pr.nand_predicate(2)
     f = _flip(fs.dictator(8, 3), 0.02, 240)
     twin = fs.from_values(8, 2, "bit", f.values.copy())
@@ -261,14 +278,19 @@ def test_growth_grows_a_shared_table_object_once(monkeypatch):
     for pair in ([f, f], [f, twin]):
         passes.clear()
         res = co.correct_monotone(P, pair, eps=0.1, d=2, tau=0.2)
-        runs.append((res, len(passes)))
+        runs.append((res, [tables for tables, _, _ in passes]))
     (shared, one), (twinned, two) = runs
     rounds = len(shared.trace.certificate.potentials)
     assert rounds >= 2
-    assert (one, two) == (rounds, 2 * rounds)
+    assert (one, two) == ([1] * rounds, [2] * rounds)
     a, b = shared.trace.certificate, twinned.trace.certificate
-    assert (a.junta, a.steps, a.potentials, a.regular_mass) \
-        == (b.junta, b.steps, b.potentials, b.regular_mass)
+    assert (a.junta, a.regular, a.regular_mass) \
+        == (b.junta, b.regular, b.regular_mass)
+    assert [(x.added, x.required, x.bad_mass) for x in a.steps] \
+        == [(y.added, y.required, y.bad_mass) for y in b.steps]
+    assert np.allclose([x.gain for x in a.steps], [y.gain for y in b.steps],
+                       rtol=0, atol=1e-12)
+    assert np.allclose(a.potentials, b.potentials, rtol=0, atol=1e-12)
     assert shared.trace.decisions == twinned.trace.decisions
     assert (shared.accepted, shared.exact) == (twinned.accepted, twinned.exact)
     assert all(g.equals(h) for g, h in zip(shared.gs, twinned.gs))

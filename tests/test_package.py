@@ -1,9 +1,12 @@
-"""The package root's export list."""
+"""The package root's export list, and the layout of its records."""
 
+import dataclasses
+import importlib
 import inspect
+import pkgutil
 
 import polymorph
-from polymorph import polytest
+from polymorph import funcspace, polytest
 
 
 def test_exports_resolve_sorted_and_unique():
@@ -24,3 +27,20 @@ def test_no_cap_parameters():
               if {"cap", "contraction_cap", "cell_cap"}
               & set(inspect.signature(fn).parameters)]
     assert capped == []
+
+
+def test_records_are_frozen_and_slotted():
+    # callers keep results by the thousand (the bench holds every result
+    # until its audit), so no record may carry a per-instance dict
+    records = []
+    for info in pkgutil.iter_modules(polymorph.__path__):
+        mod = importlib.import_module(f"polymorph.{info.name}")
+        records += [obj for obj in vars(mod).values()
+                    if inspect.isclass(obj) and dataclasses.is_dataclass(obj)
+                    and obj.__module__ == mod.__name__]
+    assert len(records) > 20
+    assert [c.__qualname__ for c in records
+            if not c.__dataclass_params__.frozen
+            or "__slots__" not in vars(c)] == []
+    assert "__slots__" in vars(funcspace.FunctionTable)
+    assert not hasattr(funcspace.constant(2, 0), "__dict__")

@@ -1,5 +1,6 @@
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -481,3 +482,64 @@ def test_stacked_growth_pass_equals_single_table_passes(inst, rho):
         assert np.array_equal(w1, w_cells)
         assert np.allclose(stab[t], stab1[0], rtol=0, atol=1e-12)
         assert np.allclose(infs[t], infs1[0], rtol=0, atol=1e-12)
+
+
+# -- growth rounds grouped by measure ------------------------------------------
+
+@st.composite
+def grouped_positions(draw):
+    """2-4 positions over one domain (s in {2, 3}) drawing their tables
+    from a smaller pool, so table objects repeat, and their measures from
+    1-2 distinct ones, each position holding its own equal-content copy;
+    a cell set J in any order.  Returns (functions, measures, distinct
+    measure count, J)."""
+    s = draw(st.sampled_from((2, 3)))
+    n = draw(st.integers(1, 5 if s == 2 else 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    m = draw(st.integers(2, 4))
+    kinds = ("bit", "real", "sym") if s == 2 else ("sym", "real")
+    pool = [_random_function(rng, n, s, draw(st.sampled_from(kinds)))
+            for _ in range(draw(st.integers(1, m)))]
+    mus = [_random_measure(rng, n, s)
+           for _ in range(draw(st.integers(1, 2)))]
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=m,
+                          max_size=m))
+    which = draw(st.permutations(
+        list(range(len(mus))) + draw(st.lists(
+            st.integers(0, len(mus) - 1), min_size=m - len(mus),
+            max_size=m - len(mus)))))
+    funcs = [pool[i] for i in picks]
+    measures = [fs.ProductMeasure(mus[w].measures) for w in which]
+    J = draw(st.lists(st.integers(0, n - 1), max_size=n, unique=True))
+    return funcs, measures, len(mus), J
+
+
+@settings(max_examples=150, deadline=None)
+@given(grouped_positions(), st.floats(0.05, 0.95))
+def test_grouped_growth_round_equals_per_position_passes(inst, rho):
+    funcs, measures, groups, J = inst
+    n, s = funcs[0].n, funcs[0].s
+    stacks, rows = rg._stack_by_measure(funcs, measures)
+    calls = []
+    real = rg._cell_influence_tables
+    with mock.patch.object(rg, "_cell_influence_tables",
+                           lambda *args: calls.append(1) or real(*args)):
+        per_fn, phi = rg._growth_pass(stacks, rows, n, s, J, rho)
+    assert len(calls) == groups
+    alone = []
+    for i, (f, nu) in enumerate(zip(funcs, measures)):
+        w1, stab1, infs1, F1 = rg._cell_influence_tables(
+            rg._real_stack(f), n, s, J, nu, rho)
+        w_cells, stab, infs, F = per_fn[i]
+        assert F == F1
+        assert np.array_equal(w_cells, w1)
+        assert np.allclose(stab, stab1, rtol=0, atol=1e-12)
+        assert np.allclose(infs, infs1, rtol=0, atol=1e-12)
+        alone.extend(float(w1 @ row) for row in stab1)
+        for k in range(i):
+            if funcs[k] is f and measures[k] == nu:
+                assert rows[k] == rows[i]
+                assert np.array_equal(per_fn[k][1], stab)
+                assert np.array_equal(per_fn[k][2], infs)
+    assert abs(phi - math.fsum(alone)) < 1e-12
+
