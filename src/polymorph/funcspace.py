@@ -208,13 +208,18 @@ class ProductMeasure:
                 and self.measures == other.measures)
 
 
-def _symbol(v, s: int) -> int:
-    """v as an int in range(s); a float such as 0.5 or NaN raises, as does
-    anything else that is not an integer (numpy integers are)."""
+def _integer(v, what: str) -> int:
+    """v as an int; a float such as 0.5 or NaN raises, as does anything
+    else that is not an integer (numpy integers and bools are)."""
     try:
-        k = operator.index(v)
+        return operator.index(v)
     except TypeError:
-        raise DomainError(f"symbol {v!r} is not an integer") from None
+        raise DomainError(f"{what} {v!r} is not an integer") from None
+
+
+def _symbol(v, s: int) -> int:
+    """v as an int in range(s), by the integer rule of _integer."""
+    k = _integer(v, "symbol")
     if not 0 <= k < s:
         raise DomainError(f"symbol {v} outside alphabet of size {s}")
     return k
@@ -232,9 +237,10 @@ class PartialAssignment:
     def from_dict(cls, n: int, fixed: dict[int, int], s: int = 2) -> "PartialAssignment":
         entries: list[int | None] = [None] * n
         for i, v in fixed.items():
-            if not (0 <= i < n):
+            k = _integer(i, "coordinate")
+            if not (0 <= k < n):
                 raise DomainError(f"coordinate {i} outside range(0, {n})")
-            entries[i] = v
+            entries[k] = v
         return cls(entries, s)
 
     @property

@@ -141,29 +141,38 @@ def joint_output_distribution(P: Predicate, fs):
     memb = _member_array(P)
     muvec = np.array([float(w) for w in P.weights])
     in_p = _member_table(P)
-    # f_j's output digit in place (values * s^j), in the narrowest dtype
-    # that holds every output code
-    code_t = np.min_scalar_type(s ** P.m - 1)
-    shifted = [(f.values.astype(np.int64) * s ** j).astype(code_t)
-               for j, f in enumerate(fs)]
-    # inputs and weights of the low c digits, built once; each block of
-    # K^c column codes adds the high digits as scalar offsets, multiplying
-    # weights in the same digit order as a full scan
+    # a block is the K^c column codes of the low c digits; the high n - c
+    # digits pick it.  Function j's rows hold its output digit in place
+    # (values * s^j, in the narrowest dtype that holds every output code)
+    # on the low columns, one row per distinct input of its high digits, so
+    # a block's output codes are a sum of one row per function
     c = _digits_within(K, n, CHUNK)
     block = K ** c
     low_x, low_w = _column_tables(memb, muvec, c, s)
+    high_x = _column_tables(memb, muvec, n - c, s)[0]
+    code_t = np.min_scalar_type(s ** P.m - 1)
+    rows, picks = [], []
+    for j, f in enumerate(fs):
+        inputs, pick = np.unique(high_x[j], return_inverse=True)
+        r = f.values.reshape(-1, s ** c)[inputs].take(low_x[j], axis=1)
+        r = r.astype(code_t, copy=False)
+        r *= s ** j
+        rows.append(r)
+        picks.append(pick)
+    del low_x                       # the rows hold all the scan reads of it
     masses = []
     first_bad = None
     Q = np.zeros(s ** P.m)
     for high in range(total // block):
+        # weights multiply in the same digit order as a full scan
         w = low_w
-        offset = np.zeros(P.m, dtype=np.int64)
-        for i, d in enumerate(decode_point(high, n - c, K), start=c):
+        for d in decode_point(high, n - c, K):
             w = w * muvec[d]
-            offset += memb[d] * s ** i
-        out_code = shifted[0][offset[0]:].take(low_x[0])
+        out_code = rows[0][picks[0][high]]
         for j in range(1, P.m):
-            out_code += shifted[j][offset[j]:].take(low_x[j])
+            out_code = out_code + rows[j][picks[j][high]]
+        # np.add.at is fastest on an intp index
+        out_code = out_code.astype(np.intp)
         np.add.at(Q, out_code, w)
         if first_bad is None:
             bad = np.nonzero(~in_p[out_code])[0]
@@ -323,12 +332,15 @@ def _plan(P: Predicate, fs, odometer: bool = True) -> _Plan:
     global _LABELLED
     n, s = _check_functions(P, fs)
     K = len(P)
-    columns, block = K ** n, K ** _digits_within(K, n, CHUNK)
+    columns, c = K ** n, _digits_within(K, n, CHUNK)
+    # the odometer's largest array: a function's rows, one per distinct
+    # input of the high digits, each as long as a block
+    rows = K ** c * max(len(set(v)) for v in zip(*P.members)) ** (n - c)
     scan = ODOMETER_NS * columns if columns <= ODOMETER_CAP else math.inf
     labelling = LABEL_NS * P.m * n * (s - 1)
     if odometer and scan <= labelling:
         return _Plan("odometer", f"estimated odometer {scan / 1e6:.3g} ms, "
-                     f"transitions alone {labelling / 1e6:.3g} ms", block)
+                     f"transitions alone {labelling / 1e6:.3g} ms", rows)
     trans, sizes = _transitions(P, fs)
     state = [s ** (n - k + 1) * math.prod(z[1:]) for k, z in enumerate(sizes)]
     joint = [math.prod(z) for z in sizes]
@@ -337,7 +349,7 @@ def _plan(P: Predicate, fs, odometer: bool = True) -> _Plan:
                                 _contraction_cells(s, sizes))}
     est = {e: v for e, v in labelled.items() if v[1] <= CONTRACTION_CAP}
     if scan < math.inf and (odometer or not est):
-        est["odometer"] = (scan, block)
+        est["odometer"] = (scan, rows)
     if not est:
         _LABELLED = {}
         raise ResourceError(

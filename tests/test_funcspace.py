@@ -123,6 +123,26 @@ def test_non_integer_symbols_are_refused(bad):
         fs.PartialAssignment([bad, None, None], 2)
 
 
+@pytest.mark.parametrize("bad", [0.5, np.nan, 1.0, "1"])
+def test_non_integer_coordinates_are_refused(bad):
+    # coordinates follow the symbols' integer rule
+    with pytest.raises(DomainError, match="coordinate .* is not an integer"):
+        fs.PartialAssignment.from_dict(3, {bad: 1})
+
+
+def test_integer_like_coordinates_are_accepted():
+    # numpy integers index as ints; a bool is the int it equals, as a
+    # symbol is
+    a = fs.PartialAssignment.from_dict(3, {np.int64(2): 1, np.uint8(0): 0})
+    assert a.entries == (0, None, 1)
+    assert fs.PartialAssignment.from_dict(3, {True: 1}).entries \
+        == (None, 1, None)
+    assert fs.PartialAssignment([True, None, False], 2).entries \
+        == (1, None, 0)
+    with pytest.raises(DomainError, match="outside range"):
+        fs.PartialAssignment.from_dict(3, {np.int64(3): 1})
+
+
 def test_numpy_integer_symbols_are_accepted():
     f = fs.dictator(3, 0, s=3)
     assert f.eval([np.int64(2), np.uint8(0), 1]) == 2

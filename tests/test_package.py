@@ -1,12 +1,19 @@
-"""The package root's export list, and the layout of its records."""
+"""The package root's export list, the layout of its records, and the
+constants README cites."""
 
 import dataclasses
 import importlib
 import inspect
 import pkgutil
+import re
+from pathlib import Path
+
+import pytest
 
 import polymorph
-from polymorph import funcspace, polytest
+from polymorph import funcspace, polytest, regularity
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_exports_resolve_sorted_and_unique():
@@ -44,3 +51,24 @@ def test_records_are_frozen_and_slotted():
             or "__slots__" not in vars(c)] == []
     assert "__slots__" in vars(funcspace.FunctionTable)
     assert not hasattr(funcspace.constant(2, 0), "__dict__")
+
+
+@pytest.mark.parametrize("module, name", [
+    (polytest, "ODOMETER_NS"), (polytest, "CONTRACT_NS"),
+    (polytest, "CLASS_NS"), (polytest, "LABEL_NS"), (polytest, "CHUNK"),
+    (polytest, "ODOMETER_CAP"), (polytest, "CONTRACTION_CAP"),
+    (polytest, "GUIDE_CELLS"), (polytest, "MC_GROUP_CAP"),
+    (regularity, "CELL_CAP"), (funcspace, "TABLE_CAP"),
+    (funcspace, "BINARY_N_CAP"), (funcspace, "SYMBOL_CAP"),
+    (funcspace, "FRACTION_EXP_CAP"),
+])
+def test_readme_cites_each_constant_at_its_value(module, name):
+    # every place README gives a value, as `NAME` = v or `NAME` (v, with v
+    # an integer (thousands may be comma-separated) or 2^k, must match the
+    # module, so a refit cannot leave the README behind
+    cited = re.findall(rf"`(?:\w+\.)?{name}` (?:= |\()(2\^\d+|\d[\d,]*)",
+                       README.read_text())
+    values = [2 ** int(v[2:]) if v.startswith("2^")
+              else int(v.replace(",", "")) for v in cited]
+    assert values, f"README cites no value of {name}"
+    assert values == [getattr(module, name)] * len(values)

@@ -880,6 +880,89 @@ def test_odometer_equals_the_per_digit_odometer(instance, chunk):
     assert first_bad == ref_bad
 
 
+# kind: (alphabets, m, member count range, n range, high digit range)
+ODOMETER_SHAPES = {
+    "one_block": ((2,), 3, (1, 8), (3, 3), (0, 0)),
+    "wide": ((2,), 3, (3, 5), (4, 5), (3, 4)),        # |P| > s
+    "narrow": ((3,), 2, (1, 3), (5, 5), (1, 4)),      # |P| <= s
+    "single": ((2, 3), 1, (1, 2), (5, 5), (3, 3)),
+    "two_byte": ((3,), 6, (2, 4), (3, 3), (2, 2)),    # s^m = 729 codes
+    "exact": ((2,), 3, (2, 4), (5, 5), (3, 3)),
+}
+
+
+@st.composite
+def odometer_shapes(draw):
+    """(P, funcs, chunk, kind): shapes that reach each part of the
+    odometer's rows, with the block size that gives them high digits."""
+    kind = draw(st.sampled_from(sorted(ODOMETER_SHAPES)))
+    alphabets, m, (k_min, k_max), ns, highs = ODOMETER_SHAPES[kind]
+    s = draw(st.sampled_from(alphabets))
+    n, high = draw(st.integers(*ns)), draw(st.integers(*highs))
+    points = sorted(fs.points_in_index_order(m, s))
+    members = draw(st.lists(st.sampled_from(points), min_size=k_min,
+                            max_size=k_max, unique=True))
+    raw = draw(st.lists(st.integers(1, 50), min_size=len(members),
+                        max_size=len(members)))
+    P = pr.Predicate(m, s, members, [Fraction(w, sum(raw)) for w in raw])
+    codomain = "bit" if s == 2 else "sym"
+    if kind == "exact":
+        # every function reads one coordinate: each output tuple is a member
+        i = draw(st.integers(0, n - 1))
+        funcs = [fs.dictator(n, i, s) for _ in range(m)]
+    else:
+        funcs = [fs.from_values(n, s, codomain, draw(structured_values(n, s)))
+                 for _ in range(m)]
+    # any block size that leaves the drawn number of high digits
+    K, c = len(P), n - high
+    chunk = draw(st.integers(K ** c, max(K ** c, K ** (c + 1) - 1)))
+    return P, funcs, chunk, kind
+
+
+@settings(max_examples=150, deadline=None)
+@given(odometer_shapes())
+def test_odometer_rows_equal_the_per_digit_odometer(shape):
+    P, funcs, chunk, kind = shape
+    n, K = funcs[0].n, len(P)
+    with mock.patch.object(pt, "CHUNK", chunk):
+        Q, first_bad = pt.joint_output_distribution(P, funcs)
+    ref_Q, ref_bad = _odometer_reference(P, funcs, chunk)
+    assert Q.tobytes() == ref_Q.tobytes()
+    assert first_bad == ref_bad
+    c = pt._digits_within(K, n, chunk)
+    if kind == "one_block":
+        assert c == n
+    if kind == "wide":
+        assert K > P.s and n - c >= 3
+    if kind == "narrow":
+        assert K <= P.s
+    if kind == "two_byte":
+        assert P.s ** P.m > 256
+    if kind == "exact":
+        assert first_bad is None and n - c >= 1
+
+
+def test_odometer_memory_follows_its_rows():
+    # P_{3,0} at n = 12: blocks of 4^7 columns, and 2^5 rows of one-byte
+    # codes per function (1.5 MB in all).  Beside the rows the scan holds
+    # one block's weights, output codes and membership flags
+    P = pr.parity_predicate(3, 0)
+    n = 12
+    funcs = _random_functions(np.random.default_rng(20), P.m, n, P.s)
+    c = pt._digits_within(len(P), n, pt.CHUNK)
+    with mock.patch.object(pt, "CONTRACTION_CAP", 0):
+        plan = pt._plan(P, funcs)
+    assert plan.engine == "odometer"
+    assert plan.peak == len(P) ** c * P.s ** (n - c) == 2 ** 19
+    tracemalloc.start()
+    try:
+        pt.joint_output_distribution(P, funcs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= P.m * plan.peak + 64 * pt.CHUNK
+
+
 @pytest.mark.parametrize("p, shape", [
     ([1 / 4] * 4, (5000, 7)),                      # cdf points on cell edges
     ([1e-6] * 5 + [1 - 5e-6], (20000, 10)),        # five points in cell 0
