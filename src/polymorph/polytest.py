@@ -112,13 +112,18 @@ def _digits_within(K: int, n: int, limit: int) -> int:
 
 def _column_tables(memb: np.ndarray, muvec: np.ndarray, c: int, s: int):
     """(x, w) indexed by the code of a tuple of c columns (column 0 least
-    significant): x[j] is function j's input code on it, w its weight, built
-    one column at a time; weights multiply in column order like a scan."""
-    x = np.zeros((memb.shape[1], 1), dtype=np.int64)
+    significant): x[j] is function j's input code on it, in the narrowest
+    dtype that holds s^c codes, and w its weight, built one column at a
+    time; weights multiply in column order like a scan."""
+    code_t = np.min_scalar_type(s ** c - 1)
+    digits = memb.T.astype(code_t)[:, :, None]
+    x = np.zeros((memb.shape[1], 1), dtype=code_t)
     w = np.ones(1)
     for i in range(c):
-        # entry d * K^i + e is column i drawing member d after entry e
-        x = (x[:, None, :] + memb.T[:, :, None] * s ** i).reshape(len(x), -1)
+        # entry d * K^i + e is column i drawing member d after entry e; in
+        # C order the sum runs along e (order K runs along d, 6x slower)
+        x = np.add(x[:, None, :], digits * s ** i,
+                   order="C").reshape(len(x), -1)
         w = (w[None, :] * muvec[:, None]).ravel()
     return x, w
 
@@ -139,7 +144,8 @@ def joint_output_distribution(P: Predicate, fs):
             f"|P|^n = {K}^{n} exceeds ODOMETER_CAP = {ODOMETER_CAP}; use "
             f"violation_probability or violation_mc")
     memb = _member_array(P)
-    muvec = np.array([float(w) for w in P.weights])
+    mu = [float(w) for w in P.weights]
+    muvec = np.array(mu)
     in_p = _member_table(P)
     # a block is the K^c column codes of the low c digits; the high n - c
     # digits pick it.  Function j's rows hold its output digit in place
@@ -154,20 +160,30 @@ def joint_output_distribution(P: Predicate, fs):
     rows, picks = [], []
     for j, f in enumerate(fs):
         inputs, pick = np.unique(high_x[j], return_inverse=True)
-        r = f.values.reshape(-1, s ** c)[inputs].take(low_x[j], axis=1)
+        # each row gathers its low columns straight from the table
+        table, cols = f.values.reshape(-1, s ** c), low_x[j].astype(np.intp)
+        r = np.empty((inputs.size, block), dtype=f.values.dtype)
+        for row, i in zip(r, inputs):
+            table[i].take(cols, out=row)
         r = r.astype(code_t, copy=False)
         r *= s ** j
         rows.append(r)
         picks.append(pick)
-    del low_x                       # the rows hold all the scan reads of it
+    del low_x, cols                 # the rows hold all the scan reads of it
     masses = []
     first_bad = None
     Q = np.zeros(s ** P.m)
+    factors = None
     for high in range(total // block):
-        # weights multiply in the same digit order as a full scan
-        w = low_w
-        for d in decode_point(high, n - c, K):
-            w = w * muvec[d]
+        # weights multiply in the same digit order as a full scan; a block
+        # whose high digits weigh what the last block's did reuses its
+        # weights and mass (every block, when the weights are uniform)
+        step = [mu[d] for d in decode_point(high, n - c, K)]
+        if step != factors:
+            factors, w = step, low_w
+            for factor in step:
+                w = w * factor
+            mass = float(w.sum())
         out_code = rows[0][picks[0][high]]
         for j in range(1, P.m):
             out_code = out_code + rows[j][picks[j][high]]
@@ -178,7 +194,7 @@ def joint_output_distribution(P: Predicate, fs):
             bad = np.nonzero(~in_p[out_code])[0]
             if bad.size:
                 first_bad = high * block + int(bad[0])
-        masses.append(float(w.sum()))
+        masses.append(mass)
     mass = math.fsum(masses)
     if abs(mass - 1.0) > 1e-9:
         raise ResourceError(f"enumeration mass drifted to {mass}")
@@ -539,23 +555,30 @@ def wilson_interval(successes: int, trials: int):
 
 
 def _choice_sampler(p: np.ndarray):
-    """draw(rng, shape) returns rng.choice(len(p), size=shape, p=p): from
-    the same uniforms u = rng.random(shape), the count of cdf points at or
-    below u.  A guide table (Chen and Asau) holds it for each of GUIDE_CELLS
-    cells of [0, 1) with no cdf point inside, -1 for cells whose draws search
-    the cdf; u * GUIDE_CELLS is exact in binary floating point."""
+    """draw(bitgen, shape) returns Generator(bitgen).choice(len(p),
+    size=shape, p=p) from the same raw words.  choice counts the cdf points
+    at or below u = (word >> 11) * 2^-53, the uniform Generator.random
+    makes of a word; u >= cdf_i exactly when word >> 11 >= ceil(cdf_i *
+    2^53), so the count is that of integer thresholds at or below word >>
+    11.  A guide table (Chen and Asau) holds it for each of GUIDE_CELLS
+    cells, read from the word's top bits, with no threshold inside, -1 for
+    cells whose words search the thresholds."""
     cdf = p.cumsum()
     cdf /= cdf[-1]
-    edges = np.arange(GUIDE_CELLS + 1) / GUIDE_CELLS
-    start = cdf.searchsorted(edges[:-1], side="right")
-    end = cdf.searchsorted(edges[1:], side="left")
+    cuts = np.ceil(cdf * 2.0 ** 53).astype(np.uint64)
+    shift = 65 - GUIDE_CELLS.bit_length()      # word >> shift is its cell
+    edges = np.arange(GUIDE_CELLS + 1, dtype=np.uint64) << (shift - 11)
+    start = cuts.searchsorted(edges[:-1], side="right")
+    end = cuts.searchsorted(edges[1:] - 1, side="right")
     cell_index = np.where(start == end, start, -1).astype(np.int32)
 
-    def draw(rng, shape) -> np.ndarray:
-        u = rng.random(shape)
-        d = cell_index[(u * GUIDE_CELLS).astype(np.intp)]
+    def draw(bitgen, shape) -> np.ndarray:
+        words = bitgen.random_raw(shape)
+        # an int64 index gathers about twice as fast as a uint64 one
+        d = cell_index[(words >> shift).view(np.int64)]
         split = np.flatnonzero(d < 0)
-        d.ravel()[split] = cdf.searchsorted(u.ravel()[split], side="right")
+        d.ravel()[split] = cuts.searchsorted(words.ravel()[split] >> 11,
+                                             side="right")
         return d
 
     return draw
@@ -574,29 +597,34 @@ def violation_mc(P: Predicate, fs, samples: int, seed: int) -> ViolationReport:
     muvec = muvec / muvec.sum()
     in_p = _member_table(P)
     draw = _choice_sampler(muvec)
-    # inputs of every function on each group of c coordinates, one table
-    # per group width, read by the group's column code
+    # coordinates a..b-1 form a group of at most c; its column code, the
+    # digits times K^(i-a) summed (one float product, exact below
+    # MC_GROUP_CAP), reads every function's input on the group times s^a
     c = max(1, _digits_within(K, n, MC_GROUP_CAP))
-    tables = {g: _column_tables(memb, muvec, g, s)[0] for g in {c, n % c or c}}
+    starts = range(0, n, c)
+    radix = np.zeros((len(starts), n))
+    by_width = {g: _column_tables(memb, muvec, g, s)[0]
+                for g in {c, n % c or c}}
+    tables = []
+    for g, a in enumerate(starts):
+        b = min(a + c, n)
+        radix[g, a:b] = float(K) ** np.arange(b - a)
+        tables.append(by_width[b - a].astype(np.intp) * s ** a)
     # counter-based generator: streams are reproducible across platforms
-    rng = np.random.Generator(np.random.Philox(key=seed))
+    bitgen = np.random.Philox(key=seed)
     block = max(1, CHUNK // n)
     bad = 0
     done = 0
     while done < samples:
         take = min(block, samples - done)
-        d = draw(rng, (take, n))
-        x = np.zeros((P.m, take), dtype=np.int64)
-        for a in range(0, n, c):
-            b = min(a + c, n)
-            code = d[:, b - 1]
-            for i in range(b - 2, a - 1, -1):
-                code = code * K + d[:, i]
-            x += tables[b - a].take(code, axis=1) * s ** a
+        codes = (radix @ draw(bitgen, (take, n)).T).astype(np.intp)
+        x = tables[0].take(codes[0], axis=1)
+        for T, code in zip(tables[1:], codes[1:]):
+            x += T.take(code, axis=1)
         out_code = np.zeros(take, dtype=np.int64)
         for j, f in enumerate(fs):
             out_code += f.values[x[j]].astype(np.int64) * s ** j
-        bad += int((~in_p[out_code]).sum())
+        bad += take - int(np.count_nonzero(in_p[out_code]))
         done += take
     lo, hi = wilson_interval(bad, samples)
     return ViolationReport(probability=bad / samples, method="monte_carlo",

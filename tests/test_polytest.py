@@ -880,6 +880,23 @@ def test_odometer_equals_the_per_digit_odometer(instance, chunk):
     assert first_bad == ref_bad
 
 
+def test_column_codes_past_one_byte_equal_the_references():
+    # {(0,0),(1,1)} at n = 16: odometer blocks of 2^14 columns, and Monte
+    # Carlo groups of 12 and 4 coordinates, whose input codes need two
+    # bytes, and one byte before the shift by 2^12
+    P = pr.Predicate(2, 2, [(0, 0), (1, 1)])
+    n = 16
+    funcs = _random_functions(np.random.default_rng(23), P.m, n, P.s)
+    x, _ = pt._column_tables(pt._member_array(P), np.ones(2), 12, P.s)
+    assert x.dtype == np.uint16 and x.max() == 2 ** 12 - 1
+    Q, first_bad = pt.joint_output_distribution(P, funcs)
+    ref_Q, ref_bad = _odometer_reference(P, funcs, pt.CHUNK)
+    assert Q.tobytes() == ref_Q.tobytes()
+    assert first_bad == ref_bad
+    assert (pt.violation_mc(P, funcs, 5000, 9)
+            == _mc_reference(P, funcs, 5000, 9))
+
+
 # kind: (alphabets, m, member count range, n range, high digit range)
 ODOMETER_SHAPES = {
     "one_block": ((2,), 3, (1, 8), (3, 3), (0, 0)),
@@ -963,6 +980,36 @@ def test_odometer_memory_follows_its_rows():
     assert peak <= P.m * plan.peak + 64 * pt.CHUNK
 
 
+@pytest.mark.parametrize("weights", [
+    None,                                          # every block reuses
+    [Fraction(1, 5), Fraction(1, 5), Fraction(2, 5), Fraction(1, 5)],
+    [Fraction(1, 10), Fraction(2, 10), Fraction(3, 10), Fraction(4, 10)],
+], ids=["uniform", "repeats", "skewed"])
+@pytest.mark.parametrize("planted", [False, True])
+def test_odometer_block_weights_equal_the_per_digit_odometer(weights, planted):
+    # P_{3,0} at n = 6 in blocks of 4^2 columns: 256 blocks, so block
+    # weights are reused (uniform), rebuilt (skewed), or both (repeats:
+    # member 3 weighs what member 0 does, so a carry out of the lowest
+    # high digit keeps its factor while a higher digit's factor changes).
+    # The planted tuple is a dictator with one flipped entry, whose first
+    # violation lies past block 0
+    P = pr.parity_predicate(3, 0, weights=weights)
+    n, chunk = 6, 16
+    if planted:
+        vals = fs.dictator(n, 0).values.copy()
+        vals[-1] ^= 1
+        funcs = [fs.from_values(n, 2, "bit", vals)] + [fs.dictator(n, 0)] * 2
+    else:
+        funcs = _random_functions(np.random.default_rng(21), P.m, n, P.s)
+    with mock.patch.object(pt, "CHUNK", chunk):
+        Q, first_bad = pt.joint_output_distribution(P, funcs)
+    assert len(P) ** n // len(P) ** pt._digits_within(len(P), n, chunk) >= 3
+    ref_Q, ref_bad = _odometer_reference(P, funcs, chunk)
+    assert Q.tobytes() == ref_Q.tobytes()
+    assert first_bad == ref_bad
+    assert (first_bad >= chunk) if planted else first_bad is not None
+
+
 @pytest.mark.parametrize("p, shape", [
     ([1 / 4] * 4, (5000, 7)),                      # cdf points on cell edges
     ([1e-6] * 5 + [1 - 5e-6], (20000, 10)),        # five points in cell 0
@@ -976,7 +1023,7 @@ def test_guide_table_sampler_equals_generator_choice(p, shape, key):
     p = np.array(p, dtype=np.float64)
     p = p / p.sum()
     draw = pt._choice_sampler(p)
-    got = draw(np.random.Generator(np.random.Philox(key=key)), shape)
+    got = draw(np.random.Philox(key=key), shape)
     want = np.random.Generator(np.random.Philox(key=key)).choice(
         len(p), size=shape, p=p)
     assert got.shape == want.shape
@@ -984,22 +1031,35 @@ def test_guide_table_sampler_equals_generator_choice(p, shape, key):
 
 
 def test_guide_table_sampler_breaks_ties_as_choice_does():
-    # choice returns cdf.searchsorted(u, side="right"): a u equal to a cdf
-    # point counts it.  Random draws almost never tie, so feed ties and
-    # cell edges in place of the generator's uniforms
-    p = np.array([1e-6] * 5 + [3 / 1024, 0.5, 0.25])
-    p = p / p.sum()
-    cdf = p.cumsum()
-    cdf /= cdf[-1]
-    u = np.concatenate([cdf[:-1], np.nextafter(cdf[:-1], 0),
-                        np.arange(1024) / 1024])
+    # choice returns cdf.searchsorted(u, side="right") for u = (word >> 11)
+    # * 2^-53: a u equal to a cdf point counts it.  Random words almost
+    # never tie, so feed words whose word >> 11 sits at each threshold
+    # ceil(cdf_i * 2^53) and one below, the low 11 bits clear and set, and
+    # words at each cell edge j << 54 and one below.  The dyadic cdf puts
+    # thresholds on cell edges (3 * 2^43) and inside cell 0 (2^23); the
+    # thirds round up to their thresholds
+    edges = [j << 54 for j in range(pt.GUIDE_CELLS)]
 
     class Fixed:
-        def random(self, shape):
-            return u.reshape(shape)
+        def random_raw(self, shape):
+            return words.reshape(shape)
 
-    got = pt._choice_sampler(p)(Fixed(), (u.size,))
-    assert np.array_equal(got, cdf.searchsorted(u, side="right"))
+    for p in ([1e-6] * 5 + [3 / 1024, 0.5, 0.25],                # mixed
+              [2 ** -30] * 4 + [3 / 1024 - 2 ** -28, 0.5, 0.25,  # dyadic
+                                0.25 - 3 / 1024],
+              [1 / 3] * 3):                                       # thirds
+        p = np.array(p)
+        p = p / p.sum()
+        cdf = p.cumsum()
+        cdf /= cdf[-1]
+        cuts = [math.ceil(v * 2 ** 53) for v in cdf[:-1]]
+        words = [(t - d) << 11 | low for t in cuts for d in (0, 1)
+                 for low in (0, 0x7FF)]
+        words += edges + [e - 1 for e in edges[1:]] + [2 ** 64 - 1]
+        words = np.array(words, dtype=np.uint64)
+        u = (words >> 11).astype(np.float64) * 2.0 ** -53
+        got = pt._choice_sampler(p)(Fixed(), (words.size,))
+        assert np.array_equal(got, cdf.searchsorted(u, side="right"))
 
 
 def _mc_reference(P, funcs, samples, seed):
@@ -1039,6 +1099,17 @@ def test_violation_mc_equals_the_choice_loop(instance, samples, seed):
         samples = 3 * (pt.CHUNK // funcs[0].n) + 5
     assert (pt.violation_mc(P, funcs, samples, seed)
             == _mc_reference(P, funcs, samples, seed))
+
+
+def test_violation_mc_reports_python_numbers():
+    # a numpy count would make every figure a numpy float, whose repr
+    # (np.float64(...)) changes printed and hashed reports
+    P = pr.nand_predicate(3)
+    funcs = _random_functions(np.random.default_rng(22), P.m, 6, P.s)
+    rep = pt.violation_mc(P, funcs, 3000, 7)
+    assert 0 < rep.probability < 1
+    assert all(type(v) is float
+               for v in (rep.probability, rep.half_width, *rep.interval))
 
 
 @pytest.mark.parametrize("samples", [200, 500])
