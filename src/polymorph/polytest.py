@@ -87,14 +87,10 @@ def _check_functions(P: Predicate, fs) -> tuple[int, int]:
     return n, P.s
 
 
-def _member_array(P: Predicate) -> np.ndarray:
-    return np.array(P.members, dtype=np.int64)
-
-
 def _member_table(P: Predicate) -> np.ndarray:
+    """Membership over Sigma^m by output code; the caller gates s^m."""
     table = np.zeros(P.s ** P.m, dtype=bool)
-    for w in P.members:
-        table[encode_point(w, P.s)] = True
+    table[P.member_array @ P.s ** np.arange(P.m)] = True
     return table
 
 
@@ -110,22 +106,28 @@ def _digits_within(K: int, n: int, limit: int) -> int:
     return next(c for c in range(n, -1, -1) if K ** c <= limit)
 
 
-def _column_tables(memb: np.ndarray, muvec: np.ndarray, c: int, s: int):
-    """(x, w) indexed by the code of a tuple of c columns (column 0 least
+def _column_tables(memb: np.ndarray, c: int, s: int) -> np.ndarray:
+    """x indexed by the code of a tuple of c columns (column 0 least
     significant): x[j] is function j's input code on it, in the narrowest
-    dtype that holds s^c codes, and w its weight, built one column at a
-    time; weights multiply in column order like a scan."""
+    dtype that holds s^c codes, built one column at a time."""
     code_t = np.min_scalar_type(s ** c - 1)
     digits = memb.T.astype(code_t)[:, :, None]
     x = np.zeros((memb.shape[1], 1), dtype=code_t)
-    w = np.ones(1)
     for i in range(c):
         # entry d * K^i + e is column i drawing member d after entry e; in
         # C order the sum runs along e (order K runs along d, 6x slower)
         x = np.add(x[:, None, :], digits * s ** i,
                    order="C").reshape(len(x), -1)
-        w = (w[None, :] * muvec[:, None]).ravel()
-    return x, w
+    return x
+
+
+def _column_weights(mu: np.ndarray, c: int) -> np.ndarray:
+    """The weights of _column_tables' codes, multiplied in column order
+    like a scan (funcspace._kron multiplies in reverse order)."""
+    w = np.ones(1)
+    for _ in range(c):
+        w = (w[None, :] * mu[:, None]).ravel()
+    return w
 
 
 def joint_output_distribution(P: Predicate, fs):
@@ -143,9 +145,7 @@ def joint_output_distribution(P: Predicate, fs):
         raise ResourceError(
             f"|P|^n = {K}^{n} exceeds ODOMETER_CAP = {ODOMETER_CAP}; use "
             f"violation_probability or violation_mc")
-    memb = _member_array(P)
-    mu = [float(w) for w in P.weights]
-    muvec = np.array(mu)
+    memb, mu = P.member_array, P.float_weights.tolist()
     in_p = _member_table(P)
     # a block is the K^c column codes of the low c digits; the high n - c
     # digits pick it.  Function j's rows hold its output digit in place
@@ -154,8 +154,9 @@ def joint_output_distribution(P: Predicate, fs):
     # a block's output codes are a sum of one row per function
     c = _digits_within(K, n, CHUNK)
     block = K ** c
-    low_x, low_w = _column_tables(memb, muvec, c, s)
-    high_x = _column_tables(memb, muvec, n - c, s)[0]
+    low_x = _column_tables(memb, c, s)
+    low_w = _column_weights(P.float_weights, c)
+    high_x = _column_tables(memb, n - c, s)
     code_t = np.min_scalar_type(s ** P.m - 1)
     rows, picks = [], []
     for j, f in enumerate(fs):
@@ -392,7 +393,7 @@ def _forward_by_classes(P: Predicate, trans, sizes, weights=None):
     With weights None the result is the boolean reachable-output table, so
     the check never turns on float underflow; with member weights it is the
     joint output law, summed by np.add.at in (block, member, tuple) order."""
-    memb = _member_array(P)
+    memb = P.member_array
     step = max(1, CHUNK // len(memb))
     R = np.ones(1, dtype=bool if weights is None else np.float64)
     for k in range(len(sizes) - 1):
@@ -420,7 +421,7 @@ def _search_by_classes(P: Predicate, trans, sizes, alpha_code: int) -> list:
     level goes in blocks of rows of its longest axis, all members each:
     CHUNK grid cells, or one row, the least that broadcasting allows."""
     m, n, K = P.m, len(sizes) - 1, len(P)
-    memb = _member_array(P)
+    memb = P.member_array
     B = [np.zeros(sizes[n], dtype=bool)]
     B[0][decode_point(alpha_code, m, P.s)] = True
     for k in range(n - 1, -1, -1):
@@ -474,7 +475,7 @@ def joint_output_distribution_contracted(P: Predicate, fs) -> np.ndarray:
     if cells > CONTRACTION_CAP:
         raise ResourceError(f"contraction buffer of {cells} cells exceeds "
                             f"CONTRACTION_CAP = {CONTRACTION_CAP}")
-    return _contract(P, fs, [float(w) for w in P.weights], trans[1:])
+    return _contract(P, fs, P.float_weights, trans[1:])
 
 
 def _law(P: Predicate, fs) -> np.ndarray:
@@ -482,10 +483,9 @@ def _law(P: Predicate, fs) -> np.ndarray:
     plan = _plan(P, fs)
     if plan.engine == "odometer":
         return joint_output_distribution(P, fs)[0]
-    weights = np.array([float(w) for w in P.weights])
     if plan.engine == "classes":
-        return _forward_by_classes(P, plan.trans, plan.sizes, weights)
-    return _contract(P, fs, weights, plan.trans[1:])
+        return _forward_by_classes(P, plan.trans, plan.sizes, P.float_weights)
+    return _contract(P, fs, P.float_weights, plan.trans[1:])
 
 
 def violation_probability(P: Predicate, fs) -> float:
@@ -592,18 +592,15 @@ def violation_mc(P: Predicate, fs, samples: int, seed: int) -> ViolationReport:
     if not isinstance(seed, numbers.Integral) or not 0 <= seed < 2 ** 128:
         raise DomainError(f"seed must be an integer in [0, 2^128), got {seed!r}")
     K = len(P)
-    memb = _member_array(P)
-    muvec = np.array([float(w) for w in P.weights])
-    muvec = muvec / muvec.sum()
     in_p = _member_table(P)
-    draw = _choice_sampler(muvec)
+    draw = _choice_sampler(P.float_weights / P.float_weights.sum())
     # coordinates a..b-1 form a group of at most c; its column code, the
     # digits times K^(i-a) summed (one float product, exact below
     # MC_GROUP_CAP), reads every function's input on the group times s^a
     c = max(1, _digits_within(K, n, MC_GROUP_CAP))
     starts = range(0, n, c)
     radix = np.zeros((len(starts), n))
-    by_width = {g: _column_tables(memb, muvec, g, s)[0]
+    by_width = {g: _column_tables(P.member_array, g, s)
                 for g in {c, n % c or c}}
     tables = []
     for g, a in enumerate(starts):

@@ -21,7 +21,8 @@ import numpy as np
 
 from .errors import (DomainError, ResourceError, UnsupportedError,
                      ValidationError)
-from .funcspace import Measure, parse_numbers, read_fields, text_lines
+from .funcspace import (SYMBOL_CAP, Measure, _integer, parse_numbers,
+                        read_fields, text_lines)
 
 RELATION_M_CAP = 16
 
@@ -38,12 +39,22 @@ def _to_fraction(w) -> Fraction:
 
 
 class Predicate:
-    """A weighted predicate: members of Sigma^m with positive rational weights."""
+    """A weighted predicate: members of Sigma^m with positive rational
+    weights.  Immutable; its O(|P| m) numeric views are built once, but no
+    table over Sigma^m, which m = 40 could not hold."""
+
+    __slots__ = ("m", "s", "members", "weights", "member_array",
+                 "float_weights", "_marginals", "_measures", "_index")
 
     def __init__(self, m: int, s: int, members, weights=None):
+        m, s = _integer(m, "arity m"), _integer(s, "alphabet size s")
         if m < 1 or s < 2:
             raise ValidationError("need m >= 1 coordinates and s >= 2 symbols")
-        members = [tuple(int(v) for v in w) for w in members]
+        if s > SYMBOL_CAP:  # no symbol table holds it; marginals are m x s
+            raise ResourceError(f"predicate alphabet {s} exceeds cap "
+                                f"{SYMBOL_CAP} of symbol tables")
+        members = tuple(tuple(_integer(v, "symbol") for v in w)
+                        for w in members)
         if not members:
             raise ValidationError("empty predicate")
         if len(set(members)) != len(members):
@@ -64,11 +75,31 @@ class Predicate:
         total = sum(weights)
         if abs(float(total) - 1.0) > 1e-12:
             raise ValidationError(f"weights sum to {float(total)}, not 1")
-        self.m = m
-        self.s = s
-        self.members = members
-        self.weights = [w / total for w in weights]
-        self._index = {w: i for i, w in enumerate(members)}
+        weights = tuple(w / total for w in weights)
+        marginals = [[Fraction(0)] * s for _ in range(m)]
+        for w, p in zip(members, weights):
+            for marg, v in zip(marginals, w):
+                marg[v] += p
+        measures = tuple(Measure([float(p) for p in marg])
+                         for marg in marginals)
+        member_array = np.array(members, dtype=np.int64)
+        float_weights = np.array([float(p) for p in weights])
+        for arr in (member_array, float_weights, *(mu.probs for mu in measures)):
+            arr.flags.writeable = False
+        values = (m, s, members, weights, member_array, float_weights,
+                  tuple(map(tuple, marginals)), measures,
+                  {w: i for i, w in enumerate(members)})
+        for name, value in zip(self.__slots__, values):  # in slot order
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Predicate is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"Predicate is immutable: cannot delete {name!r}")
+
+    def __reduce__(self):
+        return Predicate, (self.m, self.s, self.members, self.weights)
 
     # -- basic queries -------------------------------------------------------
 
@@ -86,23 +117,25 @@ class Predicate:
     def min_weight(self) -> Fraction:
         return min(self.weights)
 
+    def _coordinate(self, j) -> int:
+        k = _integer(j, "coordinate")
+        if not 0 <= k < self.m:
+            raise DomainError(f"coordinate {j} outside range(0, {self.m})")
+        return k
+
     def marginal(self, j: int) -> list[Fraction]:
         """Distribution of w_j, one entry per symbol (exact)."""
-        if not (0 <= j < self.m):
-            raise DomainError(f"coordinate {j} outside range(0, {self.m})")
-        out = [Fraction(0)] * self.s
-        for w, p in zip(self.members, self.weights):
-            out[w[j]] += p
-        return out
+        return list(self._marginals[self._coordinate(j)])
 
     def marginal_measure(self, j: int) -> Measure:
-        return Measure([float(p) for p in self.marginal(j)])
+        """mu|_j as a shared Measure with read-only probs."""
+        return self._measures[self._coordinate(j)]
 
     def project(self, I) -> "Predicate":
         """Pushforward onto the coordinates in I, in increasing order."""
-        I = sorted(set(I))
-        if not I or any(not (0 <= j < self.m) for j in I):
-            raise DomainError("projection coordinates outside range")
+        I = sorted({self._coordinate(j) for j in I})
+        if not I:
+            raise DomainError("projection needs at least one coordinate")
         acc: dict[tuple, Fraction] = {}
         for w, p in zip(self.members, self.weights):
             key = tuple(w[j] for j in I)
@@ -125,10 +158,7 @@ class ValidationReport:
 
 
 def validate(P: Predicate) -> ValidationReport:
-    """Recheck invariants and report marginals and degenerate coordinates."""
-    total = sum(P.weights)
-    if total != 1:
-        raise ValidationError("weights no longer sum to one")
+    """Report the marginals P stores and the degenerate coordinates."""
     margs = tuple(tuple(float(p) for p in P.marginal(j)) for j in range(P.m))
     degenerate = tuple(j for j in range(P.m)
                        if sum(1 for p in P.marginal(j) if p > 0) == 1)
@@ -306,21 +336,20 @@ def maxterms(P: Predicate) -> list[frozenset]:
 STAR = None  # star marker inside patterns
 
 
+@dataclass(frozen=True, slots=True)
 class StarLaw:
     """A distribution over members of P plus one star pattern per flexible j."""
 
-    def __init__(self, P: Predicate, q: Fraction, patterns, probs, star_coords):
-        self.predicate = P
-        self.q = q
-        self.patterns = patterns          # tuples over Sigma union {None}
-        self.probs = probs                # exact Fractions, sum to one
-        self.star_coords = star_coords    # None for members, j for star at j
-        total = sum(probs)
+    predicate: Predicate
+    q: Fraction
+    patterns: tuple         # tuples over Sigma union {None}
+    probs: tuple            # exact Fractions, sum to one
+    star_coords: tuple      # None for members, j for star at j
+
+    def __post_init__(self):
+        total = sum(self.probs)
         if total != 1:
             raise ValidationError(f"star-law probabilities sum to {total}")
-
-    def float_probs(self) -> np.ndarray:
-        return np.array([float(p) for p in self.probs])
 
     def compose(self) -> dict:
         """Exact pushforward after substituting each star from mu|_j."""
@@ -340,7 +369,8 @@ class StarLaw:
         return out
 
     def sample_indices(self, rng, size: int) -> np.ndarray:
-        return rng.choice(len(self.patterns), size=size, p=self.float_probs())
+        return rng.choice(len(self.patterns), size=size,
+                          p=np.array([float(p) for p in self.probs]))
 
     def __repr__(self):
         stars = sum(1 for j in self.star_coords if j is not None)
@@ -385,7 +415,7 @@ def star_law(P: Predicate, q=None) -> StarLaw:
         patterns.append(pat)
         probs.append(q)
         star_coords.append(j)
-    return StarLaw(P, q, patterns, probs, star_coords)
+    return StarLaw(P, q, tuple(patterns), tuple(probs), tuple(star_coords))
 
 
 # -- text file format ----------------------------------------------------------

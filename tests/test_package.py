@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import polymorph
-from polymorph import funcspace, polytest, regularity
+from polymorph import funcspace, polytest, predicates, regularity
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -51,6 +51,8 @@ def test_records_are_frozen_and_slotted():
             or "__slots__" not in vars(c)] == []
     assert "__slots__" in vars(funcspace.FunctionTable)
     assert not hasattr(funcspace.constant(2, 0), "__dict__")
+    assert "__slots__" in vars(predicates.Predicate)
+    assert not hasattr(predicates.nand_predicate(2), "__dict__")
 
 
 @pytest.mark.parametrize("module, name", [

@@ -1,5 +1,7 @@
+import copy
 import itertools
 import math
+import pickle
 import sys
 import threading
 import tracemalloc
@@ -419,6 +421,34 @@ def oracle_instances(draw):
     funcs = [fs.from_values(n, s, codomain, draw(structured_values(n, s)))
              for _ in range(m)]
     return P, funcs
+
+
+@settings(max_examples=100, deadline=None)
+@given(oracle_instances(), st.data())
+def test_predicate_views_equal_the_exact_forms(instance, data):
+    P, _ = instance
+    raw = data.draw(st.lists(st.integers(1, 10 ** 6), min_size=len(P),
+                             max_size=len(P)))
+    for P in (P, pr.Predicate(P.m, P.s, P.members,
+                              [Fraction(r, sum(raw)) for r in raw])):
+        assert (P.float_weights.tobytes()
+                == np.array([float(w) for w in P.weights]).tobytes())
+        assert P.member_array.dtype == np.int64
+        assert np.array_equal(P.member_array, np.array(P.members))
+        margs = [[sum((p for w, p in zip(P.members, P.weights) if w[j] == a),
+                      Fraction(0)) for a in range(P.s)] for j in range(P.m)]
+        assert [P.marginal(j) for j in range(P.m)] == margs
+        assert [P.marginal_measure(j).probs.tobytes() for j in range(P.m)] \
+            == [np.array([float(p) for p in marg]).tobytes() for marg in margs]
+        for Q in (pickle.loads(pickle.dumps(P)), copy.deepcopy(P),
+                  pr.parse_predicate(pr.format_predicate(P))):
+            assert (Q.m, Q.s, Q.members, Q.weights) \
+                == (P.m, P.s, P.members, P.weights)
+            assert Q.member_array.tobytes() == P.member_array.tobytes()
+            assert Q.float_weights.tobytes() == P.float_weights.tobytes()
+            assert [Q.marginal(j) for j in range(P.m)] == margs
+            assert [Q.marginal_measure(j) for j in range(P.m)] \
+                == [P.marginal_measure(j) for j in range(P.m)]
 
 
 @st.composite
@@ -853,9 +883,9 @@ def test_column_tables_match_a_per_digit_scan(instance, c):
     K = len(P)
     while K ** c > 1024:
         c -= 1
-    memb = pt._member_array(P)
     mu = [float(w) for w in P.weights]
-    x, w = pt._column_tables(memb, np.array(mu), c, P.s)
+    x = pt._column_tables(P.member_array, c, P.s)
+    w = pt._column_weights(np.array(mu), c)
     ref_x = np.zeros((P.m, K ** c), dtype=np.int64)
     ref_w = np.ones(K ** c)
     for code in range(K ** c):
@@ -887,7 +917,7 @@ def test_column_codes_past_one_byte_equal_the_references():
     P = pr.Predicate(2, 2, [(0, 0), (1, 1)])
     n = 16
     funcs = _random_functions(np.random.default_rng(23), P.m, n, P.s)
-    x, _ = pt._column_tables(pt._member_array(P), np.ones(2), 12, P.s)
+    x = pt._column_tables(P.member_array, 12, P.s)
     assert x.dtype == np.uint16 and x.max() == 2 ** 12 - 1
     Q, first_bad = pt.joint_output_distribution(P, funcs)
     ref_Q, ref_bad = _odometer_reference(P, funcs, pt.CHUNK)

@@ -6,7 +6,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from polymorph.errors import (DomainError, UnsupportedError, ValidationError)
+from polymorph.errors import (DomainError, ResourceError, UnsupportedError,
+                             ValidationError)
 from polymorph import predicates as pr
 
 
@@ -28,7 +29,47 @@ def test_constructor_validation():
         with pytest.raises(ValidationError):
             pr.Predicate(2, 2, [(0, 0), (1, 1)], weights)
     assert pr.Predicate(2, 2, [(0, 0), (1, 1)], ["25e-2", "3/4"]).weights \
-        == [Fraction(1, 4), Fraction(3, 4)]
+        == (Fraction(1, 4), Fraction(3, 4))
+    # the marginals hold m x s entries, so s is capped as symbol tables are
+    with pytest.raises(ResourceError, match="alphabet 257 exceeds cap 256"):
+        pr.Predicate(1, 257, [(0,)])
+
+
+@pytest.mark.parametrize("call", [
+    lambda: pr.Predicate(2, 2, [(0.5, 1), (1, 0)]),
+    lambda: pr.Predicate(2, 2, [("1", "0"), (0, 0)]),
+    lambda: pr.Predicate(2, 2, [(float("nan"), 1), (1, 0)]),
+    lambda: pr.Predicate(2.0, 2, [(0, 1), (1, 0)]),
+    lambda: pr.Predicate(2, 2.0, [(0, 1), (1, 0)]),
+    lambda: pr.nand_predicate(2).marginal(1.5),
+    lambda: pr.nand_predicate(2).marginal_measure(0.0),
+    lambda: pr.nand_predicate(2).project([0.5, 1]),
+], ids=["half-symbol", "string-symbol", "nan-symbol", "float-m", "float-s",
+        "marginal", "marginal-measure", "project"])
+def test_non_integer_inputs_raise_domain_error(call):
+    # the integer rule of function tables: numpy integers and bools pass,
+    # and a float, string or NaN raises instead of truncating or failing late
+    with pytest.raises(DomainError, match="is not an integer"):
+        call()
+
+
+def test_predicate_is_immutable():
+    P = pr.nand_predicate(3)
+    for name in pr.Predicate.__slots__ + ("extra",):
+        with pytest.raises(AttributeError):
+            setattr(P, name, None)
+    with pytest.raises(AttributeError):
+        del P.members
+    for arr in (P.member_array, P.float_weights, P.marginal_measure(0).probs):
+        with pytest.raises(ValueError):
+            arr[0] = 0
+    marg = P.marginal(0)
+    marg[0] = Fraction(1)
+    assert P.marginal(0) == [Fraction(4, 7), Fraction(3, 7)]
+    assert P.marginal_measure(0).probs.tolist() == [4 / 7, 3 / 7]
+    Q = pr.Predicate(np.int64(2), 2, [(np.uint8(0), True), (1, 0)])
+    assert repr(Q) == "Predicate(m=2, s=2, |P|=2)"
+    assert Q.members == ((0, 1), (1, 0))
 
 
 def test_marginals_and_min_weight():
