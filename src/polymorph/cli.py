@@ -221,7 +221,7 @@ class RunSpec:
     pred: pr.Predicate            # loaded and validated when parsed
     n: int | None
     plant: str | None
-    fn: tuple
+    fn: tuple                     # the loaded tables of its fn paths
     flip: float
     repeats: int
     eps: float
@@ -263,10 +263,10 @@ def _run_spec(label: str, lines, base: Path) -> RunSpec:
         raise ValidationError(f"{where}: give exactly one of plant or fn")
     if plant and "n" not in kv:
         raise ValidationError(f"{where}: plant needs n")
-    for rel in fns:
-        if load("fn", rel, fs.load_function).s != P.s:
-            raise ValidationError(f"{where}: function alphabet does not "
-                                  "match the predicate")
+    tables = tuple(load("fn", rel, fs.load_function) for rel in fns)
+    if any(f.s != P.s for f in tables):
+        raise ValidationError(f"{where}: function alphabet does not "
+                              "match the predicate")
     opts = {**RUN_DEFAULTS, **kv}
     if not 0 <= opts["flip"] < 0.5:
         raise ValidationError(f"{where}: flip rate must lie in [0, 1/2)")
@@ -279,7 +279,7 @@ def _run_spec(label: str, lines, base: Path) -> RunSpec:
         if kv.get("eta") else None
     return RunSpec(label=label, pipeline=pipeline, pred=P,
                    n=kv.get("n"), plant=plant,
-                   fn=tuple(str(base / rel) for rel in fns),
+                   fn=tables,
                    flip=opts["flip"], repeats=opts["repeats"],
                    eps=kv.get("eps", 0.0), eta=eta, d=opts["d"],
                    tau=opts["tau"], attempts=opts["attempts"])
@@ -358,7 +358,7 @@ def _run_one(run: RunSpec, seed: int, out_dir, r: int):
         inst = plant_and_perturb(P, run.n, run.plant, run.flip, seed)
         tables, before = list(inst.fs), inst.violation
     else:
-        tables = _load_functions(run.fn)
+        tables = list(run.fn)
         before = pt.violation_probability(P, tables)
     res = after = None
     if run.pipeline != "polytest":

@@ -69,9 +69,10 @@ def _kron(vecs) -> np.ndarray:
     return out
 
 
-def _check_size(n: int, s: int, name: str = "n") -> None:
+def _check_size(n: int, s: int, name: str = "n") -> tuple:
     """Size gate of a dense array over Sigma^n, run before it is allocated;
-    messages call n by name."""
+    messages call n by name.  Returns (n, s) as ints (see _integer)."""
+    n, s = _integer(n, name), _integer(s, "alphabet size")
     if s < 2:
         raise ValidationError("alphabet needs at least two symbols")
     if n < 1:
@@ -82,6 +83,7 @@ def _check_size(n: int, s: int, name: str = "n") -> None:
     # power of a huge parsed n would run for minutes before the comparison
     if n > TABLE_CAP.bit_length() or s ** n > TABLE_CAP:
         raise ResourceError(f"table size {s}^{n} exceeds cap {TABLE_CAP}")
+    return n, s
 
 
 def _digits(n: int, s: int) -> np.ndarray:
@@ -133,7 +135,7 @@ class Measure:
 
     @classmethod
     def uniform(cls, s: int) -> "Measure":
-        return cls(np.full(s, 1.0 / s))
+        return cls(np.full(_integer(s, "alphabet size"), 1.0 / s))
 
     @classmethod
     def bernoulli(cls, p: float) -> "Measure":
@@ -167,7 +169,7 @@ class ProductMeasure:
 
     @classmethod
     def iid(cls, measure: Measure, n: int) -> "ProductMeasure":
-        return cls([measure] * n)
+        return cls([measure] * _integer(n, "n"))
 
     @classmethod
     def uniform(cls, n: int, s: int = 2) -> "ProductMeasure":
@@ -272,7 +274,7 @@ class FunctionTable:
     def __init__(self, n: int, s: int, codomain: str, values):
         if codomain not in CODOMAINS:
             raise ValidationError(f"unknown codomain {codomain!r}")
-        _check_size(n, s)
+        n, s = _check_size(n, s)
         if codomain != "real" and s > SYMBOL_CAP:
             raise ResourceError(f"{codomain} table alphabet {s} exceeds cap "
                                 f"{SYMBOL_CAP} of its uint8 entries")

@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DomainError, UnsupportedError, ValidationError
-from .funcspace import FunctionTable, Measure, ProductMeasure, _digits
+from .funcspace import FunctionTable, Measure, ProductMeasure, _digits, _kron
 
 IDENTITY_TOL = 1e-9
 
@@ -73,6 +73,27 @@ def orthonormal_basis(measure: Measure) -> np.ndarray:
     return basis
 
 
+def _energy(stack: np.ndarray, measures) -> tuple:
+    """Transform a (T, s, ..., s) stack laid out like a cell view (the last
+    axis holds measures[0]) once, check Parseval per table, and return the
+    coefficients (T, s^k), the Efron-Stein energy E (T, 2^k) with E[t, S] =
+    ||f_S||^2 for the support bitmask S, and the 0/1 support bits (k, 2^k),
+    row i flagging the masks that hold coordinate i.  At s >= 3 each axis
+    of the squared coefficients collapses to (constant, non-constant); at
+    s = 2 a coefficient index already is its support mask."""
+    T, k, s = len(stack), len(measures), measures[0].s
+    coeffs = _transform(stack, _forward_mats(measures)).reshape(T, -1)
+    c2 = coeffs ** 2
+    total = stack.reshape(T, -1) ** 2 @ _kron(m.probs for m in measures)
+    if np.any(np.abs(c2.sum(axis=1) - total)
+              > IDENTITY_TOL * np.maximum(1.0, total)):
+        raise ValidationError("Parseval identity failed beyond tolerance")
+    for j in range(k) if s > 2 else ():  # the most significant axis first
+        X = c2.reshape(-1, s, s ** (k - 1 - j))
+        c2 = np.stack((X[:, 0], X[:, 1:].sum(axis=1)), axis=1)
+    return coeffs, c2.reshape(T, -1), _digits(k, 2)
+
+
 class Decomposition:
     """The orthogonal decomposition of one function table."""
 
@@ -83,25 +104,12 @@ class Decomposition:
         self.nu = nu
         self.bases = [orthonormal_basis(m) for m in nu.measures]
         arr = f.as_real().reshape((1,) + (self.s,) * self.n)
-        self.coeffs = _transform(arr, _forward_mats(nu.measures)).reshape(-1)
-        # support bitmask and level of every coefficient index
-        digits = _digits(self.n, self.s) != 0
-        levels = digits.sum(axis=0, dtype=np.int64)
-        masks = np.zeros(levels.size, dtype=np.int64)
-        c2 = self.coeffs ** 2
-        self.coord_level_norm2 = np.zeros((self.n, self.n + 1))
-        for i, sel in enumerate(digits):
-            masks[sel] |= 1 << i
-            self.coord_level_norm2[i] = np.bincount(
-                levels[sel], weights=c2[sel], minlength=self.n + 1)
-        self._masks = masks
-        self.norm2_by_mask = np.zeros(1 << self.n)
-        np.add.at(self.norm2_by_mask, masks, c2)
-        self.level_norm2 = np.bincount(levels, weights=c2, minlength=self.n + 1)
-        total = float(np.dot(nu.weights(), f.as_real() ** 2))
-        if abs(float(c2.sum()) - total) > IDENTITY_TOL * max(1.0, total):
-            raise ValidationError("Parseval identity failed beyond tolerance")
-        self.total_norm2 = total
+        coeffs, E, self._bits = _energy(arr, nu.measures)
+        self.coeffs, self.norm2_by_mask = coeffs[0], E[0]
+        self._levels = self._bits.sum(axis=0, dtype=np.int64)
+        self.level_norm2 = np.bincount(self._levels, weights=E[0],
+                                       minlength=self.n + 1)
+        self.total_norm2 = float(np.dot(nu.weights(), f.as_real() ** 2))
 
     def _mask_of(self, S) -> int:
         mask = 0
@@ -128,27 +136,26 @@ class Decomposition:
     def component(self, S) -> np.ndarray:
         """Dense table of the component f_S (plain real values)."""
         mask = self._mask_of(S)
-        kept = np.where(self._masks == mask, self.coeffs, 0.0)
-        return self._inverse(kept)
+        masks = (1 << np.arange(self.n)) @ (_digits(self.n, self.s) != 0)
+        return self._inverse(np.where(masks == mask, self.coeffs, 0.0))
 
     def reconstruct(self) -> np.ndarray:
         """Sum of all components; equals the input table up to roundoff."""
         return self._inverse(self.coeffs)
 
+    def _weigh(self, i: int, w: np.ndarray) -> float:
+        """Energy of the supports that hold coordinate i, weighted by w."""
+        self._mask_of([i])  # the range check
+        return float(self.norm2_by_mask @ (self._bits[i] * w))
+
     def low_degree_influence(self, i: int, d: int) -> float:
-        if not (0 <= i < self.n):
-            raise DomainError(f"coordinate {i} outside range(0, {self.n})")
-        return float(self.coord_level_norm2[i, : d + 1].sum())
+        return self._weigh(i, self._levels <= d)
 
     def noisy_influence(self, i: int, rho: float) -> float:
-        if not (0 <= i < self.n):
-            raise DomainError(f"coordinate {i} outside range(0, {self.n})")
-        pows = rho ** np.arange(self.n + 1)
-        return float(np.dot(self.coord_level_norm2[i], pows))
+        return self._weigh(i, rho ** self._levels)
 
     def stability(self, rho: float) -> float:
-        pows = rho ** np.arange(self.n + 1)
-        return float(np.dot(self.level_norm2, pows))
+        return float(self.norm2_by_mask @ rho ** self._levels)
 
     def export_rows(self) -> str:
         """One text row per nonempty-mass subset: S=<1-based list> norm2=<v>.

@@ -16,10 +16,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DomainError, ResourceError, ValidationError
-from .funcspace import (FunctionTable, ProductMeasure, _cell_view, _digits,
-                        _kron, decode_point)
-from .harmonics import IDENTITY_TOL, _forward_mats, _transform
+from .errors import DomainError, ResourceError
+from .funcspace import (FunctionTable, ProductMeasure, _cell_view, _kron,
+                        decode_point)
+from .harmonics import _energy
 
 CELL_CAP = 1 << 16
 GAIN_SLACK = 1e-15
@@ -267,10 +267,9 @@ def _cell_influences(f: FunctionTable, J, d: int, tau: float,
     tables), with ties keeping the earliest coordinate.
 
     Every cell is transformed at once, those of a sym table's s indicator
-    tables in one stack: each free coordinate's forward basis runs along
-    the cell view, and the squared coefficients meet one
-    (free coordinate x coefficient) mask of "non-constant at the
-    coordinate and level at most d".  Returns (cell weights, influences,
+    tables in one stack, and the energy of each cell (harmonics._energy)
+    meets one (support x free coordinate) mask of "contains the
+    coordinate and has level at most d".  Returns (cell weights, influences,
     coordinates), or None when J leaves no coordinate free: every cell is
     then a single point, hence constant and regular.
     """
@@ -288,23 +287,14 @@ def _cell_influences(f: FunctionTable, J, d: int, tau: float,
         return None
     if s ** len(J) > CELL_CAP:
         raise ResourceError(f"{s}^{len(J)} cells exceed CELL_CAP = {CELL_CAP}")
-    F = [i for i in range(n) if i not in J]
-    free = [nu.measures[c] for c in F]
-    fwd = _forward_mats(free)
-    w_free = _kron(m.probs for m in free)
-    digits = _digits(len(F), s) != 0
-    low = (digits & (digits.sum(axis=0) <= d)).T.astype(np.float64)
     stack = _real_stack(f)
-    T = len(stack)
-    G = _cell_view(stack, n, s, J)[0].reshape(-1, s ** len(F))
-    c2 = _transform(G.reshape((-1,) + (s,) * len(F)), fwd).reshape(G.shape) ** 2
-    total = (G ** 2) @ w_free
-    if np.any(np.abs(c2.sum(axis=1) - total)
-              > IDENTITY_TOL * np.maximum(1.0, total)):
-        raise ValidationError("Parseval identity failed beyond tolerance")
+    G, _, F = _cell_view(stack, n, s, J)
+    _, E, bits = _energy(G.reshape((-1,) + (s,) * len(F)),
+                         [nu.measures[c] for c in F])
+    low = (bits & (bits.sum(axis=0) <= d)).T.astype(np.float64)
     # columns run symbol-major, so argmax keeps the earliest on ties
-    infs = (c2 @ low).reshape(T, -1, len(F)).transpose(1, 0, 2).reshape(
-        -1, T * len(F))
+    infs = (E @ low).reshape(G.shape[:2] + (len(F),)).transpose(
+        1, 0, 2).reshape(G.shape[1], -1)
     k = infs.argmax(axis=1)
     return (_kron(nu.measures[c].probs for c in J), infs.max(axis=1),
             np.asarray(F)[k % len(F)])

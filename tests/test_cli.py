@@ -334,6 +334,23 @@ def test_experiment_mixed_pipelines_tagged(tmp_path):
     assert rows[2][exact] == "yes"
 
 
+def test_experiment_loads_each_fn_file_once(tmp_path, monkeypatch):
+    # the run keeps the tables it checked when parsed, so repeats reuse them
+    _write_fixtures(tmp_path)
+    cfg = tmp_path / "files.cfg"
+    cfg.write_text("seed = 2\n[run f]\npipeline = monotone\n"
+                   "pred = nand2.pred\nfn = noisy0.fn,noisy1.fn\n"
+                   "repeats = 3\neps = 0.1\ntau = 0.2\n")
+    load, calls = fs.load_function, []
+    monkeypatch.setattr(fs, "load_function",
+                        lambda path: calls.append(path) or load(path))
+    header, rows = cli.run_experiment(cli.parse_experiment_config(cfg))
+    assert len(calls) == 2
+    # the correction leaves the shared tables as they were
+    keep = [k for k, c in enumerate(header) if c not in ("instance", "seed")]
+    assert len({tuple(row[k] for k in keep) for row in rows}) == 1
+
+
 def test_experiment_saved_outputs_reverify(tmp_path):
     cfg = _nand_batch_config(tmp_path, repeats=3)
     out_dir = tmp_path / "saved"

@@ -143,6 +143,32 @@ def test_integer_like_coordinates_are_accepted():
         fs.PartialAssignment.from_dict(3, {np.int64(3): 1})
 
 
+@pytest.mark.parametrize("make", [
+    lambda: fs.FunctionTable(2.0, 2, "bit", [0, 1, 1, 0]),
+    lambda: fs.FunctionTable(2, 2.0, "bit", [0, 1, 1, 0]),
+    lambda: fs.dictator(3.0, 1),
+    lambda: fs.character(3.0, [0]),
+    lambda: fs.constant(2.0, 1),
+    lambda: fs.Measure.uniform(2.0),
+    lambda: fs.ProductMeasure.uniform(2.0),
+    lambda: fs.ProductMeasure.iid(fs.Measure.uniform(2), 2.0),
+], ids=["table-n", "table-s", "dictator", "character", "constant",
+        "measure-uniform", "product-uniform", "product-iid"])
+def test_non_integer_sizes_are_refused(make):
+    # n and s follow the integer rule of symbols: a float such as 2.0 is
+    # neither stored nor left to fail as a bare TypeError
+    with pytest.raises(DomainError, match="is not an integer"):
+        make()
+
+
+def test_numpy_integer_sizes_are_accepted():
+    f = fs.FunctionTable(np.int64(2), np.uint8(2), "bit", [0, 1, 1, 0])
+    assert (type(f.n), type(f.s), repr(f)) \
+        == (int, int, "FunctionTable(n=2, s=2, codomain='bit')")
+    assert fs.dictator(np.int32(3), 1, np.int64(3)).equals(fs.dictator(3, 1, 3))
+    assert fs.ProductMeasure.uniform(np.int64(3), np.int64(3)).n == 3
+
+
 def test_numpy_integer_symbols_are_accepted():
     f = fs.dictator(3, 0, s=3)
     assert f.eval([np.int64(2), np.uint8(0), 1]) == 2

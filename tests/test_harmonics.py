@@ -4,7 +4,9 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+import efron_stein as es
 from polymorph.errors import UnsupportedError, ValidationError
 from polymorph import funcspace as fs
 from polymorph import harmonics as hm
@@ -128,6 +130,40 @@ def test_component_conditional_expectation_vanishes():
             sub_nu = nu.subset(sorted(set(range(4)) - set(T)))
             avg = float(np.dot(sub_nu.weights(), sub.as_real())) - 0.5
             assert abs(avg) < 1e-9
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from((2, 3, 4)), st.integers(1, 3),
+       st.sampled_from(("bit", "real")), st.integers(0, 2 ** 32 - 1),
+       st.booleans(), st.floats(0.0, 1.0))
+@example(3, 1, "real", 0, False, 0.5)   # n = 1: one coordinate, two masks
+@example(4, 3, "bit", 1, True, 0.5)     # a junta that ignores one coordinate
+def test_decomposition_matches_efron_stein_reference(s, n, codomain, seed,
+                                                     ignore_one, rho):
+    rng = np.random.default_rng(seed)
+    nu = fs.ProductMeasure([fs.Measure(w / w.sum())
+                            for w in rng.uniform(0.2, 1.0, (n, s))])
+    if ignore_one and n > 1:
+        free = int(rng.integers(n))
+        inner = rng.uniform(0, 1, s ** (n - 1)) if codomain == "real" \
+            else rng.integers(0, 2, s ** (n - 1))
+        f = fs.junta(n, [i for i in range(n) if i != free], inner, s,
+                     codomain)
+    else:
+        f = _random_table(rng, n, s, codomain)
+    dec = hm.Decomposition(f, nu)
+    norm2 = es.component_norm2(f.as_real(), nu)
+    assert np.max(np.abs(dec.norm2_by_mask - norm2)) < 1e-12
+    assert np.max(np.abs(dec.level_norm2 - es.level_norm2(norm2, n))) < 1e-12
+    for d in range(1, n + 1):
+        want = es.weighted_influences(norm2, n, lambda level: level <= d)
+        got = [dec.low_degree_influence(i, d) for i in range(n)]
+        assert np.max(np.abs(np.array(got) - want)) < 1e-12
+    want = es.weighted_influences(norm2, n, lambda level: rho ** level)
+    got = [dec.noisy_influence(i, rho) for i in range(n)]
+    assert np.max(np.abs(np.array(got) - want)) < 1e-12
+    if ignore_one and n > 1:
+        assert dec.noisy_influence(free, 1.0) < 1e-12
 
 
 def test_low_degree_influence_dictator_and_parity():

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 import polymorph.funcspace as fs
 import polymorph.harmonics as hm
 import polymorph.regularity as rg
+import efron_stein as es
 from polymorph.errors import DomainError, ResourceError
 
 
@@ -375,9 +376,9 @@ def cell_instances(draw):
 
 def _per_cell_records(f, J, d, nu):
     """(cell, weight, influence, coordinate) per cell of sorted J, in cell
-    index order, from one Decomposition per restricted table: the largest
-    degree-<= d influence over free coordinates, then symbols, with the
-    earliest entry winning ties."""
+    index order, from the Efron-Stein reference on every restricted table:
+    the largest degree-<= d influence over free coordinates, then symbols,
+    with the earliest entry winning ties."""
     Js = sorted(J)
     F = [i for i in range(f.n) if i not in Js]
     subs = [f] if f.codomain != "sym" else [
@@ -387,14 +388,11 @@ def _per_cell_records(f, J, d, nu):
         cell = fs.decode_point(c, len(Js), f.s)
         a = fs.PartialAssignment.from_dict(f.n, dict(zip(Js, cell)), s=f.s)
         weight = nu.subset(Js).weight_of(cell) if Js else 1.0
-        best = (-1.0, -1)
-        for g in subs:
-            dec = hm.Decomposition(g.restrict(a), nu.subset(F))
-            for k, coord in enumerate(F):
-                v = dec.low_degree_influence(k, d)
-                if v > best[0]:
-                    best = (v, coord)
-        out.append((cell, weight) + best)
+        infs = np.array([es.weighted_influences(
+            es.component_norm2(g.restrict(a).as_real(), nu.subset(F)),
+            len(F), lambda level: level <= d) for g in subs])
+        k = int(infs.argmax())   # symbol-major, so the earliest entry wins
+        out.append((cell, weight, float(infs.flat[k]), F[k % len(F)]))
     return out
 
 
