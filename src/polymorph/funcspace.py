@@ -118,11 +118,39 @@ def _cell_view(values: np.ndarray, n: int, s: int, J) -> tuple:
     return G, Js, F
 
 
+def _orthonormal_basis(probs: np.ndarray) -> np.ndarray:
+    """Rows e_0 = 1, e_1, ..., orthonormal under the weighted inner product
+    of full-support probs.  Binary measures get e_1(x) = (x - p) /
+    sqrt(p (1 - p)) exactly."""
+    s = probs.size
+    if s == 2:
+        p = float(probs[1])
+        sigma = np.sqrt(p * (1.0 - p))
+        return np.array([[1.0, 1.0], [(0.0 - p) / sigma, (1.0 - p) / sigma]])
+    # complete sqrt(nu) to an orthonormal basis of R^s, then unweight
+    root = np.sqrt(probs)
+    mat = np.eye(s)
+    mat[:, 0] = root
+    q, _ = np.linalg.qr(mat)
+    if q[0, 0] * root[0] < 0:
+        q = -q
+    basis = q.T / root[np.newaxis, :]
+    basis[0] = 1.0
+    return basis
+
+
 class Measure:
-    """A probability distribution on a single coordinate alphabet."""
+    """A probability distribution on a single coordinate alphabet.
+
+    Immutable: it keeps a read-only copy of probs and builds once, when
+    every symbol has positive mass, the orthonormal basis (rows e_0 = 1,
+    e_1, ...) and the forward matrix basis * probs that takes values
+    along a coordinate to coefficients; both are None otherwise."""
+
+    __slots__ = ("probs", "s", "full_support", "basis", "forward")
 
     def __init__(self, probs: Sequence[float]):
-        arr = np.asarray(probs, dtype=np.float64)
+        arr = np.array(probs, dtype=np.float64)  # a copy the caller cannot edit
         if arr.ndim != 1 or arr.size < 2:
             raise ValidationError("measure needs at least two symbols")
         if not np.all(arr >= 0):
@@ -130,8 +158,24 @@ class Measure:
         if abs(float(arr.sum()) - 1.0) > NORM_TOL:
             raise ValidationError(
                 f"measure not normalized: sum = {float(arr.sum())!r}")
-        self.probs = arr
-        self.s = arr.size
+        full = bool(np.all(arr > 0))
+        basis = _orthonormal_basis(arr) if full else None
+        forward = basis * arr[np.newaxis, :] if full else None
+        for a in (arr, basis, forward):
+            if a is not None:
+                a.flags.writeable = False
+        for name, value in zip(self.__slots__,
+                               (arr, arr.size, full, basis, forward)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Measure is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"Measure is immutable: cannot delete {name!r}")
+
+    def __reduce__(self):
+        return Measure, (self.probs,)
 
     @classmethod
     def uniform(cls, s: int) -> "Measure":
@@ -142,10 +186,6 @@ class Measure:
         """Binary measure with Pr[1] = p."""
         return cls([1.0 - p, p])
 
-    @property
-    def full_support(self) -> bool:
-        return bool(np.all(self.probs > 0))
-
     def __eq__(self, other):
         return isinstance(other, Measure) and np.array_equal(self.probs, other.probs)
 
@@ -154,18 +194,33 @@ class Measure:
 
 
 class ProductMeasure:
-    """An independent product of per-coordinate measures."""
+    """An independent product of per-coordinate measures.  Immutable; its
+    dense weight vector is built on first use and is read-only."""
+
+    __slots__ = ("measures", "n", "s", "full_support", "_weights")
 
     def __init__(self, measures: Sequence[Measure]):
+        measures = tuple(measures)
         if not measures:
             raise ValidationError("empty product measure")
         s = measures[0].s
         if any(m.s != s for m in measures):
             raise ValidationError("mixed alphabet sizes in product measure")
-        self.measures = tuple(measures)
-        self.n = len(measures)
-        self.s = s
-        self._weights: np.ndarray | None = None
+        values = (measures, len(measures), s,
+                  all(m.full_support for m in measures), None)
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(
+            f"ProductMeasure is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(
+            f"ProductMeasure is immutable: cannot delete {name!r}")
+
+    def __reduce__(self):
+        return ProductMeasure, (self.measures,)
 
     @classmethod
     def iid(cls, measure: Measure, n: int) -> "ProductMeasure":
@@ -186,24 +241,16 @@ class ProductMeasure:
         return cls([Measure.bernoulli(float(q)) for q in ps])
 
     def weights(self) -> np.ndarray:
-        """Dense weight vector of length s^n in point-index order."""
+        """Dense read-only weight vector of length s^n in point-index order."""
         if self._weights is None:
-            self._weights = _kron([m.probs for m in self.measures])
+            w = _kron([m.probs for m in self.measures])
+            w.flags.writeable = False
+            object.__setattr__(self, "_weights", w)
         return self._weights
-
-    def weight_of(self, x: Sequence[int]) -> float:
-        w = 1.0
-        for i, m in enumerate(self.measures):
-            w *= float(m.probs[x[i]])
-        return w
 
     def subset(self, coords: Iterable[int]) -> "ProductMeasure":
         """Product of the marginals at the given coordinates, in given order."""
         return ProductMeasure([self.measures[i] for i in coords])
-
-    @property
-    def full_support(self) -> bool:
-        return all(m.full_support for m in self.measures)
 
     def __eq__(self, other):
         return (isinstance(other, ProductMeasure)

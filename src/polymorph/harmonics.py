@@ -19,58 +19,21 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DomainError, UnsupportedError, ValidationError
-from .funcspace import FunctionTable, Measure, ProductMeasure, _digits, _kron
+from .funcspace import FunctionTable, ProductMeasure, _digits, _kron
 
 IDENTITY_TOL = 1e-9
 
 
-def _axis_of(coord: int, n: int) -> int:
-    # values.reshape((s,)*n) puts coordinate n-1 on axis 0
-    return n - 1 - coord
-
-
-def _apply_along_axis(mat: np.ndarray, arr: np.ndarray, axis: int) -> np.ndarray:
-    out = np.tensordot(mat, arr, axes=([1], [axis]))
-    return np.moveaxis(out, 0, axis)
-
-
 def _transform(arr: np.ndarray, mats) -> np.ndarray:
     """Apply mats[k] along coordinate k of every cell of a (cells, s, ..., s)
-    tensor laid out like a cell view: the last axis holds coordinate 0."""
-    for k, mat in enumerate(mats):
-        arr = _apply_along_axis(mat, arr, len(mats) - k)
-    return arr
-
-
-def _forward_mats(measures) -> list:
-    """Per coordinate, the matrix taking a table's values along that axis
-    to its coefficients in the orthonormal basis."""
-    return [orthonormal_basis(m) * m.probs[np.newaxis, :] for m in measures]
-
-
-def orthonormal_basis(measure: Measure) -> np.ndarray:
-    """Rows e_0 = 1, e_1, ..., orthonormal under the weighted inner product.
-
-    Binary measures get e_1(x) = (x - p) / sqrt(p (1 - p)) exactly.
-    """
-    if not measure.full_support:
-        raise ValidationError("decomposition needs a full-support measure")
-    probs = measure.probs
-    s = measure.s
-    if s == 2:
-        p = float(probs[1])
-        sigma = np.sqrt(p * (1.0 - p))
-        return np.array([[1.0, 1.0], [(0.0 - p) / sigma, (1.0 - p) / sigma]])
-    # complete sqrt(nu) to an orthonormal basis of R^s, then unweight
-    root = np.sqrt(probs)
-    mat = np.eye(s)
-    mat[:, 0] = root
-    q, _ = np.linalg.qr(mat)
-    if q[0, 0] * root[0] < 0:
-        q = -q
-    basis = q.T / root[np.newaxis, :]
-    basis[0] = 1.0
-    return basis
+    tensor laid out like a cell view: the last axis holds coordinate 0.
+    Each step multiplies the last axis and rotates it to the front, so after
+    k steps every axis is back in place."""
+    shape, s = arr.shape, arr.shape[-1]
+    for mat in mats:
+        arr = (arr.reshape(-1, s) @ mat.T).reshape(shape[0], -1, s).transpose(
+            0, 2, 1)
+    return arr.reshape(shape)
 
 
 def _energy(stack: np.ndarray, measures) -> tuple:
@@ -82,11 +45,14 @@ def _energy(stack: np.ndarray, measures) -> tuple:
     of the squared coefficients collapses to (constant, non-constant); at
     s = 2 a coefficient index already is its support mask."""
     T, k, s = len(stack), len(measures), measures[0].s
-    coeffs = _transform(stack, _forward_mats(measures)).reshape(T, -1)
+    if not all(m.full_support for m in measures):
+        raise ValidationError("decomposition needs a full-support measure")
+    coeffs = _transform(stack, [m.forward for m in measures]).reshape(T, -1)
     c2 = coeffs ** 2
     total = stack.reshape(T, -1) ** 2 @ _kron(m.probs for m in measures)
-    if np.any(np.abs(c2.sum(axis=1) - total)
-              > IDENTITY_TOL * np.maximum(1.0, total)):
+    # phrased so that a NaN fails it
+    if not np.all(np.abs(c2.sum(axis=1) - total)
+                  <= IDENTITY_TOL * np.maximum(1.0, total)):
         raise ValidationError("Parseval identity failed beyond tolerance")
     for j in range(k) if s > 2 else ():  # the most significant axis first
         X = c2.reshape(-1, s, s ** (k - 1 - j))
@@ -102,9 +68,9 @@ class Decomposition:
             raise DomainError("measure does not match the function domain")
         self.n, self.s = f.n, f.s
         self.nu = nu
-        self.bases = [orthonormal_basis(m) for m in nu.measures]
         arr = f.as_real().reshape((1,) + (self.s,) * self.n)
         coeffs, E, self._bits = _energy(arr, nu.measures)
+        self.bases = [m.basis for m in nu.measures]
         self.coeffs, self.norm2_by_mask = coeffs[0], E[0]
         self._levels = self._bits.sum(axis=0, dtype=np.int64)
         self.level_norm2 = np.bincount(self._levels, weights=E[0],
@@ -183,13 +149,6 @@ def _numeric(f: FunctionTable) -> None:
             "functions into indicator tables first")
 
 
-def indicator_table(f: FunctionTable, symbol: int) -> FunctionTable:
-    """The bit table of the event f(x) = symbol."""
-    if f.codomain == "real":
-        raise UnsupportedError("indicators are for discrete codomains")
-    return FunctionTable(f.n, f.s, "bit", (f.values == symbol).astype(np.uint8))
-
-
 def low_degree_influence(f: FunctionTable, i: int, d: int, nu: ProductMeasure) -> float:
     """Inf_i of the degree-<= d part: sum of ||f_S||^2 over S containing i, |S| <= d."""
     _numeric(f)
@@ -206,35 +165,3 @@ def noise_stability(f: FunctionTable, rho: float, nu: ProductMeasure) -> float:
     """Stab_rho[f] = sum_S rho^|S| ||f_S||^2, from the decomposition."""
     _numeric(f)
     return Decomposition(f, nu).stability(rho)
-
-
-def noise_stability_resample(f: FunctionTable, rho: float, nu: ProductMeasure) -> float:
-    """Stab_rho[f] = E f(x) f(y), y resampling each coordinate w.p. 1 - rho.
-
-    Independent of the decomposition path; the two must agree to 1e-9.
-    """
-    _numeric(f)
-    if nu.n != f.n or nu.s != f.s:
-        raise DomainError("measure does not match the function domain")
-    arr = f.as_real().reshape((f.s,) * f.n)
-    for i in range(f.n):
-        probs = nu.measures[i].probs
-        op = rho * np.eye(f.s) + (1.0 - rho) * np.tile(probs, (f.s, 1))
-        arr = _apply_along_axis(op, arr, _axis_of(i, f.n))
-    return float(np.dot(nu.weights(), f.as_real() * arr.reshape(-1)))
-
-
-def average_out(f: FunctionTable, i: int, nu: ProductMeasure) -> FunctionTable:
-    """Replace f by its average over coordinate i; the result ignores x_i."""
-    _numeric(f)
-    if nu.n != f.n or nu.s != f.s:
-        raise DomainError("measure does not match the function domain")
-    if not (0 <= i < f.n):
-        raise DomainError(f"coordinate {i} outside range(0, {f.n})")
-    arr = f.as_real().reshape((f.s,) * f.n)
-    axis = _axis_of(i, f.n)
-    probs = nu.measures[i].probs.reshape(
-        tuple(f.s if a == axis else 1 for a in range(f.n)))
-    avg = (arr * probs).sum(axis=axis, keepdims=True)
-    out = np.broadcast_to(avg, arr.shape).reshape(-1)
-    return FunctionTable(f.n, f.s, "real", np.clip(out, 0.0, 1.0))

@@ -84,7 +84,7 @@ class Predicate:
                          for marg in marginals)
         member_array = np.array(members, dtype=np.int64)
         float_weights = np.array([float(p) for p in weights])
-        for arr in (member_array, float_weights, *(mu.probs for mu in measures)):
+        for arr in (member_array, float_weights):
             arr.flags.writeable = False
         values = (m, s, members, weights, member_array, float_weights,
                   tuple(map(tuple, marginals)), measures,

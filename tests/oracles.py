@@ -1,0 +1,51 @@
+"""Reference helpers for the tests, kept out of the package.
+
+Each works point by point or axis by axis on a dense table (coordinate 0
+least significant, so axis n - 1 - i of values.reshape((s,) * n) holds
+coordinate i) and calls nothing in `harmonics`, so the engines are checked
+against code they do not share.
+"""
+
+import numpy as np
+
+from polymorph import funcspace as fs
+
+
+def weight_of(nu, x):
+    """nu's mass at the point x, one factor per coordinate."""
+    w = 1.0
+    for m, v in zip(nu.measures, x):
+        w *= float(m.probs[v])
+    return w
+
+
+def indicator_table(f, symbol):
+    """The bit table of the event f(x) = symbol."""
+    return fs.FunctionTable(f.n, f.s, "bit",
+                            (f.values == symbol).astype(np.uint8))
+
+
+def _average(arr, i, n, probs):
+    """E over coordinate i of arr, kept as an axis of length 1."""
+    return np.expand_dims(np.average(arr, axis=n - 1 - i, weights=probs),
+                          n - 1 - i)
+
+
+def average_out(f, i, nu):
+    """f averaged over coordinate i under nu, as a real table that
+    ignores x_i."""
+    arr = f.as_real().reshape((f.s,) * f.n)
+    avg = _average(arr, i, f.n, nu.measures[i].probs)
+    out = np.broadcast_to(avg, arr.shape).reshape(-1)
+    return fs.FunctionTable(f.n, f.s, "real", np.clip(out, 0.0, 1.0))
+
+
+def noise_stability_resample(f, rho, nu):
+    """Stab_rho[f] = E f(x) f(y), y keeping each coordinate of x w.p. rho
+    and resampling it from its marginal otherwise: T_rho f is rho f plus
+    (1 - rho) times the average over the coordinate, one coordinate at a
+    time."""
+    arr = f.as_real().reshape((f.s,) * f.n)
+    for i, m in enumerate(nu.measures):
+        arr = rho * arr + (1.0 - rho) * _average(arr, i, f.n, m.probs)
+    return float(np.dot(nu.weights(), f.as_real() * arr.reshape(-1)))

@@ -1,7 +1,9 @@
 """Tables, measures, restriction, distance, cells, and the file format."""
 
+import copy
 import itertools
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -13,11 +15,13 @@ from hypothesis import given, settings, strategies as st
 from polymorph.errors import (DomainError, ResourceError, ValidationError)
 from polymorph import funcspace as fs
 
+import oracles
+
 
 def _brute_distance(f, g, nu):
     total = 0.0
     for x in itertools.product(range(f.s), repeat=f.n):
-        w = nu.weight_of(x)
+        w = oracles.weight_of(nu, x)
         if f.codomain == "real" or g.codomain == "real":
             total += w * abs(float(f.eval(x)) - float(g.eval(x)))
         elif f.eval(x) != g.eval(x):
@@ -54,13 +58,61 @@ def test_measure_validation():
     assert m.probs.tolist() == [0.75, 0.25]
 
 
+def test_measure_keeps_its_own_read_only_copy():
+    p = np.array([0.5, 0.5])
+    m = fs.Measure(p)
+    p[:] = 2.0
+    nu = fs.ProductMeasure.iid(m, 3)
+    assert fs.distance(fs.dictator(3, 0), fs.constant(3, 0), nu) == 0.5
+    for arr in (m.probs, m.basis, m.forward):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+    assert m.probs.tolist() == [0.5, 0.5]
+
+
+def test_product_weights_are_read_only():
+    nu = fs.ProductMeasure.uniform(3)
+    w = nu.weights()
+    with pytest.raises(ValueError):
+        w[:] = 0.0
+    assert fs.expectation(fs.constant(3, 1), nu) == 1.0
+
+
+@pytest.mark.parametrize("obj", [fs.Measure([0.25, 0.75]),
+                                 fs.ProductMeasure.p_biased(0.3, 2)])
+def test_measures_are_immutable(obj):
+    with pytest.raises(AttributeError):
+        obj.s = 5
+    with pytest.raises(AttributeError):
+        del obj.s
+    with pytest.raises(AttributeError):
+        obj.extra = 1
+
+
+@pytest.mark.parametrize("obj", [
+    fs.Measure([0.2, 0.3, 0.5]), fs.Measure([1.0, 0.0]),
+    fs.ProductMeasure([fs.Measure([0.25, 0.75]), fs.Measure([0.6, 0.4])])])
+def test_measures_pickle_and_deepcopy(obj):
+    for twin in (pickle.loads(pickle.dumps(obj)), copy.deepcopy(obj)):
+        assert type(twin) is type(obj) and twin == obj
+        for a, b in zip(getattr(twin, "measures", (twin,)),
+                        getattr(obj, "measures", (obj,))):
+            assert (a.s, a.full_support) == (b.s, b.full_support)
+            for x, y in ((a.probs, b.probs), (a.basis, b.basis),
+                         (a.forward, b.forward)):
+                assert (x is None and y is None) or (
+                    x.tobytes() == y.tobytes() and not x.flags.writeable)
+        if isinstance(obj, fs.ProductMeasure):
+            assert twin.weights().tobytes() == obj.weights().tobytes()
+
+
 def test_product_weights_match_pointwise():
     nu = fs.ProductMeasure.p_biased([0.25, 0.5, 0.8], 3)
     w = nu.weights()
     assert abs(w.sum() - 1.0) < 1e-12
     for idx in range(8):
         x = fs.decode_point(idx, 3, 2)
-        assert abs(w[idx] - nu.weight_of(x)) < 1e-15
+        assert abs(w[idx] - oracles.weight_of(nu, x)) < 1e-15
 
 
 def test_dictator_and_character_tables():

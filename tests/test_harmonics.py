@@ -1,12 +1,14 @@
 """Decompositions, influences, stability, and their exact identities."""
 
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import efron_stein as es
+import oracles
 from polymorph.errors import UnsupportedError, ValidationError
 from polymorph import funcspace as fs
 from polymorph import harmonics as hm
@@ -197,7 +199,7 @@ def test_noise_stability_two_paths_agree():
         nu = fs.ProductMeasure.iid(fs.Measure(probs / probs.sum()), n)
         rho = float(rng.uniform(0.0, 1.0))
         a = hm.noise_stability(f, rho, nu)
-        b = hm.noise_stability_resample(f, rho, nu)
+        b = oracles.noise_stability_resample(f, rho, nu)
         assert abs(a - b) < 1e-9
 
 
@@ -227,7 +229,7 @@ def test_noisy_influence_is_stability_of_recentered_function():
     nu = fs.ProductMeasure.p_biased(0.45, 4)
     rho = 0.6
     i = 2
-    avg = hm.average_out(f, i, nu)
+    avg = oracles.average_out(f, i, nu)
     diff = f.as_real() - avg.as_real()
     assert abs(float(np.dot(nu.weights(), diff))) < 1e-12
     # rescale diff into [0,1] to build a table: shifted = diff/2 + c
@@ -264,7 +266,7 @@ def test_total_influence_bookkeeping():
     f = _random_table(rng, 5)
     nu = fs.ProductMeasure.p_biased(0.3, 5)
     i = 1
-    avg = hm.average_out(f, i, nu)
+    avg = oracles.average_out(f, i, nu)
     inf_all = hm.low_degree_influence(f, i, 5, nu)
     norm_avg = float(np.dot(nu.weights(), avg.as_real() ** 2))
     total = float(np.dot(nu.weights(), f.as_real() ** 2))
@@ -274,15 +276,15 @@ def test_total_influence_bookkeeping():
 def test_average_out_properties():
     nu = fs.ProductMeasure.p_biased(0.3, 4)
     f = fs.dictator(4, 0)
-    g = hm.average_out(f, 0, nu)
+    g = oracles.average_out(f, 0, nu)
     assert np.allclose(g.values, 0.3)
     h = fs.hybrid(4)
-    a = hm.average_out(hm.average_out(h, 0, nu), 1, nu)
-    b = hm.average_out(hm.average_out(h, 1, nu), 0, nu)
+    a = oracles.average_out(oracles.average_out(h, 0, nu), 1, nu)
+    b = oracles.average_out(oracles.average_out(h, 1, nu), 0, nu)
     assert np.allclose(a.values, b.values)
     # idempotent
-    c = hm.average_out(hm.average_out(h, 2, nu), 2, nu)
-    assert np.allclose(c.values, hm.average_out(h, 2, nu).values)
+    c = oracles.average_out(oracles.average_out(h, 2, nu), 2, nu)
+    assert np.allclose(c.values, oracles.average_out(h, 2, nu).values)
 
 
 def test_sym_codomain_needs_indicators():
@@ -290,7 +292,7 @@ def test_sym_codomain_needs_indicators():
     nu = fs.ProductMeasure.uniform(3, 3)
     with pytest.raises(UnsupportedError):
         hm.noise_stability(f, 0.5, nu)
-    ind = hm.indicator_table(f, 2)
+    ind = oracles.indicator_table(f, 2)
     assert ind.eval((2, 0, 0)) == 1
     assert ind.eval((1, 0, 0)) == 0
 
@@ -322,6 +324,66 @@ def test_alphabet_past_one_byte_of_digits():
     f = fs.from_values(1, 300, "real", rng.uniform(0, 1, 300))
     nu = fs.ProductMeasure.uniform(1, 300)
     assert abs(hm.noise_stability(f, 0.0, nu)
-               - hm.noise_stability_resample(f, 0.0, nu)) < 1e-12
+               - oracles.noise_stability_resample(f, 0.0, nu)) < 1e-12
     mean = fs.expectation(f, nu)
     assert abs(hm.Decomposition(f, nu).level_norm2[0] - mean ** 2) < 1e-12
+
+
+def test_parseval_check_fails_on_nan():
+    # a table's values stay writeable, so NaN can arrive after construction
+    f = fs.FunctionTable(3, 2, "real", np.full(8, 0.5))
+    f.values[3] = np.nan
+    with pytest.raises(ValidationError, match="Parseval"):
+        hm.Decomposition(f, fs.ProductMeasure.uniform(3))
+
+
+# -- the shuffle transform against a per-axis tensordot reference -------------
+
+def _tensordot_transform(arr, mats):
+    """mats[k] along coordinate k, which sits on axis len(mats) - k of a
+    cell-view stack, one tensordot per axis."""
+    for k, mat in enumerate(mats):
+        axis = len(mats) - k
+        arr = np.moveaxis(np.tensordot(mat, arr, axes=([1], [axis])), 0, axis)
+    return arr
+
+
+def _assert_same(got, want, s):
+    """Byte-equal at s = 2; within 1e-15 of the largest entry at s >= 3."""
+    for a, b in zip(got, want):
+        assert a.shape == b.shape
+        if s == 2:
+            assert a.tobytes() == b.tobytes()
+        else:
+            assert np.max(np.abs(a - b)) <= 1e-15 * np.max(np.abs(b))
+
+
+@pytest.mark.parametrize("cells,k,s", [(2, 9, 2), (4, 8, 2), (8, 7, 2),
+                                       (6, 9, 2), (1, 10, 2), (9, 5, 3)])
+def test_energy_matches_tensordot_reference(cells, k, s):
+    rng = np.random.default_rng(cells * 100 + k * 10 + s)
+    measures = [fs.Measure(w / w.sum()) for w in rng.uniform(0.2, 1.0, (k, s))]
+    for stack in (rng.random((cells,) + (s,) * k),
+                  rng.integers(0, 2, (cells,) + (s,) * k).astype(float)):
+        got = hm._energy(stack, measures)
+        with mock.patch.object(hm, "_transform", _tensordot_transform):
+            want = hm._energy(stack, measures)
+        _assert_same(got, want, s)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from((2, 3, 4)), st.integers(1, 5),
+       st.sampled_from(("bit", "real")), st.integers(0, 2 ** 32 - 1))
+def test_decomposition_matches_tensordot_reference(s, n, codomain, seed):
+    rng = np.random.default_rng(seed)
+    nu = fs.ProductMeasure([fs.Measure(w / w.sum())
+                            for w in rng.uniform(0.2, 1.0, (n, s))])
+    f = _random_table(rng, n, s, codomain)
+    got = hm.Decomposition(f, nu)
+    with mock.patch.object(hm, "_transform", _tensordot_transform):
+        want = hm.Decomposition(f, nu)
+        want_recon = want.reconstruct()
+    _assert_same((got.coeffs, got.norm2_by_mask, got.level_norm2,
+                  got.reconstruct()),
+                 (want.coeffs, want.norm2_by_mask, want.level_norm2,
+                  want_recon), s)

@@ -10,7 +10,8 @@ import polymorph.funcspace as fs
 import polymorph.harmonics as hm
 import polymorph.regularity as rg
 import efron_stein as es
-from polymorph.errors import DomainError, ResourceError
+import oracles
+from polymorph.errors import DomainError, ResourceError, ValidationError
 
 
 def _random_function(rng, n, s, codomain=None):
@@ -41,7 +42,7 @@ def test_potential_endpoints():
         f = _random_function(rng, n, s)
         funcs = [f]
         subs = [f] if f.codomain != "sym" else [
-            hm.indicator_table(f, v) for v in range(s)]
+            oracles.indicator_table(f, v) for v in range(s)]
         start = sum(hm.noise_stability(g, rho, nu) for g in subs)
         assert abs(rg.potential(funcs, nu, rho, ()) - start) < 1e-10
         w = nu.weights()
@@ -329,6 +330,14 @@ def test_input_guards(monkeypatch):
                       fs.ProductMeasure.uniform(12, 2))
 
 
+def test_cell_check_fails_on_nan():
+    # a table's values stay writeable, so NaN can arrive after construction
+    f = fs.FunctionTable(4, 2, "real", np.full(16, 0.5))
+    f.values[5] = np.nan
+    with pytest.raises(ValidationError, match="Parseval"):
+        rg.regular_cell_mask(f, [0], 1, 0.1, fs.ProductMeasure.uniform(4))
+
+
 def test_per_function_measures():
     # one dictator judged under a 0.2-bias, the other under a 0.8-bias;
     # both coordinates must enter the junta and both end fully regular
@@ -382,12 +391,12 @@ def _per_cell_records(f, J, d, nu):
     Js = sorted(J)
     F = [i for i in range(f.n) if i not in Js]
     subs = [f] if f.codomain != "sym" else [
-        hm.indicator_table(f, v) for v in range(f.s)]
+        oracles.indicator_table(f, v) for v in range(f.s)]
     out = []
     for c in range(f.s ** len(Js)):
         cell = fs.decode_point(c, len(Js), f.s)
         a = fs.PartialAssignment.from_dict(f.n, dict(zip(Js, cell)), s=f.s)
-        weight = nu.subset(Js).weight_of(cell) if Js else 1.0
+        weight = oracles.weight_of(nu.subset(Js), cell) if Js else 1.0
         infs = np.array([es.weighted_influences(
             es.component_norm2(g.restrict(a).as_real(), nu.subset(F)),
             len(F), lambda level: level <= d) for g in subs])
@@ -432,7 +441,7 @@ def test_cell_growth_tables_match_restrictions(inst, rho):
     f, nu, J, _, _ = inst
     Js = sorted(J)
     subs = [f] if f.codomain != "sym" else [
-        hm.indicator_table(f, v) for v in range(f.s)]
+        oracles.indicator_table(f, v) for v in range(f.s)]
     w_cells, stabs, infss, F = rg._cell_influence_tables(
         np.stack([g.as_real() for g in subs]), f.n, f.s, J, nu, rho)
     for g, stab, infs in zip(subs, stabs, infss):
@@ -440,7 +449,7 @@ def test_cell_growth_tables_match_restrictions(inst, rho):
         nu_free = nu.subset(F)
         for c in range(f.s ** len(Js)):
             cell = fs.decode_point(c, len(Js), f.s)
-            weight = nu.subset(Js).weight_of(cell) if Js else 1.0
+            weight = oracles.weight_of(nu.subset(Js), cell) if Js else 1.0
             assert abs(w_cells[c] - weight) < 1e-12
             a = fs.PartialAssignment.from_dict(f.n, dict(zip(Js, cell)),
                                                s=f.s)
