@@ -314,7 +314,8 @@ class PartialAssignment:
 
 
 class FunctionTable:
-    """A dense table for f: Sigma^n -> codomain."""
+    """A dense table for f: Sigma^n -> codomain; values is a read-only copy
+    of the entries."""
 
     __slots__ = ("n", "s", "codomain", "values")
 
@@ -341,8 +342,10 @@ class FunctionTable:
         if codomain != "real" and raw.dtype.kind not in "biu" \
                 and np.any(raw % 1 != 0):
             raise DomainError(f"{codomain} table contains non-integral entries")
-        arr = raw.astype(np.float64 if codomain == "real" else np.uint8,
-                         copy=False)
+        # a read-only copy, so no later write, by the caller or through
+        # values, bypasses the checks above
+        arr = raw.astype(np.float64 if codomain == "real" else np.uint8)
+        arr.flags.writeable = False
         self.n = n
         self.s = s
         self.codomain = codomain
@@ -364,7 +367,7 @@ class FunctionTable:
         # axis 0 of the reshaped table holds coordinate n - 1
         key = tuple(slice(None) if v is None else v
                     for v in reversed(assignment.entries))
-        sub = self.values.reshape((self.s,) * self.n)[key].flatten()
+        sub = self.values.reshape((self.s,) * self.n)[key].ravel()
         return FunctionTable(len(assignment.free), self.s, self.codomain, sub)
 
     def as_real(self) -> np.ndarray:
@@ -374,6 +377,10 @@ class FunctionTable:
         return (self.n == other.n and self.s == other.s
                 and self.codomain == other.codomain
                 and np.array_equal(self.values, other.values))
+
+    def __reduce__(self):
+        # copies and pickles rebuild through the checks and the read-only copy
+        return FunctionTable, (self.n, self.s, self.codomain, self.values)
 
     def __repr__(self):
         return f"FunctionTable(n={self.n}, s={self.s}, codomain={self.codomain!r})"
@@ -399,9 +406,7 @@ def dictator(n: int, i: int, s: int = 2) -> FunctionTable:
     """f(x) = x_i."""
     if not (0 <= i < n):
         raise DomainError(f"coordinate {i} outside range(0, {n})")
-    # a copy, so the table does not keep every other row of digits alive
-    return FunctionTable(n, s, "bit" if s == 2 else "sym",
-                         _digits(n, s)[i].copy())
+    return FunctionTable(n, s, "bit" if s == 2 else "sym", _digits(n, s)[i])
 
 
 def character(n: int, support: Iterable[int], offset: int = 0) -> FunctionTable:

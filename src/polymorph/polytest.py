@@ -2,15 +2,17 @@
 
 A column tuple draws one member of P per input coordinate; function j reads
 row j of the columns.  The violation probability is the mu^n-mass of column
-tuples whose output tuple leaves P.  Three exact engines produce the full
-joint output distribution, and the tests cross-check them: an odometer scan
-over all |P|^n column tuples; a coordinate-by-coordinate tensor contraction
-whose state is indexed by the residual classes of the read inputs of
-functions 2..m; and a forward pass over the joint residual class tuples of
-all m functions, whose last level is the outputs.  _plan admits each engine
-by the largest array it allocates and runs the cheapest admitted one, for
-the law and for is_generalized_polymorphism (reachability, then a backward
-pass or per-prefix contractions for a counterexample).
+tuples whose output tuple leaves P.  Three exact engines answer it, and the
+tests cross-check them: an odometer scan over all |P|^n column tuples and a
+coordinate-by-coordinate tensor contraction, whose state is indexed by the
+residual classes of the read inputs of functions 2..m, both give the joint
+output law; a backward pass over the joint residual class tuples of all m
+functions carries a value from each output back to the root, the mass of
+the marked outputs or the lowest reachable violating one.  _plan admits
+each engine by the largest array it allocates and runs the cheapest
+admitted one, for the law and for is_generalized_polymorphism (one
+backward pass, or reachability and per-prefix contractions for a
+counterexample).
 """
 
 from __future__ import annotations
@@ -294,8 +296,8 @@ def _transitions(P: Predicate, fs):
     0..n (at level n the classes are the values).  Each distinct table is
     labelled once; the call takes its hits from _LABELLED, releases the
     rest, and leaves its own labels there, read-only, for the next call.
-    Keys are the table bytes, never the object, as values is a public
-    mutable array (README, "Which one runs")."""
+    Keys are the table bytes, never the object, so equal tables held by
+    different objects share labels (README, "Which one runs")."""
     global _LABELLED
     n, s = _check_functions(P, fs)
     keys = [(n, s, f.values.dtype.str, f.values.tobytes()) for f in fs]
@@ -379,77 +381,41 @@ def _plan(P: Predicate, fs, odometer: bool = True) -> _Plan:
     return _Plan(ranked[0], reason, est[ranked[0]][1], trans, sizes)
 
 
-def _class_steps(trans, sizes, k: int) -> list:
-    """Each T_j[k] times axis j's stride in the flat (row-major) code of a
-    level-(k+1) class tuple: the flat next code is the sum over j."""
-    strides = np.cumprod((1,) + sizes[k + 1][:0:-1])[::-1]
-    return [T[k] * int(st) for T, st in zip(trans, strides)]
-
-
-def _forward_by_classes(P: Predicate, trans, sizes, weights=None):
-    """Push the all-zero class tuple forward one coordinate at a time:
-    every member moves each live level-k tuple, in blocks of CHUNK // |P|
-    tuples, to its level-(k+1) tuple.  The level-n tuples are the outputs.
-    With weights None the result is the boolean reachable-output table, so
-    the check never turns on float underflow; with member weights it is the
-    joint output law, summed by np.add.at in (block, member, tuple) order."""
-    memb = P.member_array
-    step = max(1, CHUNK // len(memb))
-    R = np.ones(1, dtype=bool if weights is None else np.float64)
-    for k in range(len(sizes) - 1):
-        live = np.flatnonzero(R)
-        steps = _class_steps(trans, sizes, k)
-        last, R = R, np.zeros(math.prod(sizes[k + 1]), dtype=R.dtype)
-        for a in range(0, live.size, step):
-            block = live[a:a + step]
-            code = sum(S[:, c][memb[:, j]] for j, (S, c) in enumerate(
-                zip(steps, np.unravel_index(block, sizes[k]))))
-            if weights is None:
-                R[code] = True          # repeats all store True
-            else:
-                # raveled: np.add.at is about 6x slower on a 2-D index
-                np.add.at(R, code.ravel(),
-                          (weights[:, None] * last[block]).ravel())
-    # axes are (a_0, ..., a_{m-1}); output codes put a_0 lowest
-    return R.reshape(sizes[-1]).ravel(order="F")
-
-
-def _search_by_classes(P: Predicate, trans, sizes, alpha_code: int) -> list:
-    """The columns _search_by_prefixes finds, from one backward pass:
-    B[k] marks the level-k class tuples from which alpha is reachable, so
-    a prefix keeps alpha reachable exactly when its tuple is in B.  A
+def _backward_by_classes(P: Predicate, trans, sizes, top, weights=None):
+    """Values of the class tuples, from top (a value per output code) back
+    to the root: a level-k tuple combines the values of its |P| level-(k+1)
+    successors, by minimum with weights None (every level is kept, root
+    first), or as the member-weighted sum (only the root level is kept).
+    At level n the classes are the values, so the last level is top.  A
     level goes in blocks of rows of its longest axis, all members each:
     CHUNK grid cells, or one row, the least that broadcasting allows."""
     m, n, K = P.m, len(sizes) - 1, len(P)
     memb = P.member_array
-    B = [np.zeros(sizes[n], dtype=bool)]
-    B[0][decode_point(alpha_code, m, P.s)] = True
+    # axes are (a_0, ..., a_{m-1}); output codes put a_0 lowest
+    levels = [top.reshape(sizes[n], order="F")]
     for k in range(n - 1, -1, -1):
         z = sizes[k]
-        # (member, class tuple) grid: axis j adds T_j[k][w_j]
-        grids = [S[memb[:, j]].reshape(
+        # (member, class tuple) grid of flat (row-major) successor codes:
+        # axis j adds T_j[k][w_j] times its stride at level k + 1
+        strides = np.cumprod((1,) + sizes[k + 1][:0:-1])[::-1]
+        grids = [(T[k][memb[:, j]] * int(st)).reshape(
             (K,) + tuple(-1 if i == j else 1 for i in range(m)))
-            for j, S in enumerate(_class_steps(trans, sizes, k))]
+            for j, (T, st) in enumerate(zip(trans, strides))]
         j = z.index(max(z))
-        along, nxt = grids.pop(j), B[-1].ravel()
+        along, nxt = grids.pop(j), levels[-1].ravel()
         rest = sum(grids)
-        b = np.zeros(z, dtype=bool)
+        b = np.empty(z, dtype=nxt.dtype)
         rows = max(1, CHUNK // (K * (math.prod(z) // z[j])))
         for a in range(0, z[j], rows):
             cut = (slice(None),) * j + (slice(a, a + rows),)
-            b[cut] = nxt[along[(slice(None),) + cut] + rest].any(axis=0)
-        B.append(b)
-    B.reverse()
-    tup, chosen = (0,) * m, []
-    for k in range(n):
-        nxt = tuple(T[k][memb[:, j], c]
-                    for j, (T, c) in enumerate(zip(trans, tup)))
-        hit = np.flatnonzero(B[k + 1][nxt])
-        if hit.size == 0:
-            raise AssertionError("internal error: achievable output lost")
-        tup = tuple(x[hit[0]] for x in nxt)
-        chosen.append(P.members[hit[0]])
-    return chosen
+            succ = nxt[along[(slice(None),) + cut] + rest]
+            b[cut] = succ.min(axis=0) if weights is None else \
+                (weights @ succ.reshape(K, -1)).reshape(succ.shape[1:])
+        if weights is None:
+            levels.append(b)
+        else:
+            levels = [b]
+    return levels[::-1]
 
 
 def _search_by_prefixes(P: Predicate, fs, alpha_code: int, trans) -> list:
@@ -478,19 +444,23 @@ def joint_output_distribution_contracted(P: Predicate, fs) -> np.ndarray:
     return _contract(P, fs, P.float_weights, trans[1:])
 
 
-def _law(P: Predicate, fs) -> np.ndarray:
-    """Exact joint output law from the engine _plan picks."""
+def _mass(P: Predicate, fs, outputs: np.ndarray) -> float:
+    """Exact mu-mass of the output codes that outputs marks, from the
+    engine _plan picks."""
     plan = _plan(P, fs)
-    if plan.engine == "odometer":
-        return joint_output_distribution(P, fs)[0]
     if plan.engine == "classes":
-        return _forward_by_classes(P, plan.trans, plan.sizes, P.float_weights)
-    return _contract(P, fs, P.float_weights, plan.trans[1:])
+        return _backward_by_classes(P, plan.trans, plan.sizes,
+                                    outputs.astype(np.float64),
+                                    P.float_weights)[0].item()
+    law = joint_output_distribution(P, fs)[0] if plan.engine == "odometer" \
+        else _contract(P, fs, P.float_weights, plan.trans[1:])
+    return float(law[outputs].sum())
 
 
 def violation_probability(P: Predicate, fs) -> float:
     """Exact violation probability from the engine _plan picks."""
-    return float(_law(P, fs)[~_member_table(P)].sum())
+    _check_functions(P, fs)       # the gate on s^m comes before the table
+    return _mass(P, fs, ~_member_table(P))
 
 
 def violation_exact(P: Predicate, fs) -> ViolationReport:
@@ -514,23 +484,38 @@ def _counterexample_from_code(P: Predicate, fs, code: int) -> Counterexample:
 
 
 def is_generalized_polymorphism(P: Predicate, fs):
-    """(exact flag, counterexample).  Reachability and the counterexample
-    search by joint residual classes or by contraction, as _plan decides;
-    the odometer scan only when neither fits CONTRACTION_CAP."""
+    """(exact flag, counterexample).  By joint residual classes, or by
+    contraction with a per-prefix search, as _plan decides; the odometer
+    scan only when neither fits CONTRACTION_CAP.  The class pass puts each
+    output's code on outputs outside P and the sentinel s^m on members, so
+    the root holds the lowest reachable violating output alpha; a walk
+    forward then takes, at each coordinate, the first member whose
+    successor still holds alpha."""
     plan = _plan(P, fs, odometer=False)
     if plan.engine == "odometer":
         report = violation_exact(P, fs)
         return report.probability == 0.0, report.counterexample
-    trans, sizes = plan.trans, plan.sizes
-    by_classes = plan.engine == "classes"
-    reach = _forward_by_classes(P, trans, sizes) if by_classes \
-        else _contract(P, fs, None, trans[1:])
-    bad = np.nonzero(reach & ~_member_table(P))[0]
-    if bad.size == 0:
-        return True, None
-    alpha = int(bad[0])
-    columns = _search_by_classes(P, trans, sizes, alpha) if by_classes \
-        else _search_by_prefixes(P, fs, alpha, trans[1:])
+    trans, sizes, in_p = plan.trans, plan.sizes, _member_table(P)
+    if plan.engine == "classes":
+        top = np.where(in_p, in_p.size, np.arange(in_p.size)).astype(
+            np.min_scalar_type(in_p.size))
+        levels = _backward_by_classes(P, trans, sizes, top)
+        alpha = levels[0].item()
+        if alpha == in_p.size:
+            return True, None
+        tup, columns = (0,) * P.m, []
+        for k, level in enumerate(levels[1:]):
+            succ = tuple(T[k][P.member_array[:, j], c]
+                         for j, (T, c) in enumerate(zip(trans, tup)))
+            first = int(np.argmax(level[succ] == alpha))
+            tup = tuple(x[first] for x in succ)
+            columns.append(P.members[first])
+    else:
+        bad = np.flatnonzero(_contract(P, fs, None, trans[1:]) & ~in_p)
+        if bad.size == 0:
+            return True, None
+        alpha = int(bad[0])
+        columns = _search_by_prefixes(P, fs, alpha, trans[1:])
     ce = Counterexample.from_columns(fs, columns)
     if ce.outputs != decode_point(alpha, P.m, P.s):
         raise AssertionError("internal error: rebuilt outputs disagree")
@@ -672,7 +657,7 @@ def joint_value_probability(P: Predicate, fs, alpha,
                             restriction=None) -> float:
     """Exact Pr[every f_j outputs alpha_j] over coupled columns.
 
-    Without a restriction the columns are i.i.d. mu, and the law comes
+    Without a restriction the columns are i.i.d. mu, and the mass comes
     from the engine _plan picks.  With one, each coordinate is pinned to
     its pattern and only star positions stay random (independently, from
     the star-conditional marginals), so the probability factors across
@@ -684,7 +669,9 @@ def joint_value_probability(P: Predicate, fs, alpha,
         raise DomainError(f"alpha must assign one output in range({P.s}) "
                           f"per function, got {tuple(alpha)!r}")
     if restriction is None:
-        return float(_law(P, fs)[encode_point(alpha, P.s)])
+        outputs = np.zeros(P.s ** P.m, dtype=bool)
+        outputs[encode_point(alpha, P.s)] = True
+        return _mass(P, fs, outputs)
     prob = 1.0
     for j, f in enumerate(fs):
         dist = restricted_value_distribution(

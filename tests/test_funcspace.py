@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from polymorph.errors import (DomainError, ResourceError, ValidationError)
-from polymorph import funcspace as fs
+from polymorph import funcspace as fs, polytest as pt, predicates as pr
 
 import oracles
 
@@ -68,6 +68,32 @@ def test_measure_keeps_its_own_read_only_copy():
         with pytest.raises(ValueError):
             arr[0] = 0.0
     assert m.probs.tolist() == [0.5, 0.5]
+
+
+def test_table_values_are_read_only():
+    # a write once went through: expectation then read 1.375, and the
+    # check raised a bare IndexError on the out-of-range entry
+    f = fs.dictator(3, 0)
+    with pytest.raises(ValueError):
+        f.values[0] = 7
+    assert fs.expectation(f, fs.ProductMeasure.uniform(3)) == 0.5
+    assert pt.is_generalized_polymorphism(pr.nand_predicate(2),
+                                          [f, fs.dictator(3, 0)]) == (True, None)
+    for twin in (pickle.loads(pickle.dumps(f)), copy.deepcopy(f),
+                 copy.copy(f)):
+        assert twin.equals(f) and not twin.values.flags.writeable
+
+
+@pytest.mark.parametrize("codomain, raw", [
+    ("bit", np.array([0, 1, 1, 0], dtype=np.uint8)),
+    ("sym", np.array([0, 2, 1, 0, 1, 2, 2, 1, 0], dtype=np.uint8)),
+    ("real", np.array([0.0, 0.25, 0.5, 1.0]))])
+def test_table_keeps_its_own_copy(codomain, raw):
+    f = fs.FunctionTable(2, 3 if codomain == "sym" else 2, codomain, raw)
+    kept = raw.copy()
+    raw[:] = 7
+    assert f.values.tobytes() == kept.tobytes()
+    assert not f.values.flags.writeable
 
 
 def test_product_weights_are_read_only():

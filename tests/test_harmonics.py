@@ -330,8 +330,10 @@ def test_alphabet_past_one_byte_of_digits():
 
 
 def test_parseval_check_fails_on_nan():
-    # a table's values stay writeable, so NaN can arrive after construction
+    # values is read-only; a caller that re-enables writes on purpose can
+    # still put NaN in after construction, and the reader must refuse it
     f = fs.FunctionTable(3, 2, "real", np.full(8, 0.5))
+    f.values.flags.writeable = True
     f.values[3] = np.nan
     with pytest.raises(ValidationError, match="Parseval"):
         hm.Decomposition(f, fs.ProductMeasure.uniform(3))

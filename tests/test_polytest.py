@@ -170,8 +170,7 @@ def _no_allocation(*args, **kwargs):
     raise AssertionError("work began before the cap check")
 
 
-LABELLED_ENGINES = ("_contract", "_forward_by_classes", "_search_by_classes",
-                    "_search_by_prefixes")
+LABELLED_ENGINES = ("_contract", "_backward_by_classes", "_search_by_prefixes")
 
 
 def test_odometer_fallback_when_contraction_too_large(monkeypatch):
@@ -477,25 +476,39 @@ def structured_values(draw, n, s):
                          max_size=s ** n))
 
 
+def _forced(P, funcs, engine):
+    """A patch under which _plan picks engine for these tables, whatever
+    it costs, so the public entries run it."""
+    trans, sizes = pt._transitions(P, funcs)
+    plan = pt._Plan(engine, "forced", 0, trans, sizes)
+    return mock.patch.object(pt, "_plan", lambda *args, **kwargs: plan)
+
+
 @settings(max_examples=150, deadline=None)
 @given(oracle_instances(), st.sampled_from((1, 5, pt.CHUNK)))
 def test_exact_engines_agree(instance, chunk):
-    # chunk: the class pass's block size, down to one tuple or row a block
+    # chunk: the class pass's block size, down to one row a block
     P, funcs = instance
     Q, _ = pt.joint_output_distribution(P, funcs)
     outside = np.array([fs.decode_point(c, P.m, P.s) not in P
                         for c in range(Q.size)])
     prob = float(Q[outside].sum())
     reach = Q > 0
-    # both reachability paths, whichever the planner would pick
     trans, sizes = pt._transitions(P, funcs)
-    with mock.patch.object(pt, "CHUNK", chunk):
-        assert np.array_equal(pt._forward_by_classes(P, trans, sizes), reach)
     assert np.array_equal(pt._contract(P, funcs, None, trans[1:]), reach)
     Qc = pt.joint_output_distribution_contracted(P, funcs)
     assert np.max(np.abs(Qc - Q)) < 1e-12
     assert abs(pt.violation_probability(P, funcs) - prob) < 1e-12
     ok, ce = pt.is_generalized_polymorphism(P, funcs)
+    # the class pass answers the check and both probabilities, whichever
+    # engine the planner would pick
+    with _forced(P, funcs, "classes"), mock.patch.object(pt, "CHUNK", chunk):
+        assert pt.is_generalized_polymorphism(P, funcs) == (ok, ce)
+        assert abs(pt.violation_probability(P, funcs) - prob) < 1e-12
+        for code in range(Q.size):
+            alpha = fs.decode_point(code, P.m, P.s)
+            assert abs(pt.joint_value_probability(P, funcs, alpha)
+                       - Q[code]) < 1e-12
     assert ok == (prob == 0.0)
     if ok:
         assert ce is None
@@ -506,8 +519,6 @@ def test_exact_engines_agree(instance, chunk):
                  if fs.encode_point(pt.evaluate_columns(funcs, cols), P.s)
                  == alpha)
     assert ce.columns() == list(first)
-    with mock.patch.object(pt, "CHUNK", chunk):
-        assert pt._search_by_classes(P, trans, sizes, alpha) == list(first)
     assert pt._search_by_prefixes(P, funcs, alpha, trans[1:]) == list(first)
 
 
@@ -534,14 +545,14 @@ def test_check_path_follows_the_class_count_rule(rate, by_classes):
     # the planner's estimates, classes against contraction: 0.23 against
     # 1.87 ms at flip rate 0.01; 6.84 against 8.02 ms at 0.07 and 9.10
     # against 8.88 ms at 0.09, either side of the break-even; 75.8 against
-    # 17.9 ms on random tables.  The class path runs once each way; the
-    # contraction runs once for reachability and once per tried prefix.
+    # 17.9 ms on random tables.  The class path runs one backward pass;
+    # the contraction runs once for reachability and once per tried prefix.
     # Either way the result is the other path's
     P = pr.nand_predicate(3)
     funcs = _nand3_tables(rate, 190)
     calls = {}
     spied = {name: getattr(pt, name) for name in
-             ("_forward_by_classes", "_search_by_classes", "_contract")}
+             ("_backward_by_classes", "_contract")}
 
     def spy(name):
         def wrapper(*args, **kwargs):
@@ -553,18 +564,36 @@ def test_check_path_follows_the_class_count_rule(rate, by_classes):
         ok, ce = pt.is_generalized_polymorphism(P, funcs)
     assert not ok
     if by_classes:
-        assert calls == {"_forward_by_classes": 1, "_search_by_classes": 1}
+        assert calls == {"_backward_by_classes": 1}
     else:
         assert set(calls) == {"_contract"} and calls["_contract"] > 10
     plan = pt._plan(P, funcs, odometer=False)
     assert plan.engine == ("classes" if by_classes else "contraction")
-    trans, sizes = plan.trans, plan.sizes
-    reach = pt._forward_by_classes(P, trans, sizes)
-    assert np.array_equal(pt._contract(P, funcs, None, trans[1:]), reach)
+    trans = plan.trans
+    reach = pt._contract(P, funcs, None, trans[1:])
     alpha = int(np.nonzero(reach & ~pt._member_table(P))[0][0])
     assert ce.outputs == fs.decode_point(alpha, P.m, P.s)
-    assert ce.columns() == pt._search_by_classes(P, trans, sizes, alpha)
     assert ce.columns() == pt._search_by_prefixes(P, funcs, alpha, trans[1:])
+    other = "contraction" if by_classes else "classes"
+    with _forced(P, funcs, other):
+        assert pt.is_generalized_polymorphism(P, funcs) == (ok, ce)
+
+
+def test_check_sentinel_past_one_byte():
+    # s^m = 4^4 = 256 output codes: the members' sentinel needs two bytes,
+    # and in one byte it would read as output code 0
+    P = pr.Predicate(4, 4, [(a,) * 4 for a in range(4)] + [(3, 3, 3, 2)])
+    d = [fs.dictator(3, i, 4) for i in range(2)]
+    for funcs, exact in (([d[0]] * 4, True), ([d[0]] * 3 + [d[1]], False)):
+        assert pt._plan(P, funcs, odometer=False).engine == "classes"
+        ok, ce = pt.is_generalized_polymorphism(P, funcs)
+        report = pt.violation_exact(P, funcs)
+        assert ok == exact == (report.probability == 0.0)
+        if not exact:
+            # outputs (a, a, a, b), b != a: the lowest code is (1, 1, 1, 0)
+            assert ce.outputs == (1, 1, 1, 0) and ce.outputs not in P
+            assert ce.columns() == [P.members[1], P.members[0],
+                                    P.members[0]]
 
 
 @st.composite
@@ -614,7 +643,7 @@ def test_float_contraction_memory_stays_small():
 
 
 ENGINES = {"odometer": "joint_output_distribution",
-           "contraction": "_contract", "classes": "_forward_by_classes"}
+           "contraction": "_contract", "classes": "_backward_by_classes"}
 
 
 def _count_engines(monkeypatch):
@@ -760,16 +789,27 @@ def test_planner_picks(P, n, rate, law, check):
 @settings(max_examples=150, deadline=None)
 @given(oracle_instances(), st.sampled_from((1, 5, pt.CHUNK)))
 def test_class_law_equals_the_other_engines(instance, chunk):
+    # from one output's indicator the backward pass gives that output's
+    # mass; from output codes at or past a bound (the sentinel below it)
+    # the lowest reachable one
     P, funcs = instance
     trans, sizes = pt._transitions(P, funcs)
-    weights = np.array([float(w) for w in P.weights])
-    with mock.patch.object(pt, "CHUNK", chunk):
-        law = pt._forward_by_classes(P, trans, sizes, weights)
-    contracted = pt._contract(P, funcs, weights, trans[1:])
-    assert np.max(np.abs(law - contracted)) < 1e-12
     Q, _ = pt.joint_output_distribution(P, funcs)
+    codes = np.arange(Q.size)
+    law = np.empty(Q.size)
+    with mock.patch.object(pt, "CHUNK", chunk):
+        for code in codes:
+            law[code] = pt._backward_by_classes(
+                P, trans, sizes, (codes == code).astype(np.float64),
+                P.float_weights)[0].item()
+            lowest = pt._backward_by_classes(
+                P, trans, sizes, np.where(codes >= code, codes, Q.size))
+            reached = np.flatnonzero(Q[code:] > 0)
+            assert lowest[0].item() == (code + reached[0] if reached.size
+                                        else Q.size)
+    contracted = pt._contract(P, funcs, P.float_weights, trans[1:])
+    assert np.max(np.abs(law - contracted)) < 1e-12
     assert np.max(np.abs(law - Q)) < 1e-12
-    assert np.array_equal(law > 0, pt._forward_by_classes(P, trans, sizes))
 
 
 @settings(max_examples=150, deadline=None)
@@ -797,17 +837,26 @@ def test_admitted_engines_fit_the_contraction_cap(instance, cap):
         assert pt.is_generalized_polymorphism(P, funcs)[0] == (prob == 0.0)
 
 
+def _class_tops(P):
+    """The backward pass's output values: codes with the sentinel on
+    members (the check), and the violation indicator (the probability)."""
+    in_p = pt._member_table(P)
+    codes = np.where(in_p, in_p.size, np.arange(in_p.size)).astype(
+        np.min_scalar_type(in_p.size))
+    return codes, (~in_p).astype(np.float64)
+
+
 def test_class_law_memory_stays_small():
     # the planted parity tuple of the contraction's bound above; its class
-    # law holds one float per joint class tuple of a level
+    # law holds one float per joint class tuple of two adjacent levels
     P = pr.parity_predicate(3, 0)
     funcs = list(cli.plant_and_perturb(P, 10, "character:1,2,3:0,0,0",
                                        0.01, 1).fs)
     trans, sizes = pt._transitions(P, funcs)
-    weights = np.array([float(w) for w in P.weights])
+    top = _class_tops(P)[1]
     tracemalloc.start()
     try:
-        pt._forward_by_classes(P, trans, sizes, weights)
+        pt._backward_by_classes(P, trans, sizes, top, P.float_weights)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -815,20 +864,21 @@ def test_class_law_memory_stays_small():
 
 
 def test_admitted_class_pass_memory_follows_its_tuples():
-    # planted NAND3 at n = 13: the widest level has 720,544 class tuples
-    # and a level has up to 364,127 live ones.  Blocks of CHUNK // |P| live
-    # tuples leave the level arrays (bool or float, and the live indices) as
-    # the working set; whole levels of int64 indices and next codes held 63
-    # (check) and 76 (law) bytes per tuple here
+    # planted NAND3 at n = 13: the widest level has 720,544 class tuples.
+    # Blocks of rows leave the levels as the working set: every level at
+    # one byte a tuple (the check), or two adjacent float levels (the law);
+    # the forward pass's whole levels of int64 indices and next codes once
+    # held 63 (check) and 76 (law) bytes per tuple here
     P = pr.nand_predicate(3)
     funcs = list(cli.plant_and_perturb(P, 13, "dictator:1", 0.02, 1).fs)
-    weights = np.array([float(w) for w in P.weights])
-    for odometer, w, per_tuple in ((False, None, 16), (True, weights, 40)):
+    codes, outside = _class_tops(P)
+    for odometer, top, w, per_tuple in ((False, codes, None, 16),
+                                        (True, outside, P.float_weights, 40)):
         plan = pt._plan(P, funcs, odometer)
         assert plan.engine == "classes" and plan.peak > 32 * pt.CHUNK
         tracemalloc.start()
         try:
-            pt._forward_by_classes(P, plan.trans, plan.sizes, w)
+            pt._backward_by_classes(P, plan.trans, plan.sizes, top, w)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1206,14 +1256,13 @@ def test_equal_content_copies_are_hits(monkeypatch):
 
 
 def test_mutated_table_gets_the_verdict_of_a_cleared_memo():
-    # from_values wraps the caller's uint8 array, so the table changes with
-    # it; a key by content sees the change where a key by object would not
+    # values is a read-only copy, but a caller may re-enable writes on
+    # purpose; a key by content sees the edit where a key by object would not
     P = pr.nand_predicate(2)
-    values = fs.dictator(6, 1).values.copy()
-    f = fs.from_values(6, 2, "bit", values)
-    assert f.values is values
+    f = fs.dictator(6, 1)
     assert pt.is_generalized_polymorphism(P, [f, f]) == (True, None)
-    values[0] ^= 1
+    f.values.flags.writeable = True
+    f.values[0] ^= 1
     warm = pt.is_generalized_polymorphism(P, [f, f])
     pt._LABELLED.clear()
     cold = pt.is_generalized_polymorphism(P, [f, f])

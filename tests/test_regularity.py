@@ -331,8 +331,10 @@ def test_input_guards(monkeypatch):
 
 
 def test_cell_check_fails_on_nan():
-    # a table's values stay writeable, so NaN can arrive after construction
+    # values is read-only; a caller that re-enables writes on purpose can
+    # still put NaN in after construction, and the reader must refuse it
     f = fs.FunctionTable(4, 2, "real", np.full(16, 0.5))
+    f.values.flags.writeable = True
     f.values[5] = np.nan
     with pytest.raises(ValidationError, match="Parseval"):
         rg.regular_cell_mask(f, [0], 1, 0.1, fs.ProductMeasure.uniform(4))
