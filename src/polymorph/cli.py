@@ -256,7 +256,6 @@ def _run_spec(label: str, lines, base: Path) -> RunSpec:
     if "pred" not in kv:
         raise ValidationError(f"{where}: missing pred")
     P = load("pred", kv["pred"], pr.load_predicate)
-    pr.validate(P)
     plant = kv.get("plant")
     fns = tuple(kv["fn"].split(",")) if "fn" in kv else ()
     if bool(plant) == bool(fns):

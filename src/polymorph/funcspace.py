@@ -139,7 +139,28 @@ def _orthonormal_basis(probs: np.ndarray) -> np.ndarray:
     return basis
 
 
-class Measure:
+class _Frozen:
+    """Base of the immutable value types: _freeze sets every slot once, in
+    slot order, and later writes or deletes raise AttributeError.  Each
+    subclass rebuilds through its constructor in __reduce__, so pickle and
+    copy run its checks again."""
+
+    __slots__ = ()
+
+    def _freeze(self, *values):
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(
+            f"{type(self).__name__} is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(
+            f"{type(self).__name__} is immutable: cannot delete {name!r}")
+
+
+class Measure(_Frozen):
     """A probability distribution on a single coordinate alphabet.
 
     Immutable: it keeps a read-only copy of probs and builds once, when
@@ -164,15 +185,7 @@ class Measure:
         for a in (arr, basis, forward):
             if a is not None:
                 a.flags.writeable = False
-        for name, value in zip(self.__slots__,
-                               (arr, arr.size, full, basis, forward)):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"Measure is immutable: cannot set {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"Measure is immutable: cannot delete {name!r}")
+        self._freeze(arr, arr.size, full, basis, forward)
 
     def __reduce__(self):
         return Measure, (self.probs,)
@@ -193,7 +206,7 @@ class Measure:
         return f"Measure({self.probs.tolist()})"
 
 
-class ProductMeasure:
+class ProductMeasure(_Frozen):
     """An independent product of per-coordinate measures.  Immutable; its
     dense weight vector is built on first use and is read-only."""
 
@@ -206,18 +219,8 @@ class ProductMeasure:
         s = measures[0].s
         if any(m.s != s for m in measures):
             raise ValidationError("mixed alphabet sizes in product measure")
-        values = (measures, len(measures), s,
-                  all(m.full_support for m in measures), None)
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(
-            f"ProductMeasure is immutable: cannot set {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(
-            f"ProductMeasure is immutable: cannot delete {name!r}")
+        self._freeze(measures, len(measures), s,
+                     all(m.full_support for m in measures), None)
 
     def __reduce__(self):
         return ProductMeasure, (self.measures,)
@@ -274,13 +277,17 @@ def _symbol(v, s: int) -> int:
     return k
 
 
-class PartialAssignment:
+class PartialAssignment(_Frozen):
     """A point of (Sigma union {*})^n; None marks a free coordinate."""
 
+    __slots__ = ("entries", "s")
+
     def __init__(self, entries: Sequence[int | None], s: int = 2):
-        self.entries = tuple(None if v is None else _symbol(v, s)
-                             for v in entries)
-        self.s = s
+        self._freeze(tuple(None if v is None else _symbol(v, s)
+                           for v in entries), s)
+
+    def __reduce__(self):
+        return PartialAssignment, (self.entries, self.s)
 
     @classmethod
     def from_dict(cls, n: int, fixed: dict[int, int], s: int = 2) -> "PartialAssignment":
@@ -313,9 +320,9 @@ class PartialAssignment:
         return f"PartialAssignment({body})"
 
 
-class FunctionTable:
-    """A dense table for f: Sigma^n -> codomain; values is a read-only copy
-    of the entries."""
+class FunctionTable(_Frozen):
+    """A dense table for f: Sigma^n -> codomain.  Immutable; values is a
+    read-only copy of the entries."""
 
     __slots__ = ("n", "s", "codomain", "values")
 
@@ -346,10 +353,7 @@ class FunctionTable:
         # values, bypasses the checks above
         arr = raw.astype(np.float64 if codomain == "real" else np.uint8)
         arr.flags.writeable = False
-        self.n = n
-        self.s = s
-        self.codomain = codomain
-        self.values = arr
+        self._freeze(n, s, codomain, arr)
 
     def eval(self, x: Sequence[int]):
         if len(x) != self.n:

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import DomainError, ResourceError, UnsupportedError
 from .funcspace import (FunctionTable, PartialAssignment, ProductMeasure,
-                        _check_size, decode_point, encode_point)
+                        _check_size, _Frozen, decode_point, encode_point)
 from .predicates import Predicate
 
 ODOMETER_CAP = 1 << 24
@@ -616,12 +616,16 @@ def violation_mc(P: Predicate, fs, samples: int, seed: int) -> ViolationReport:
 
 # -- restrictions and joint values -----------------------------------------------
 
-class ColumnRestriction:
+class ColumnRestriction(_Frozen):
     """One star-law pattern per coordinate; row j restricts function j."""
 
+    __slots__ = ("patterns", "s")
+
     def __init__(self, patterns, s: int):
-        self.patterns = tuple(tuple(p) for p in patterns)
-        self.s = s
+        self._freeze(tuple(tuple(p) for p in patterns), s)
+
+    def __reduce__(self):
+        return ColumnRestriction, (self.patterns, self.s)
 
     @property
     def n(self) -> int:

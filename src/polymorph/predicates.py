@@ -21,8 +21,8 @@ import numpy as np
 
 from .errors import (DomainError, ResourceError, UnsupportedError,
                      ValidationError)
-from .funcspace import (SYMBOL_CAP, Measure, _integer, parse_numbers,
-                        read_fields, text_lines)
+from .funcspace import (SYMBOL_CAP, Measure, _Frozen, _integer,
+                        parse_numbers, read_fields, text_lines)
 
 RELATION_M_CAP = 16
 
@@ -38,7 +38,7 @@ def _to_fraction(w) -> Fraction:
     raise ValidationError(f"cannot read weight {w!r}")
 
 
-class Predicate:
+class Predicate(_Frozen):
     """A weighted predicate: members of Sigma^m with positive rational
     weights.  Immutable; its O(|P| m) numeric views are built once, but no
     table over Sigma^m, which m = 40 could not hold."""
@@ -86,17 +86,9 @@ class Predicate:
         float_weights = np.array([float(p) for p in weights])
         for arr in (member_array, float_weights):
             arr.flags.writeable = False
-        values = (m, s, members, weights, member_array, float_weights,
-                  tuple(map(tuple, marginals)), measures,
-                  {w: i for i, w in enumerate(members)})
-        for name, value in zip(self.__slots__, values):  # in slot order
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"Predicate is immutable: cannot set {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"Predicate is immutable: cannot delete {name!r}")
+        self._freeze(m, s, members, weights, member_array, float_weights,
+                     tuple(map(tuple, marginals)), measures,
+                     {w: i for i, w in enumerate(members)})
 
     def __reduce__(self):
         return Predicate, (self.m, self.s, self.members, self.weights)

@@ -85,13 +85,20 @@ def _stab_cells(Gt, ops, w_free) -> np.ndarray:
     """Noise stability of every cell restriction at once.
 
     Gt has shape (cells, s, ..., s); ops[k] is the noise operator of the
-    coordinate living on tensor axis k + 1.
+    coordinate living on tensor axis k + 1.  Each product puts its new axis
+    in front, ahead of the cells and of the axes still to come, so axis
+    k + 1 is still the next one to read; one reversal at the end restores
+    the order of Gt.
     """
     X = Gt
-    for a, R in enumerate(ops, start=1):
-        X = np.moveaxis(np.tensordot(R, X, axes=([1], [a])), 0, a)
-    C = Gt.shape[0]
-    prod = (Gt * X).reshape(C, -1)
+    for k, R in enumerate(ops):
+        X = np.tensordot(R, X, axes=([1], [k + 1]))
+    X = X.transpose(range(len(ops), -1, -1))
+    # numpy lays a product out like its operands; with two or more free
+    # axes row-major rows make the reduction round as the moveaxis loop in
+    # tests/oracles.py does, and with one both loops make the same view
+    order = "C" if len(ops) > 1 else "K"
+    prod = np.multiply(Gt, X, order=order).reshape(Gt.shape[0], -1)
     return prod @ w_free
 
 

@@ -49,3 +49,34 @@ def noise_stability_resample(f, rho, nu):
     for i, m in enumerate(nu.measures):
         arr = rho * arr + (1.0 - rho) * _average(arr, i, f.n, m.probs)
     return float(np.dot(nu.weights(), f.as_real() * arr.reshape(-1)))
+
+
+def _stab_cells_moveaxis(Gt, ops, w_free):
+    """Per-cell noise stability by one tensordot per axis, each result
+    axis moved back into place: the reference regularity._stab_cells must
+    match."""
+    X = Gt
+    for a, R in enumerate(ops, start=1):
+        X = np.moveaxis(np.tensordot(R, X, axes=([1], [a])), 0, a)
+    return (Gt * X).reshape(Gt.shape[0], -1) @ w_free
+
+
+def cell_influence_tables_moveaxis(stack, n, s, J, nu, rho):
+    """Reference for regularity._cell_influence_tables, same signature and
+    returns, on the moveaxis loop above."""
+    G, Js, F = fs._cell_view(stack, n, s, J)
+    T, C, _ = G.shape
+    w_cells = fs._kron(nu.measures[c].probs for c in Js)
+    w_free = fs._kron(nu.measures[c].probs for c in F)
+    Gt = G.reshape((T * C,) + (s,) * len(F))
+    axis_coords = list(reversed(F))  # tensor axis k+1 holds this coordinate
+    ops = [rho * np.eye(s) + (1 - rho) * np.tile(nu.measures[c].probs, (s, 1))
+           for c in axis_coords]
+    stab = _stab_cells_moveaxis(Gt, ops, w_free)
+    infs = np.zeros((T, len(F), C))
+    for a, coord in enumerate(axis_coords, start=1):
+        H = np.tensordot(nu.measures[coord].probs, Gt, axes=([0], [a]))
+        H = np.broadcast_to(np.expand_dims(H, a), Gt.shape)
+        infs[:, F.index(coord)] = (
+            stab - _stab_cells_moveaxis(H, ops, w_free)).reshape(T, C)
+    return w_cells, stab.reshape(T, C), infs, F

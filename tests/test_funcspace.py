@@ -96,6 +96,44 @@ def test_table_keeps_its_own_copy(codomain, raw):
     assert not f.values.flags.writeable
 
 
+@pytest.mark.parametrize("obj, names", [
+    (fs.dictator(3, 0), ("n", "s", "codomain", "values")),
+    (fs.PartialAssignment([0, None, 1]), ("entries", "s")),
+    (pt.ColumnRestriction([(None, 0), (0, 1)], 2), ("patterns", "s"))],
+    ids=["table", "assignment", "restriction"])
+def test_value_types_refuse_attribute_writes(obj, names):
+    for name in names + ("extra",):
+        with pytest.raises(AttributeError):
+            setattr(obj, name, getattr(obj, name, None))
+        with pytest.raises(AttributeError):
+            delattr(obj, name)
+    for twin in (pickle.loads(pickle.dumps(obj)), copy.deepcopy(obj),
+                 copy.copy(obj)):
+        assert type(twin) is type(obj)
+        for name in names:
+            assert np.array_equal(getattr(twin, name), getattr(obj, name))
+        with pytest.raises(AttributeError):
+            setattr(twin, names[0], None)
+
+
+def test_refused_writes_leave_the_checks_working():
+    # each write once went through: the first made the check raise a bare
+    # IndexError, the second made violation_probability raise a bare
+    # ValueError (a reshape), the third put symbols outside the alphabet
+    P = pr.nand_predicate(2)
+    f, g = fs.dictator(3, 0), fs.dictator(3, 0)
+    with pytest.raises(AttributeError):
+        f.values = np.full(8, 7, np.uint8)
+    with pytest.raises(AttributeError):
+        g.n = 5
+    assert pt.is_generalized_polymorphism(P, [f, g]) == (True, None)
+    assert pt.violation_probability(P, [f, g]) == 0.0
+    a = fs.PartialAssignment([0, None])
+    with pytest.raises(AttributeError):
+        a.entries = (5, 5)
+    assert a.entries == (0, None)
+
+
 def test_product_weights_are_read_only():
     nu = fs.ProductMeasure.uniform(3)
     w = nu.weights()

@@ -552,3 +552,49 @@ def test_grouped_growth_round_equals_per_position_passes(inst, rho):
                 assert np.array_equal(per_fn[k][2], infs)
     assert abs(phi - math.fsum(alone)) < 1e-12
 
+
+# -- the growth loop against the moveaxis reference ----------------------------
+
+@st.composite
+def growth_stacks(draw):
+    """1-9 real tables over s in {2, 3, 4}, one random full-support
+    measure, and a cell set J of 0-2 coordinates in any order."""
+    s = draw(st.integers(2, 4))
+    n = draw(st.integers(1, {2: 6, 3: 4, 4: 3}[s]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    stack = rng.uniform(0, 1, size=(draw(st.integers(1, 9)), s ** n))
+    J = draw(st.lists(st.integers(0, n - 1), max_size=min(2, n), unique=True))
+    return stack, n, s, J, _random_measure(rng, n, s)
+
+
+@settings(max_examples=300, deadline=None)
+@given(growth_stacks(), st.floats(0.0, 1.0, exclude_min=True,
+                                  exclude_max=True))
+def test_growth_pass_matches_the_moveaxis_loop(inst, rho):
+    # same products, in a different axis order: byte-equal at s = 2, where
+    # each entry is one two-term sum, and within rounding at s >= 3
+    stack, n, s, J, nu = inst
+    got = rg._cell_influence_tables(stack, n, s, J, nu, rho)
+    want = oracles.cell_influence_tables_moveaxis(stack, n, s, J, nu, rho)
+    assert got[3] == want[3]
+    for a, b in zip(got[:3], want[:3]):
+        assert a.shape == b.shape
+        if s == 2:
+            assert a.tobytes() == b.tobytes()
+        else:
+            assert np.allclose(a, b, rtol=0, atol=1e-12)
+
+
+def test_growth_pass_rounds_as_the_moveaxis_loop_with_cells_fastest():
+    # one table cut on its lowest coordinates has its cells as the fastest
+    # axis of the cell view; numpy would then lay the product out cells
+    # first, and the reduction would round differently from row-major rows
+    rng = np.random.default_rng(0)
+    for n, J in [(3, [0]), (4, [0]), (4, [0, 1]), (5, [0])] * 10:
+        stack = rng.uniform(0, 1, size=(1, 2 ** n))
+        nu = _random_measure(rng, n, 2)
+        rho = float(rng.uniform(0.05, 0.95))
+        got = rg._cell_influence_tables(stack, n, 2, J, nu, rho)
+        want = oracles.cell_influence_tables_moveaxis(stack, n, 2, J, nu, rho)
+        for a, b in zip(got[:3], want[:3]):
+            assert a.tobytes() == b.tobytes()
