@@ -104,10 +104,7 @@ def _decision_counts(decisions) -> str:
 
 def parse_chain(text: str) -> co.TransitionChain:
     lines = fs.text_lines(text)
-    if not lines or not lines[0].startswith("chain"):
-        raise ValidationError("chain file must start with a 'chain' header")
-    head = fs.read_fields(lines[0].split()[1:], {"y": int, "factors": int},
-                          "chain header", required=("y", "factors"))
+    head = fs.read_header(lines, "chain", {"y": int, "factors": int})
     y = head["y"]
     factors, assignment = [], None
     i = 1
@@ -119,7 +116,7 @@ def parse_chain(text: str) -> co.TransitionChain:
                 raise ValidationError(f"factor needs {y} rows of {y} numbers")
             factors.append(rows)
             i += 1 + y
-        elif lines[i].startswith("assign"):
+        elif lines[i].split()[0] == "assign":
             assignment = [k - 1 for k in fs.parse_numbers(
                 lines[i].split()[1:], int, "assign line")]
             i += 1
@@ -142,7 +139,7 @@ def load_chain(path) -> co.TransitionChain:
 class PlantedInstance:
     fs: tuple                     # the perturbed functions
     base: tuple                   # the exact planted polymorphism
-    violation: float              # exhaustive violation of fs
+    violation: float              # violation_probability of fs
 
 
 def _parse_plant(spec: str, P: pr.Predicate, n: int) -> list:
@@ -174,8 +171,8 @@ def plant_and_perturb(P: pr.Predicate, n: int, spec: str, eta: float,
                       seed: int) -> PlantedInstance:
     """Build the planted exact polymorphism named by spec, verify it, then
     flip (binary) or remap (larger alphabets) every table entry
-    independently with probability eta.  The measured violation of the
-    perturbed tuple is exhaustive."""
+    independently with probability eta.  The violation of the perturbed
+    tuple is exact, from whichever engine violation_probability picks."""
     if not 0 <= eta < 0.5:
         raise DomainError("flip rate must lie in [0, 1/2)")
     base = _parse_plant(spec, P, n)
@@ -208,10 +205,12 @@ def plant_and_perturb(P: pr.Predicate, n: int, spec: str, eta: float,
 
 RUN_DEFAULTS = {"flip": 0.0, "repeats": 1, "d": 2, "tau": 0.1,
                 "attempts": 64}
-RUN_TYPES = {"n": int, "flip": float, "repeats": int, "eps": float,
-             "d": int, "tau": float, "attempts": int}
+# every key a [run] section may carry; an empty eta keeps the pipeline
+# default, so eta is read as a string and converted in _run_spec
+RUN_TYPES = {"pipeline": str, "pred": str, "n": int, "plant": str,
+             "fn": str, "flip": float, "repeats": int, "eps": float,
+             "eta": str, "d": int, "tau": float, "attempts": int}
 PIPELINES = ("monotone", "general", "alphabet", "polytest")
-RUN_KEYS = {*RUN_TYPES, "pipeline", "pred", "plant", "fn", "eta"}
 
 
 @dataclass(frozen=True, slots=True)
@@ -246,15 +245,10 @@ def _run_spec(label: str, lines, base: Path) -> RunSpec:
         except OSError as exc:      # the message names the path
             raise ValidationError(f"{where}: {key} = {rel!r}: {exc}") from exc
 
-    kv = fs.read_fields(lines, RUN_TYPES, where)
-    for key in kv:
-        if key not in RUN_KEYS:
-            raise ValidationError(f"{where}: unknown key {key!r}")
+    kv = fs.read_fields(lines, RUN_TYPES, where, required=("pred",))
     pipeline = kv.get("pipeline")
     if pipeline not in PIPELINES:
         raise ValidationError(f"{where}: unknown pipeline {pipeline!r}")
-    if "pred" not in kv:
-        raise ValidationError(f"{where}: missing pred")
     P = load("pred", kv["pred"], pr.load_predicate)
     plant = kv.get("plant")
     fns = tuple(kv["fn"].split(",")) if "fn" in kv else ()
@@ -273,7 +267,6 @@ def _run_spec(label: str, lines, base: Path) -> RunSpec:
         raise ValidationError(f"{where}: repeats must be at least 1")
     if "eps" not in kv and pipeline != "polytest":
         raise ValidationError(f"{where}: missing eps")
-    # an empty eta keeps the pipeline default, so it is read here
     eta = fs.parse_numbers([kv["eta"]], float, f"{where}: eta")[0] \
         if kv.get("eta") else None
     return RunSpec(label=label, pipeline=pipeline, pred=P,
@@ -287,10 +280,7 @@ def _run_spec(label: str, lines, base: Path) -> RunSpec:
 def parse_experiment_config(path) -> ExperimentConfig:
     path = Path(path)
     sections = [(None, [])]   # the global lines, then one entry per run
-    for raw in path.read_text().splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for line in fs.text_lines(path.read_text()):
         if line.startswith("[run ") and line.endswith("]"):
             label = line[len("[run "):-1].strip()
             if not label:
@@ -299,9 +289,6 @@ def parse_experiment_config(path) -> ExperimentConfig:
         else:
             sections[-1][1].append(line)
     head = fs.read_fields(sections[0][1], {"seed": int}, "config")
-    for key in head:
-        if key != "seed":
-            raise ValidationError(f"unknown global key {key!r}")
     runs = [_run_spec(label, lines, path.parent)
             for label, lines in sections[1:]]
     labels = [r.label for r in runs]
@@ -364,12 +351,8 @@ def _run_one(run: RunSpec, seed: int, out_dir, r: int):
         res = _correct(run.pipeline, P, tables, run, seed)
         after = pt.violation_probability(P, res.gs)
         if out_dir is not None and res.accepted:
-            Path(out_dir).mkdir(parents=True, exist_ok=True)
-            saved = []
-            for j, g in enumerate(res.gs):
-                p = Path(out_dir) / f"{run.label}-{r}-g{j + 1}.fn"
-                fs.save_function(p, g)
-                saved.append(fs.load_function(p))
+            saved = [fs.load_function(p) for p in
+                     _save_functions(res.gs, out_dir, f"{run.label}-{r}")]
             if not pt.is_generalized_polymorphism(P, saved)[0]:
                 raise ValidationError("saved functions do not re-verify")
     return _csv_row(f"{run.label}#{r}", run.pipeline, seed, P, tables[0].n,
@@ -522,16 +505,23 @@ def _print_correction(out, pipeline, res, fields) -> None:
         _print_counterexample(out, res.counterexample)
 
 
+def _save_functions(gs, out_dir, stem) -> list:
+    """Save gs as <stem>-g<j>.fn in out_dir, made if missing; returns the
+    paths in order."""
+    Path(out_dir).mkdir(parents=True, exist_ok=True)
+    paths = [Path(out_dir) / f"{stem}-g{j + 1}.fn" for j in range(len(gs))]
+    for p, g in zip(paths, gs):
+        fs.save_function(p, g)
+    return paths
+
+
 def _emit_functions(out, gs, out_dir, stem) -> None:
     if out_dir is None:
         for j, g in enumerate(gs):
             print(f"function[{j + 1}]:", file=out)
             print(fs.format_function(g), file=out, end="")
     else:
-        Path(out_dir).mkdir(parents=True, exist_ok=True)
-        for j, g in enumerate(gs):
-            p = Path(out_dir) / f"{stem}-g{j + 1}.fn"
-            fs.save_function(p, g)
+        for j, p in enumerate(_save_functions(gs, out_dir, stem)):
             _emit(out, f"saved[{j + 1}]", p)
 
 

@@ -24,9 +24,10 @@ import numpy as np
 
 from .errors import DomainError, ResourceError, UnsupportedError, ValidationError
 from .funcspace import (FunctionTable, Measure, PartialAssignment,
-                        ProductMeasure, _cell_view, _check_size, _digit_index,
-                        _digits, _kron, _once_per_table, character, constant,
-                        decode_point, distance, from_values)
+                        ProductMeasure, _cell_view, _check_size, _coordinates,
+                        _digit_index, _digits, _integer, _kron,
+                        _once_per_table, character, constant, decode_point,
+                        distance, from_values)
 from .harmonics import _transform
 from .predicates import (Predicate, affine_relations, classify_short_relations,
                          flexible_coordinates, maxterms, star_law)
@@ -589,6 +590,8 @@ def correct_general(P: Predicate, fs, eps: float, eta: float | None = None,
         eta = eps / 2
     if not 0.0 <= eta < 0.5:
         raise DomainError("eta must lie in [0, 1/2)")
+    d = _integer(d, "degree d")  # growth may not run to check it
+    attempts, seed = _integer(attempts, "attempts"), _integer(seed, "seed")
     if attempts < 1:
         raise DomainError("need at least one restriction attempt")
     m = P.m
@@ -707,6 +710,7 @@ def correct_alphabet(P: Predicate, fs, eps: float, eta: float | None = None,
         eta = min(eps / 2, 1.0 / s)
     if not 0.0 < eta <= 1.0 / s:
         raise DomainError("eta must lie in (0, 1/|Sigma|]")
+    attempts, seed = _integer(attempts, "attempts"), _integer(seed, "seed")
     if attempts < 1:
         raise DomainError("need at least one restriction attempt")
     m = P.m
@@ -765,13 +769,14 @@ class TransitionChain:
             if M.ndim != 2 or M.shape != (size, size) or size < 2:
                 raise ValidationError("factors must be square matrices on a "
                                       "common state space")
-            if np.max(np.abs(M - M.T)) > CHAIN_TOL:
+            # each check is phrased so that a NaN entry fails it
+            if not np.max(np.abs(M - M.T)) <= CHAIN_TOL:
                 raise ValidationError("factor is not symmetric")
-            if np.max(np.abs(M.sum(axis=1) - 1.0)) > CHAIN_TOL:
+            if not np.max(np.abs(M.sum(axis=1) - 1.0)) <= CHAIN_TOL:
                 raise ValidationError("factor rows do not sum to 1")
-            if M.min() <= 0:
+            if not M.min() > 0:
                 raise ValidationError("factor entries must be strictly positive")
-        assignment = tuple(int(t) for t in assignment)
+        assignment = tuple(_integer(t, "factor index") for t in assignment)
         if not assignment:
             raise ValidationError("need at least one coordinate")
         if any(not 0 <= t < len(factors) for t in assignment):
@@ -842,6 +847,7 @@ def friedgut_regev_lift(family, k: int, n: int | None = None) -> FunctionTable:
     supported on weight-k points or an iterable of k-subsets (then n is
     required).  One zeta transform computes all subset counts at once.
     """
+    k = _integer(k, "k")
     if isinstance(family, FunctionTable):
         if family.s != 2 or family.codomain != "bit":
             raise UnsupportedError("family indicator must be a Boolean table")
@@ -852,11 +858,11 @@ def friedgut_regev_lift(family, k: int, n: int | None = None) -> FunctionTable:
     else:
         if n is None:
             raise DomainError("n is required when the family is a subset list")
-        _check_size(n, 2)
+        n, _ = _check_size(n, 2)
         counts = np.zeros(2 ** n, dtype=np.int64)
         for S in family:
-            S = frozenset(int(i) for i in S)
-            if len(S) != k or any(not 0 <= i < n for i in S):
+            S = frozenset(_coordinates(S, n))
+            if len(S) != k:
                 raise ValidationError(f"{tuple(sorted(S))} is not a k-subset "
                                       f"of range({n})")
             counts[sum(1 << i for i in S)] = 1

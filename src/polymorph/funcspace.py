@@ -253,7 +253,8 @@ class ProductMeasure(_Frozen):
 
     def subset(self, coords: Iterable[int]) -> "ProductMeasure":
         """Product of the marginals at the given coordinates, in given order."""
-        return ProductMeasure([self.measures[i] for i in coords])
+        return ProductMeasure([self.measures[i]
+                               for i in _coordinates(coords, self.n)])
 
     def __eq__(self, other):
         return (isinstance(other, ProductMeasure)
@@ -267,6 +268,16 @@ def _integer(v, what: str) -> int:
         return operator.index(v)
     except TypeError:
         raise DomainError(f"{what} {v!r} is not an integer") from None
+
+
+def _coordinates(coords, n: int) -> list:
+    """coords as ints, in the given order with any repeats, by the integer
+    rule of _integer; one outside range(n) raises DomainError."""
+    out = [_integer(i, "coordinate") for i in coords]
+    for i in out:
+        if not 0 <= i < n:
+            raise DomainError(f"coordinate {i} outside range(0, {n})")
+    return out
 
 
 def _symbol(v, s: int) -> int:
@@ -291,11 +302,9 @@ class PartialAssignment(_Frozen):
 
     @classmethod
     def from_dict(cls, n: int, fixed: dict[int, int], s: int = 2) -> "PartialAssignment":
+        n = _integer(n, "n")
         entries: list[int | None] = [None] * n
-        for i, v in fixed.items():
-            k = _integer(i, "coordinate")
-            if not (0 <= k < n):
-                raise DomainError(f"coordinate {i} outside range(0, {n})")
+        for k, v in zip(_coordinates(fixed, n), fixed.values()):
             entries[k] = v
         return cls(entries, s)
 
@@ -408,8 +417,7 @@ def constant(n: int, value, s: int = 2, codomain: str | None = None) -> Function
 
 def dictator(n: int, i: int, s: int = 2) -> FunctionTable:
     """f(x) = x_i."""
-    if not (0 <= i < n):
-        raise DomainError(f"coordinate {i} outside range(0, {n})")
+    i, = _coordinates([i], n)
     return FunctionTable(n, s, "bit" if s == 2 else "sym", _digits(n, s)[i])
 
 
@@ -417,13 +425,11 @@ def character(n: int, support: Iterable[int], offset: int = 0) -> FunctionTable:
     """Binary character: offset xor (xor of x_i over the support).  A
     repeated coordinate raises ValidationError, as x_i xor x_i is the
     constant 0 and not x_i."""
-    supp = sorted(support)
+    supp = _coordinates(support, n)
     if len(set(supp)) != len(supp):
         raise ValidationError("character support repeats a coordinate")
-    if any(not (0 <= i < n) for i in supp):
-        raise DomainError("character support outside range")
     digits = _digits(n, 2)
-    vals = np.full(1 << n, offset & 1, dtype=np.uint8)
+    vals = np.full(1 << n, _integer(offset, "offset") & 1, dtype=np.uint8)
     for i in supp:
         vals ^= digits[i]
     return FunctionTable(n, 2, "bit", vals)
@@ -446,7 +452,7 @@ def or_all(n: int) -> FunctionTable:
 def junta(n: int, coords: Sequence[int], table: FunctionTable | Sequence[int],
           s: int = 2, codomain: str = "bit") -> FunctionTable:
     """Lift a table on |coords| coordinates to Sigma^n, reading coords in order."""
-    coords = list(coords)
+    coords = _coordinates(coords, n)
     if len(set(coords)) != len(coords):
         raise ValidationError("junta coordinates repeat")
     if isinstance(table, FunctionTable):
@@ -544,19 +550,21 @@ def read_fields(tokens: Iterable[str], types: dict, where: str,
     """The key=value tokenizer shared by every text format.
 
     Each token splits at its first '='; key and value are stripped and a
-    later key overrides an earlier one.  Keys named in types are converted
-    by parse_numbers, the rest stay strings.  A token without '=' or a
-    missing required key raises ValidationError naming where.
+    later key overrides an earlier one.  types names every key the tokens
+    may carry, each with the kind parse_numbers converts its value by (str
+    keeps it as written).  A token without '=', a key that types does not
+    name, or a missing required key raises ValidationError naming where.
     """
     out = {}
     for tok in tokens:
         key, sep, value = tok.partition("=")
         if not sep:
             raise ValidationError(f"{where}: expected key=value, got {tok!r}")
-        key, value = key.strip(), value.strip()
-        if key in types:
-            value = parse_numbers([value], types[key], f"{where}: {key}")[0]
-        out[key] = value
+        key = key.strip()
+        if key not in types:
+            raise ValidationError(f"{where}: unknown key {key!r}")
+        out[key] = parse_numbers([value.strip()], types[key],
+                                 f"{where}: {key}")[0]
     missing = [k for k in required if k not in out]
     if missing:
         raise ValidationError(f"{where}: missing {', '.join(missing)}")
@@ -564,9 +572,21 @@ def read_fields(tokens: Iterable[str], types: dict, where: str,
 
 
 def text_lines(text: str) -> list[str]:
-    """Stripped non-empty lines that are not '#' comments."""
-    return [ln.strip() for ln in text.splitlines()
-            if ln.strip() and not ln.strip().startswith("#")]
+    """The line scanner shared by every text format: each line is cut at
+    its first '#', as a comment runs to the end of its line, and stripped;
+    lines left empty are dropped."""
+    lines = (ln.split("#", 1)[0].strip() for ln in text.splitlines())
+    return [ln for ln in lines if ln]
+
+
+def read_header(lines: Sequence[str], word: str, types: dict) -> dict:
+    """The header of a text format: the first line's first token is word,
+    and its other tokens carry every key of types (see read_fields)."""
+    head = lines[0].split() if lines else []
+    if head[:1] != [word]:
+        raise ValidationError(f"{word} file needs a {word!r} header")
+    return read_fields(head[1:], types, f"{word} header",
+                       required=tuple(types))
 
 
 def format_function(f: FunctionTable) -> str:
@@ -582,35 +602,33 @@ def parse_function(text: str) -> FunctionTable:
     """Parse the function file format.
 
     Line 1: ``fn n=<n> sigma=<s> codomain=<bit|sym|real>``.
-    Line 2: either ``table <entries...>`` or one constructor of
+    Line 2, the last: either ``table <entries...>`` or one constructor of
     ``char S=1,2 b=0``, ``dictator i=3``, ``hybrid``, ``and``, ``or``,
     ``const v``.  Constructor coordinates are 1-based.
     """
     lines = text_lines(text)
-    if len(lines) < 2 or not lines[0].startswith("fn "):
-        raise ValidationError("function file needs a 'fn' header and a body line")
-    head = read_fields(lines[0].split()[1:], {"n": int, "sigma": int},
-                       "function header", required=("n", "sigma", "codomain"))
+    head = read_header(lines, "fn", {"n": int, "sigma": int, "codomain": str})
+    if len(lines) != 2:
+        raise ValidationError("function file needs one body line after its "
+                              "header")
     n, s, codomain = head["n"], head["sigma"], head["codomain"]
     word, *rest = lines[1].split()
     kind = float if codomain == "real" else int
     if word == "table":
         return FunctionTable(n, s, codomain, parse_numbers(rest, kind, "table"))
     if word == "char":
-        opts = read_fields(rest, {"b": int}, "char")
+        opts = read_fields(rest, {"S": str, "b": int}, "char")
         supp = parse_coordinates(opts["S"].split(","), n, "char S") \
             if opts.get("S") else []
         return character(n, supp, opts.get("b", 0))
     if word == "dictator":
-        opts = read_fields(rest, {}, "dictator", required=("i",))
+        opts = read_fields(rest, {"i": str}, "dictator", required=("i",))
         return dictator(n, parse_coordinates([opts["i"]], n, "dictator i")[0],
                         s)
-    if word == "hybrid":
-        return hybrid(n)
-    if word == "and":
-        return and_all(n)
-    if word == "or":
-        return or_all(n)
+    fixed = {"hybrid": hybrid, "and": and_all, "or": or_all}
+    if word in fixed:
+        read_fields(rest, {}, word)  # these take no fields
+        return fixed[word](n)
     if word == "const":
         if len(rest) != 1:
             raise ValidationError("const needs exactly one value")

@@ -19,7 +19,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DomainError, UnsupportedError, ValidationError
-from .funcspace import FunctionTable, ProductMeasure, _digits, _kron
+from .funcspace import (FunctionTable, ProductMeasure, _coordinates, _digits,
+                        _integer, _kron)
 
 IDENTITY_TOL = 1e-9
 
@@ -61,9 +62,13 @@ def _energy(stack: np.ndarray, measures) -> tuple:
 
 
 class Decomposition:
-    """The orthogonal decomposition of one function table."""
+    """The orthogonal decomposition of one bit or real function table."""
 
     def __init__(self, f: FunctionTable, nu: ProductMeasure):
+        if f.codomain == "sym":
+            raise UnsupportedError(
+                "numeric harmonics need bit or real codomain; expand sym "
+                "functions into indicator tables first")
         if nu.n != f.n or nu.s != f.s:
             raise DomainError("measure does not match the function domain")
         self.n, self.s = f.n, f.s
@@ -78,12 +83,7 @@ class Decomposition:
         self.total_norm2 = float(np.dot(nu.weights(), f.as_real() ** 2))
 
     def _mask_of(self, S) -> int:
-        mask = 0
-        for i in S:
-            if not (0 <= i < self.n):
-                raise DomainError(f"coordinate {i} outside range(0, {self.n})")
-            mask |= 1 << i
-        return mask
+        return sum(1 << i for i in set(_coordinates(S, self.n)))
 
     def norm2(self, S) -> float:
         """Squared norm of the component f_S."""
@@ -111,11 +111,11 @@ class Decomposition:
 
     def _weigh(self, i: int, w: np.ndarray) -> float:
         """Energy of the supports that hold coordinate i, weighted by w."""
-        self._mask_of([i])  # the range check
+        i, = _coordinates([i], self.n)
         return float(self.norm2_by_mask @ (self._bits[i] * w))
 
     def low_degree_influence(self, i: int, d: int) -> float:
-        return self._weigh(i, self._levels <= d)
+        return self._weigh(i, self._levels <= _integer(d, "degree d"))
 
     def noisy_influence(self, i: int, rho: float) -> float:
         return self._weigh(i, rho ** self._levels)
@@ -142,26 +142,16 @@ class Decomposition:
             for _, coords, v in entries) + "\n"
 
 
-def _numeric(f: FunctionTable) -> None:
-    if f.codomain == "sym":
-        raise UnsupportedError(
-            "numeric harmonics need bit or real codomain; expand sym "
-            "functions into indicator tables first")
-
-
 def low_degree_influence(f: FunctionTable, i: int, d: int, nu: ProductMeasure) -> float:
     """Inf_i of the degree-<= d part: sum of ||f_S||^2 over S containing i, |S| <= d."""
-    _numeric(f)
     return Decomposition(f, nu).low_degree_influence(i, d)
 
 
 def noisy_influence(f: FunctionTable, i: int, rho: float, nu: ProductMeasure) -> float:
     """Sum of rho^|S| ||f_S||^2 over S containing i."""
-    _numeric(f)
     return Decomposition(f, nu).noisy_influence(i, rho)
 
 
 def noise_stability(f: FunctionTable, rho: float, nu: ProductMeasure) -> float:
     """Stab_rho[f] = sum_S rho^|S| ||f_S||^2, from the decomposition."""
-    _numeric(f)
     return Decomposition(f, nu).stability(rho)

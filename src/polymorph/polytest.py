@@ -18,14 +18,14 @@ counterexample).
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DomainError, ResourceError, UnsupportedError
 from .funcspace import (FunctionTable, PartialAssignment, ProductMeasure,
-                        _check_size, _Frozen, decode_point, encode_point)
+                        _check_size, _Frozen, _integer, decode_point,
+                        encode_point)
 from .predicates import Predicate
 
 ODOMETER_CAP = 1 << 24
@@ -572,9 +572,10 @@ def _choice_sampler(p: np.ndarray):
 def violation_mc(P: Predicate, fs, samples: int, seed: int) -> ViolationReport:
     """Monte Carlo violation estimate with a Wilson 95% interval."""
     n, s = _check_functions(P, fs)
-    if not isinstance(samples, numbers.Integral) or samples < 1:
+    samples, seed = _integer(samples, "samples"), _integer(seed, "seed")
+    if samples < 1:
         raise DomainError(f"samples must be a positive integer, got {samples!r}")
-    if not isinstance(seed, numbers.Integral) or not 0 <= seed < 2 ** 128:
+    if not 0 <= seed < 2 ** 128:
         raise DomainError(f"seed must be an integer in [0, 2^128), got {seed!r}")
     K = len(P)
     in_p = _member_table(P)
@@ -668,10 +669,10 @@ def joint_value_probability(P: Predicate, fs, alpha,
     functions.
     """
     _check_functions(P, fs)
-    if len(alpha) != P.m or not all(isinstance(a, numbers.Integral)
-                                    and 0 <= a < P.s for a in alpha):
+    alpha = tuple(_integer(a, "alpha output") for a in alpha)
+    if len(alpha) != P.m or not all(0 <= a < P.s for a in alpha):
         raise DomainError(f"alpha must assign one output in range({P.s}) "
-                          f"per function, got {tuple(alpha)!r}")
+                          f"per function, got {alpha!r}")
     if restriction is None:
         outputs = np.zeros(P.s ** P.m, dtype=bool)
         outputs[encode_point(alpha, P.s)] = True

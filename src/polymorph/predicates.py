@@ -21,8 +21,9 @@ import numpy as np
 
 from .errors import (DomainError, ResourceError, UnsupportedError,
                      ValidationError)
-from .funcspace import (SYMBOL_CAP, Measure, _Frozen, _integer,
-                        parse_numbers, read_fields, text_lines)
+from .funcspace import (SYMBOL_CAP, Measure, _coordinates, _Frozen,
+                        _integer, parse_numbers, read_fields, read_header,
+                        text_lines)
 
 RELATION_M_CAP = 16
 
@@ -109,23 +110,19 @@ class Predicate(_Frozen):
     def min_weight(self) -> Fraction:
         return min(self.weights)
 
-    def _coordinate(self, j) -> int:
-        k = _integer(j, "coordinate")
-        if not 0 <= k < self.m:
-            raise DomainError(f"coordinate {j} outside range(0, {self.m})")
-        return k
-
     def marginal(self, j: int) -> list[Fraction]:
         """Distribution of w_j, one entry per symbol (exact)."""
-        return list(self._marginals[self._coordinate(j)])
+        j, = _coordinates([j], self.m)
+        return list(self._marginals[j])
 
     def marginal_measure(self, j: int) -> Measure:
         """mu|_j as a shared Measure with read-only probs."""
-        return self._measures[self._coordinate(j)]
+        j, = _coordinates([j], self.m)
+        return self._measures[j]
 
     def project(self, I) -> "Predicate":
         """Pushforward onto the coordinates in I, in increasing order."""
-        I = sorted({self._coordinate(j) for j in I})
+        I = sorted(set(_coordinates(I, self.m)))
         if not I:
             raise DomainError("projection needs at least one coordinate")
         acc: dict[tuple, Fraction] = {}
@@ -427,16 +424,13 @@ def parse_predicate(text: str) -> Predicate:
     """Parse: header ``pred m=<m> sigma=<s>``, then ``w=<digits> p=<weight>``
     lines; weights may be decimals or rationals like ``1/3``."""
     lines = text_lines(text)
-    if not lines or not lines[0].startswith("pred "):
-        raise ValidationError("predicate file needs a 'pred' header")
-    head = read_fields(lines[0].split()[1:], {"m": int, "sigma": int},
-                       "predicate header", required=("m", "sigma"))
+    head = read_header(lines, "pred", {"m": int, "sigma": int})
     if head["sigma"] > 10:
         raise UnsupportedError("digit-string members support sigma <= 10")
     members, weights = [], []
     for ln in lines[1:]:
         where = f"member line {ln!r}"
-        fields = read_fields(ln.split(), {"p": Fraction}, where,
+        fields = read_fields(ln.split(), {"w": str, "p": Fraction}, where,
                              required=("w", "p"))
         members.append(parse_numbers(list(fields["w"]), int, where))
         weights.append(fields["p"])

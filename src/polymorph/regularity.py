@@ -17,8 +17,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DomainError, ResourceError
-from .funcspace import (FunctionTable, ProductMeasure, _cell_view, _kron,
-                        decode_point)
+from .funcspace import (FunctionTable, ProductMeasure, _cell_view,
+                        _coordinates, _integer, _kron, decode_point)
 from .harmonics import _energy
 
 CELL_CAP = 1 << 16
@@ -195,6 +195,7 @@ def potential(fs, measures, rho: float, J) -> float:
     each function weighted by its own measure."""
     measures = _check_inputs(fs, measures, rho)
     groups, rows = _stack_by_measure(fs, measures)
+    J = sorted(set(_coordinates(J, fs[0].n)))
     return _growth_pass(groups, rows, fs[0].n, fs[0].s, J, rho)[1]
 
 
@@ -222,9 +223,7 @@ def build_junta_noisy(fs, measures, rho: float, tau: float, eps: float,
     required = coef * eps * tau
     tables = sum(r.stop - r.start for _, r in rows)
     step_bound = math.floor(tables / (coef * eps * tau)) + 1
-    J = sorted(set(initial))
-    if any(not (0 <= i < n) for i in J):
-        raise DomainError("initial junta outside coordinate range")
+    J = sorted(set(_coordinates(initial, n)))
     steps = []
     potentials = []
     while True:
@@ -280,14 +279,12 @@ def _cell_influences(f: FunctionTable, J, d: int, tau: float,
     coordinates), or None when J leaves no coordinate free: every cell is
     then a single point, hence constant and regular.
     """
-    if d < 1:
+    if _integer(d, "degree d") < 1:
         raise DomainError("degree must be at least 1")
     if not tau > 0:  # also refuses NaN
         raise DomainError("tau must be positive")
     n, s = f.n, f.s
-    J = sorted(set(J))
-    if any(not (0 <= i < n) for i in J):
-        raise DomainError(f"cell coordinates outside range(0, {n})")
+    J = sorted(set(_coordinates(J, n)))
     if nu.n != n or nu.s != s:
         raise DomainError("measure does not match the function domain")
     if len(J) >= n:
@@ -355,6 +352,7 @@ def build_junta_lowdeg(fs, measures, d: int, tau: float, eps: float,
     tau * rho^d forces every influence of degree at most d to be at most
     tau, so the noisy growth loop certifies the low-degree property.
     """
+    d = _integer(d, "degree d")
     if d < 1:
         raise DomainError("degree must be at least 1")
     rho = 0.5 if d == 1 else 1.0 - 1.0 / d

@@ -485,6 +485,9 @@ MALFORMED = {
     # 3 ** (10 ** 9) never finishes, so the gate must refuse n before it
     "fn-huge-n": ("bad.fn", "fn n=1000000000 sigma=3 codomain=sym\n"
                             "dictator i=2\n", ["analyze", "--fn", "{}"]),
+    # symbol codes are not values, so analyze refuses a sym table
+    "fn-sym": ("sym.fn", "fn n=2 sigma=3 codomain=sym\ndictator i=1\n",
+               ["analyze", "--fn", "{}"]),
     "pred-weight": ("bad.pred", "pred m=2 sigma=2\nw=00 p=abc\n",
                     ["validate", "--pred", "{}"]),
     "config-seed": ("bad.cfg", "seed = abc\n",

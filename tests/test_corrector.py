@@ -204,6 +204,18 @@ def test_transition_chain_validation():
         co.TransitionChain([np.full((2, 2), 0.5)], [0, 1])  # missing factor
 
 
+@pytest.mark.parametrize("factor", [
+    [[np.nan, 0.5], [0.5, 0.5]],
+    [[0.5, np.nan], [np.nan, 0.5]],
+    np.full((2, 2), np.nan),
+])
+def test_transition_chain_refuses_nan_entries(factor):
+    # NaN fails every comparison, so checks phrased as "> tol raises" let
+    # it through, and markov_agreement then raised a bare AssertionError
+    with pytest.raises(ValidationError):
+        co.TransitionChain([factor], [0, 0])
+
+
 def test_markov_agreement_constant_function():
     chain = co.TransitionChain([np.full((3, 3), 1 / 3)], [0, 0])
     rep = co.markov_agreement(chain, fs.constant(2, 1, s=3, codomain="sym"))

@@ -6,6 +6,7 @@ import re
 import string
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -143,6 +144,81 @@ def test_constructor_coordinates_are_checked_as_written(body, error, message):
         fs.parse_function(FN.format(n=3, s=2, c="bit", body=body))
 
 
+# each of these read as if the misspelt key were absent
+@pytest.mark.parametrize("kind, text, key", [
+    ("fn", "fn n=1 sigma=2 codomain=bit sigam=3\ntable 0 1\n", "sigam"),
+    ("fn", FN.format(n=3, s=2, c="bit", body="char S=1 bb=1"), "bb"),
+    ("fn", FN.format(n=3, s=2, c="bit", body="dictator i=1 j=2"), "j"),
+    ("fn", FN.format(n=3, s=2, c="bit", body="and x=1"), "x"),
+    ("pred", "pred m=1 sigma=2 sgima=3\nw=0 p=1/2\nw=1 p=1/2\n", "sgima"),
+    ("pred", "pred m=1 sigma=2\nw=0 p=1/2 q=1\nw=1 p=1/2\n", "q"),
+    ("chain", CHAIN.format(y=2, k=1, a=0.5, j=1).replace(
+        "factors=1", "factors=1 factor=1"), "factor"),
+    ("config", "seed = 1\nsed = 2\n", "sed"),
+    ("config", RUN + "attempt = 3\n", "attempt"),
+], ids=["fn-header", "fn-char", "fn-dictator", "fn-and", "pred-header",
+        "pred-member", "chain-header", "config-global", "config-run"])
+def test_unknown_keys_are_refused_by_name(config_dir, kind, text, key):
+    with pytest.raises(ValidationError, match=f"unknown key '{key}'"):
+        _parse(kind, text, config_dir)
+
+
+@pytest.mark.parametrize("kind, text", [
+    ("fn", "fnx n=1 sigma=2 codomain=bit\ntable 0 1\n"),
+    ("pred", "predicate m=1 sigma=2\nw=0 p=1\n"),
+    ("chain", CHAIN.format(y=2, k=1, a=0.5, j=1).replace("chain ",
+                                                         "chainfoo ")),
+    ("chain", CHAIN.format(y=2, k=1, a=0.5, j=1).replace("assign ",
+                                                         "assignx ")),
+    # the body is the last line
+    ("fn", "fn n=1 sigma=2 codomain=bit\ntable 0 1\ntable 1 0\n"),
+], ids=["fn-header", "pred-header", "chain-header", "chain-assign",
+        "fn-second-body"])
+def test_line_words_must_be_the_format_words(config_dir, kind, text):
+    with pytest.raises(ValidationError):
+        _parse(kind, text, config_dir)
+
+
+def test_a_comment_runs_to_the_end_of_any_line():
+    f = fs.parse_function("fn n=2 sigma=2 codomain=bit # xor\n"
+                          "table 0 1 1 0  # index order\n")
+    assert f.equals(fs.character(2, [0, 1]))
+    P = pr.parse_predicate("pred m=1 sigma=2 # fair\nw=0 p=1/2 # zero\n"
+                           "w=1 p=1/2\n")
+    assert P.weights == (Fraction(1, 2), Fraction(1, 2))
+    chain = cli.parse_chain("chain y=2 factors=1 #\nfactor # lazy\n"
+                            "0.9 0.1 # stay\n0.1 0.9\nassign 1 1 # both\n")
+    assert chain.assignment == (0, 0) and chain.factors[0][0, 0] == 0.9
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_format_examples_parse(tmp_path):
+    # the documented grammar cannot drift from the tokenizer: every fenced
+    # example under "File formats" parses, the config against stub files
+    section = README.read_text().split("\n## File formats\n")[1]
+    blocks = re.findall(r"^```\n(.*?)^```", section.split("\n## ")[0],
+                        re.M | re.S)
+    pr.save_predicate(tmp_path / "nand2.pred", pr.nand_predicate(2))
+    pr.save_predicate(tmp_path / "par3.pred", pr.parity_predicate(3, 0))
+    for j in (1, 2, 3):
+        fs.save_function(tmp_path / f"f{j}.fn", fs.dictator(4, j - 1))
+    words = []
+    for text in blocks:
+        words.append(text.split()[0])
+        if words[-1] == "seed":
+            (tmp_path / "example.cfg").write_text(text)
+            config = cli.parse_experiment_config(tmp_path / "example.cfg")
+            assert [r.label for r in config.runs] == ["nand-mono",
+                                                      "from-files"]
+        else:
+            parse = {"fn": fs.parse_function, "pred": pr.parse_predicate,
+                     "chain": cli.parse_chain}[words[-1]]
+            parse(text)
+    assert sorted(words) == ["chain", "fn", "pred", "seed"]
+
+
 def test_constructor_coordinates_read_one_based():
     f = fs.parse_function(FN.format(n=3, s=2, c="bit", body="char S=3,1 b=1"))
     assert f.equals(fs.character(3, [0, 2], 1))
@@ -168,15 +244,21 @@ FUZZ_SEEDS = {
            "fn n=3 sigma=2 codomain=bit\nand\n",
            "fn n=3 sigma=2 codomain=bit\nor\n",
            "fn n=2 sigma=4 codomain=sym\nconst 3\n",
-           "fn n=2 sigma=2 codomain=real\nconst 0.5\n"],
+           "fn n=2 sigma=2 codomain=real\nconst 0.5\n",
+           "fn n=2 sigma=2 codomain=bit  # xor\ntable 0 1 1 0 # by index\n"],
     "pred": ["pred m=2 sigma=2\nw=00 p=1/3\nw=01 p=1/3\nw=10 p=1/3\n",
-             "pred m=3 sigma=3\nw=012 p=0.5\nw=120 p=1/4\nw=201 p=25e-2\n"],
+             "pred m=3 sigma=3\nw=012 p=0.5\nw=120 p=1/4\nw=201 p=25e-2\n",
+             "pred m=1 sigma=2 # fair\nw=0 p=1/2 # zero\nw=1 p=1/2\n"],
     "chain": [CHAIN.format(y=2, k=1, a=0.5, j="1 1 1"),
               "chain y=2 factors=2\nfactor\n0.5 0.5\n0.5 0.5\nfactor\n"
-              "0.9 0.1\n0.1 0.9\nassign 1 2\n"],
+              "0.9 0.1\n0.1 0.9\nassign 1 2\n",
+              "chain y=2 factors=1 # lazy\nfactor # one\n0.9 0.1 # stay\n"
+              "0.1 0.9\nassign 1 1 # both\n"],
     "config": ["seed = 3\n" + RUN,
                "seed = 1\n[run b]\npipeline = polytest\npred = p.pred\n"
-               "fn = f.fn,f.fn\nflip = 0.1\n"],
+               "fn = f.fn,f.fn\nflip = 0.1\n",
+               "seed = 2 # root\n[run c] # one run\npipeline = polytest # no "
+               "correction\npred = p.pred\nfn = f.fn,f.fn\n"],
     "plant": ["dictator:2", "character:1,3:0,1", "character:2", "constant:0"],
     "measure": ["uniform", "p:0.3", "probs:0.25,0.75"],
 }

@@ -13,7 +13,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from polymorph.errors import (DomainError, ResourceError, ValidationError)
-from polymorph import funcspace as fs, polytest as pt, predicates as pr
+from polymorph import corrector as co, funcspace as fs, harmonics as hm
+from polymorph import polytest as pt, predicates as pr, regularity as rg
 
 import oracles
 
@@ -291,6 +292,71 @@ def test_numpy_integer_symbols_are_accepted():
     a = fs.PartialAssignment([np.uint8(2), None, np.int32(1)], 3)
     assert a.entries == (2, None, 1)
     assert f.restrict(a).equals(fs.constant(1, 2, s=3))
+
+
+_U3 = fs.ProductMeasure.uniform(3)
+_D3 = fs.dictator(3, 0)
+_NAND2 = pr.nand_predicate(2)
+_NOISY = [fs.dictator(4, 0)] * 2
+
+
+# every one of these raised a bare TypeError or IndexError, or was read
+# as another value (seed 1.5 as seed 1, factor 0.7 as factor 0, d = 2.5 as
+# rho = 0.6), before integer and coordinate arguments shared one rule
+@pytest.mark.parametrize("call", [
+    lambda: hm.Decomposition(_D3, _U3).norm2([0.5]),
+    lambda: hm.low_degree_influence(_D3, 1.0, 2, _U3),
+    lambda: hm.low_degree_influence(_D3, 1, 2.5, _U3),
+    lambda: rg.regular_cell_mask(_D3, [0.5], 2, 0.1, _U3),
+    lambda: rg.regular_cell_mask(_D3, [0], 2.5, 0.1, _U3),
+    lambda: rg.build_junta_noisy([_D3], _U3, 0.5, 0.1, 0.1, initial=[0.5]),
+    lambda: rg.build_junta_lowdeg([_D3], _U3, 2.5, 0.1, 0.1),
+    lambda: rg.potential([_D3], _U3, 0.5, [0.5]),
+    lambda: co.correct_general(_NAND2, _NOISY, 0.1, attempts=2.5),
+    lambda: co.correct_general(_NAND2, _NOISY, 0.1, seed=1.5),
+    lambda: co.correct_general(_NAND2, _NOISY, 0.1, d=2.5),
+    lambda: co.correct_alphabet(_NAND2, _NOISY, 0.1, attempts=2.5),
+    lambda: co.correct_alphabet(_NAND2, _NOISY, 0.1, seed=1.5),
+    lambda: co.correct_alphabet(_NAND2, _NOISY, 0.1, d=2.5),
+    lambda: co.friedgut_regev_lift([(0, 1)], 2.0, n=4),
+    lambda: co.friedgut_regev_lift([(0, 1.0)], 2, n=4),
+    lambda: co.TransitionChain([np.full((2, 2), 0.5)], [0.7]),
+    lambda: fs.dictator(3, 0.5),
+    lambda: fs.character(3, [0], 1.5),
+    lambda: fs.junta(3, [0.5], [0, 1]),
+    lambda: _U3.subset([0.5]),
+], ids=["norm2", "influence-i", "influence-d", "cell-mask-J", "cell-mask-d",
+        "growth-initial", "lowdeg-d", "potential-J", "general-attempts",
+        "general-seed", "general-d", "alphabet-attempts", "alphabet-seed",
+        "alphabet-d", "lift-k", "lift-set", "chain-assignment",
+        "dictator-i", "character-offset", "junta-coords", "subset"])
+def test_non_integer_arguments_are_refused(call):
+    with pytest.raises(DomainError, match="is not an integer"):
+        call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: hm.Decomposition(_D3, _U3).norm2([3]),
+    lambda: rg.regular_cell_mask(_D3, [-1], 2, 0.1, _U3),
+    lambda: rg.build_junta_noisy([_D3], _U3, 0.5, 0.1, 0.1, initial=[3]),
+    lambda: fs.junta(3, [3], [0, 1]),
+    # a negative index would read the last coordinate's marginal
+    lambda: _U3.subset([-1]),
+], ids=["norm2", "cell-mask", "growth-initial", "junta", "subset"])
+def test_coordinates_outside_the_range_are_refused(call):
+    with pytest.raises(DomainError, match="outside range"):
+        call()
+
+
+def test_integer_like_arguments_read_as_their_ints():
+    dec = hm.Decomposition(_D3, _U3)
+    assert dec.norm2([np.int64(0)]) == dec.norm2([0]) == 0.25
+    mask = rg.regular_cell_mask(_D3, [np.uint8(1)], 2, 0.1, _U3)
+    assert np.array_equal(mask, rg.regular_cell_mask(_D3, [1], 2, 0.1, _U3))
+    chain = co.TransitionChain([np.full((2, 2), 0.5)],
+                               [np.int64(0), np.uint8(0)])
+    assert chain.assignment == (0, 0)
+    assert type(chain.assignment[0]) is int
 
 
 def test_distance_dictator_to_zero_is_p():

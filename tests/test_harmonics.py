@@ -297,6 +297,14 @@ def test_sym_codomain_needs_indicators():
     assert ind.eval((1, 0, 0)) == 0
 
 
+def test_decomposition_refuses_sym_tables():
+    # a sym table holds symbol codes, not values; only the module
+    # functions refused it once, and `analyze` decomposed the codes
+    f = fs.dictator(3, 0, s=3)
+    with pytest.raises(UnsupportedError, match="indicator tables"):
+        hm.Decomposition(f, fs.ProductMeasure.uniform(3, 3))
+
+
 def test_degenerate_measure_rejected():
     f = fs.dictator(3, 0)
     bad = fs.ProductMeasure([fs.Measure([1.0, 0.0])] * 3)
