@@ -23,15 +23,14 @@ import math
 import numpy as np
 
 from .errors import DomainError, ResourceError, UnsupportedError, ValidationError
-from .funcspace import (FunctionTable, Measure, PartialAssignment,
-                        ProductMeasure, _cell_view, _check_size, _coordinates,
-                        _digit_index, _digits, _integer, _kron,
-                        _once_per_table, character, constant, decode_point,
-                        distance, from_values)
+from .funcspace import (FunctionTable, ProductMeasure, _cell_averages,
+                        _check_size, _coordinates, _digit_index, _digits,
+                        _indicators, _integer, _once_per_table, character,
+                        constant, decode_point, distance, from_values)
 from .harmonics import _transform
 from .predicates import (Predicate, affine_relations, classify_short_relations,
                          flexible_coordinates, maxterms, star_law)
-from .polytest import (ColumnRestriction, Counterexample,
+from .polytest import (ColumnRestriction, Counterexample, _restriction_rows,
                        is_generalized_polymorphism)
 from .regularity import (RegularityCertificate, build_junta_lowdeg,
                          regular_cell_mask)
@@ -185,32 +184,6 @@ def _require_tables(fs, m: int, codomains=("bit",)) -> tuple[int, int]:
     return n, s
 
 
-def _cell_averages(values: np.ndarray, f: FunctionTable, J, assignment,
-                   marginal: Measure) -> np.ndarray:
-    """Average of a table on f's domain over every cell of sorted J under
-    the restriction; open coordinates outside J average against the
-    marginal.  A (T, s^n) stack of tables gives a (T, cells) array."""
-    G, _, F = _cell_view(values, f.n, f.s, J)
-    # fixed entries contribute a point mass, stars the marginal
-    entries = [assignment.entries[c] for c in F]
-    # one matrix-vector product per table, as for a lone table
-    return G @ _kron(marginal.probs if v is None else np.eye(f.s)[v]
-                     for v in entries)
-
-
-def _restricted_cell_expectations(f: FunctionTable, J, assignment,
-                                  marginal: Measure) -> np.ndarray:
-    """E[f | cell, restriction] for every cell of sorted J at once."""
-    return _cell_averages(f.as_real(), f, J, assignment, marginal)
-
-
-def _restricted_value_probs(f: FunctionTable, J, assignment,
-                            marginal: Measure) -> np.ndarray:
-    """Shape (s, cells): probability of each output symbol per cell."""
-    indicators = (f.values == np.arange(f.s)[:, None]).astype(float)
-    return _cell_averages(indicators, f, J, assignment, marginal)
-
-
 def _iid_marginal(P: Predicate, j: int, n: int) -> ProductMeasure:
     return ProductMeasure.iid(P.marginal_measure(j), n)
 
@@ -361,41 +334,28 @@ def peel_affine_relations(P: Predicate, fs, eps: float) -> PeelingResult:
 
 # -- cell rounding under a restriction -----------------------------------------
 
-def _as_assignments(rho, m: int, n: int, s: int) -> list[PartialAssignment]:
-    if isinstance(rho, ColumnRestriction):
-        out = [rho.assignment_for(j) for j in range(m)]
-    else:
-        out = list(rho)
-    if len(out) != m:
-        raise DomainError(f"need one restriction row per function, got {len(out)}")
-    for a in out:
-        if a.n != n or a.s != s:
-            raise DomainError("restriction rows do not match the functions")
-    return out
-
-
 def round_general_cell(fs, J, rho, eta: float, P: Predicate) -> RoundedCells:
     """Round every cell of J by its restricted expectation.
 
     For each function j the expectation of f_j on a cell, with coordinates
-    outside J read from rho (stars average against the member marginal
-    mu|_j), decides the cell: at most eta fixes constant 0, at least
-    1 - eta fixes constant 1, anything else keeps the original values on
-    the whole cell.  A row without stars makes every expectation 0 or 1,
-    so such a function is always fixed cell by cell.
+    outside J read from row j of the ColumnRestriction rho (stars average
+    against the member marginal mu|_j), decides the cell: at most eta fixes
+    constant 0, at least 1 - eta fixes constant 1, anything else keeps the
+    original values on the whole cell.  A row without stars makes every
+    expectation 0 or 1, so such a function is always fixed cell by cell.
     """
     if not 0.0 <= eta < 0.5:
         raise DomainError("eta must lie in [0, 1/2)")
     n, s = _require_tables(fs, P.m)
     if s != 2 or P.s != 2:
         raise UnsupportedError("cell rounding is defined for binary alphabets")
-    assignments = _as_assignments(rho, P.m, n, s)
-    cell_idx = _digit_index(n, s, sorted(J))
+    rows = _restriction_rows(rho, P.m, n, s)
+    J = sorted(set(_coordinates(J, n)))
+    cell_idx = _digit_index(n, s, J)
     gs, decisions = [], []
     names = {0: "fixed-0", 1: "fixed-1", -1: "kept"}
-    for j, f in enumerate(fs):
-        E = _restricted_cell_expectations(f, J, assignments[j],
-                                          P.marginal_measure(j))
+    for j, (f, row) in enumerate(zip(fs, rows)):
+        E = _cell_averages(f.as_real(), n, s, J, row, P.marginal_measure(j))
         col = np.where(E <= eta, 0, np.where(E >= 1.0 - eta, 1, -1)).astype(np.int8)
         mapped = col[cell_idx]
         gvals = np.where(mapped < 0, f.values, mapped).astype(np.uint8)
@@ -422,10 +382,9 @@ def _regular_heavy_cells(P: Predicate, fs, coords, d: int, tau: float,
     cert = build_junta_lowdeg([fs[j] for j in coords], measures, d, tau, eps)
     J = cert.junta
     cell_idx = _digit_index(n, 2, J)
-    everywhere = PartialAssignment([None] * n, 2)
 
     def round_cells(f, nu):
-        E = _restricted_cell_expectations(f, J, everywhere, nu.measures[0])
+        E = _cell_averages(f.as_real(), n, 2, J, [None] * n, nu.measures[0])
         on = regular_cell_mask(f, J, d, tau, nu) & (E > eps / 2)
         gvals = np.where(on[cell_idx], f.values if kept == "kept" else 1, 0)
         return (from_values(n, 2, "bit", gvals.astype(np.uint8)),
@@ -452,8 +411,8 @@ def correct_monotone(P: Predicate, fs, eps: float, d: int,
         raise UnsupportedError("monotone correction is defined for binary alphabets")
     maxterms(P)  # raises unless P is monotone
     n, _ = _require_tables(fs, P.m)
-    if eps <= 0:
-        raise DomainError("eps must be positive")
+    if not 0 < eps < math.inf:  # phrased so that NaN fails it
+        raise DomainError(f"eps must be positive and finite, got {eps!r}")
     consts = classify_short_relations(P).constants
     roles = tuple("constant-coordinate" if j in consts else "cells"
                   for j in range(P.m))
@@ -584,8 +543,8 @@ def correct_general(P: Predicate, fs, eps: float, eta: float | None = None,
     if P.s != 2:
         raise UnsupportedError("general correction is defined for binary alphabets")
     n, _ = _require_tables(fs, P.m)
-    if eps <= 0:
-        raise DomainError("eps must be positive")
+    if not 0 < eps < math.inf:  # phrased so that NaN fails it
+        raise DomainError(f"eps must be positive and finite, got {eps!r}")
     if eta is None:
         eta = eps / 2
     if not 0.0 <= eta < 0.5:
@@ -704,8 +663,8 @@ def correct_alphabet(P: Predicate, fs, eps: float, eta: float | None = None,
     n, s = _require_tables(fs, P.m, codomains=codoms)
     if s != P.s:
         raise DomainError("function alphabet does not match the predicate")
-    if eps <= 0:
-        raise DomainError("eps must be positive")
+    if not 0 < eps < math.inf:  # phrased so that NaN fails it
+        raise DomainError(f"eps must be positive and finite, got {eps!r}")
     if eta is None:
         eta = min(eps / 2, 1.0 / s)
     if not 0.0 < eta <= 1.0 / s:
@@ -721,9 +680,10 @@ def correct_alphabet(P: Predicate, fs, eps: float, eta: float | None = None,
 
     def round_cells(restriction):
         gs, decisions = [], []
-        for j, f in enumerate(fs):
-            probs = _restricted_value_probs(f, J, restriction.assignment_for(j),
-                                            P.marginal_measure(j))
+        rows = _restriction_rows(restriction, m, n, s)
+        for j, (f, row) in enumerate(zip(fs, rows)):
+            probs = _cell_averages(_indicators(f), n, s, J, row,
+                                   P.marginal_measure(j))
             survivors = probs >= eta
             sigma0 = np.argmax(probs, axis=0)
             keep = survivors[f.values, cell_idx]
@@ -822,8 +782,7 @@ def markov_agreement(chain: TransitionChain, f: FunctionTable) -> AgreementRepor
     agree = 0.0
     counts = np.bincount(f.values.astype(np.int64), minlength=s)
     mats = [chain.factors[t] for t in chain.assignment]
-    for sigma in range(s):
-        h = (f.values == sigma).astype(float)
+    for h in _indicators(f):
         arr = _transform(h.reshape((1,) + (s,) * n), mats)
         agree += float(h @ arr.reshape(-1)) / total
     disagreement = max(0.0, 1.0 - agree)
@@ -896,8 +855,8 @@ def correct_fractional_nand(f1: FunctionTable, f2: FunctionTable, p: float,
     """
     if not 0.0 < p < 0.5:
         raise DomainError("p must lie in (0, 1/2)")
-    if eps <= 0:
-        raise DomainError("eps must be positive")
+    if not 0 < eps < math.inf:  # phrased so that NaN fails it
+        raise DomainError(f"eps must be positive and finite, got {eps!r}")
     fs = [f1, f2]
     n, _ = _require_tables(fs, 2, codomains=("bit", "real"))
     pf = Fraction(p)

@@ -118,6 +118,22 @@ def _cell_view(values: np.ndarray, n: int, s: int, J) -> tuple:
     return G, Js, F
 
 
+def _cell_averages(values: np.ndarray, n: int, s: int, J, entries,
+                   marginal: "Measure") -> np.ndarray:
+    """The restricted cell law: a table's average over every cell of sorted
+    J, each coordinate c outside J fixed to the symbol entries[c] or, if
+    that is None (a star), drawn from the marginal.  A (T, s^n) stack gives
+    (T, cells), one matrix-vector product per table as for a lone table."""
+    G, _, F = _cell_view(values, n, s, J)
+    return G @ _kron(marginal.probs if entries[c] is None
+                     else np.eye(s)[entries[c]] for c in F)
+
+
+def _indicators(f: "FunctionTable") -> np.ndarray:
+    """The (s, s^n) stack of the events f(x) = sigma, symbol-major."""
+    return (f.values == np.arange(f.s)[:, None]).astype(np.float64)
+
+
 def _orthonormal_basis(probs: np.ndarray) -> np.ndarray:
     """Rows e_0 = 1, e_1, ..., orthonormal under the weighted inner product
     of full-support probs.  Binary measures get e_1(x) = (x - p) /
@@ -615,25 +631,31 @@ def parse_function(text: str) -> FunctionTable:
     word, *rest = lines[1].split()
     kind = float if codomain == "real" else int
     if word == "table":
-        return FunctionTable(n, s, codomain, parse_numbers(rest, kind, "table"))
-    if word == "char":
+        f = FunctionTable(n, s, codomain, parse_numbers(rest, kind, "table"))
+    elif word == "char":
         opts = read_fields(rest, {"S": str, "b": int}, "char")
         supp = parse_coordinates(opts["S"].split(","), n, "char S") \
             if opts.get("S") else []
-        return character(n, supp, opts.get("b", 0))
-    if word == "dictator":
+        f = character(n, supp, opts.get("b", 0))
+    elif word == "dictator":
         opts = read_fields(rest, {"i": str}, "dictator", required=("i",))
-        return dictator(n, parse_coordinates([opts["i"]], n, "dictator i")[0],
-                        s)
-    fixed = {"hybrid": hybrid, "and": and_all, "or": or_all}
-    if word in fixed:
+        f = dictator(n, parse_coordinates([opts["i"]], n, "dictator i")[0], s)
+    elif word in ("hybrid", "and", "or"):
         read_fields(rest, {}, word)  # these take no fields
-        return fixed[word](n)
-    if word == "const":
+        f = {"hybrid": hybrid, "and": and_all, "or": or_all}[word](n)
+    elif word == "const":
         if len(rest) != 1:
             raise ValidationError("const needs exactly one value")
-        return constant(n, parse_numbers(rest, kind, "const")[0], s, codomain)
-    raise ValidationError(f"unknown function body line: {lines[1]!r}")
+        f = constant(n, parse_numbers(rest, kind, "const")[0], s, codomain)
+    else:
+        raise ValidationError(f"unknown function body line: {lines[1]!r}")
+    # a constructor builds its own alphabet and codomain; the header must
+    # name the ones it built
+    if (f.s, f.codomain) != (s, codomain):
+        raise ValidationError(
+            f"fn header says sigma={s} codomain={codomain}, but {word!r} "
+            f"builds sigma={f.s} codomain={f.codomain}")
+    return f
 
 
 def load_function(path) -> FunctionTable:

@@ -117,11 +117,17 @@ class Decomposition:
     def low_degree_influence(self, i: int, d: int) -> float:
         return self._weigh(i, self._levels <= _integer(d, "degree d"))
 
+    def _powers(self, rho: float) -> np.ndarray:
+        """rho^|S| per support mask S, for rho in [-1, 1] (NaN fails)."""
+        if not -1.0 <= rho <= 1.0:
+            raise DomainError(f"rho must lie in [-1, 1], got {rho!r}")
+        return rho ** self._levels
+
     def noisy_influence(self, i: int, rho: float) -> float:
-        return self._weigh(i, rho ** self._levels)
+        return self._weigh(i, self._powers(rho))
 
     def stability(self, rho: float) -> float:
-        return float(self.norm2_by_mask @ rho ** self._levels)
+        return float(self.norm2_by_mask @ self._powers(rho))
 
     def export_rows(self) -> str:
         """One text row per nonempty-mass subset: S=<1-based list> norm2=<v>.

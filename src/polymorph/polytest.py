@@ -23,9 +23,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, ResourceError, UnsupportedError
-from .funcspace import (FunctionTable, PartialAssignment, ProductMeasure,
-                        _check_size, _Frozen, _integer, decode_point,
-                        encode_point)
+from .funcspace import (FunctionTable, PartialAssignment, _cell_averages,
+                        _check_size, _Frozen, _indicators, _integer,
+                        decode_point, encode_point)
 from .predicates import Predicate
 
 ODOMETER_CAP = 1 << 24
@@ -618,12 +618,18 @@ def violation_mc(P: Predicate, fs, samples: int, seed: int) -> ViolationReport:
 # -- restrictions and joint values -----------------------------------------------
 
 class ColumnRestriction(_Frozen):
-    """One star-law pattern per coordinate; row j restricts function j."""
+    """One star-law pattern per coordinate; row j restricts function j.
+    Built only from entries None (a star) or in range(s), in patterns of
+    one length (else DomainError), as the cell law reads rows as stored."""
 
     __slots__ = ("patterns", "s")
 
     def __init__(self, patterns, s: int):
-        self._freeze(tuple(tuple(p) for p in patterns), s)
+        s = _integer(s, "alphabet size")
+        rows = tuple(PartialAssignment(p, s).entries for p in patterns)
+        if len(set(map(len, rows))) > 1:
+            raise DomainError("restriction patterns differ in length")
+        self._freeze(rows, s)
 
     def __reduce__(self):
         return ColumnRestriction, (self.patterns, self.s)
@@ -637,25 +643,29 @@ class ColumnRestriction(_Frozen):
             [p[j] for p in self.patterns], s=self.s)
 
 
+def _restriction_rows(rho, m: int, n: int, s: int) -> list:
+    """Row j of rho for each of m functions on Sigma^n, once rho is checked
+    to be a ColumnRestriction of n patterns over s symbols, m entries each."""
+    if not (isinstance(rho, ColumnRestriction) and (rho.n, rho.s) == (n, s)
+            and all(len(p) == m for p in rho.patterns)):
+        raise DomainError(f"restriction must be a ColumnRestriction of {n} "
+                          f"patterns over {s} symbols, {m} entries each")
+    return list(zip(*rho.patterns))
+
+
 def restricted_value_distribution(f: FunctionTable, assignment: PartialAssignment,
                                   marginal) -> np.ndarray:
     """Law of f(x) over the table's alphabet when free coordinates draw
-    i.i.d. from the marginal."""
+    i.i.d. from the marginal: the restricted cell law of f's symbol
+    indicators on the one cell of the empty junta."""
     if f.codomain == "real":
         raise UnsupportedError("value distributions need discrete outputs")
-    if marginal.s != f.s or assignment.s != f.s:
+    if (marginal.s, assignment.s, assignment.n) != (f.s, f.s, f.n):
         raise DomainError(f"marginal and assignment alphabets ({marginal.s}, "
-                          f"{assignment.s}) must match the table's {f.s}")
-    out = np.zeros(f.s)
-    free = assignment.free
-    if not free:
-        out[f.eval([int(a) for a in assignment.entries])] = 1.0
-        return out
-    sub = f.restrict(assignment)
-    w = ProductMeasure.iid(marginal, len(free)).weights()
-    for sigma in range(out.size):
-        out[sigma] = float(w[sub.values == sigma].sum())
-    return out
+                          f"{assignment.s}) and assignment length "
+                          f"{assignment.n} must match the table's {f.s}, {f.n}")
+    return _cell_averages(_indicators(f), f.n, f.s, (), assignment.entries,
+                          marginal)[:, 0]
 
 
 def joint_value_probability(P: Predicate, fs, alpha,
@@ -668,7 +678,7 @@ def joint_value_probability(P: Predicate, fs, alpha,
     the star-conditional marginals), so the probability factors across
     functions.
     """
-    _check_functions(P, fs)
+    n, s = _check_functions(P, fs)
     alpha = tuple(_integer(a, "alpha output") for a in alpha)
     if len(alpha) != P.m or not all(0 <= a < P.s for a in alpha):
         raise DomainError(f"alpha must assign one output in range({P.s}) "
@@ -678,8 +688,8 @@ def joint_value_probability(P: Predicate, fs, alpha,
         outputs[encode_point(alpha, P.s)] = True
         return _mass(P, fs, outputs)
     prob = 1.0
-    for j, f in enumerate(fs):
+    for j, row in enumerate(_restriction_rows(restriction, P.m, n, s)):
         dist = restricted_value_distribution(
-            f, restriction.assignment_for(j), P.marginal_measure(j))
+            fs[j], PartialAssignment(row, s), P.marginal_measure(j))
         prob *= float(dist[alpha[j]])
     return prob

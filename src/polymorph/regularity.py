@@ -18,7 +18,8 @@ import numpy as np
 
 from .errors import DomainError, ResourceError
 from .funcspace import (FunctionTable, ProductMeasure, _cell_view,
-                        _coordinates, _integer, _kron, decode_point)
+                        _coordinates, _indicators, _integer, _kron,
+                        decode_point)
 from .harmonics import _energy
 
 CELL_CAP = 1 << 16
@@ -71,9 +72,7 @@ def _real_stack(f: FunctionTable) -> np.ndarray:
     [0,1]-real functions give one table, sym functions one indicator per
     symbol, symbol-major.  Every table is [0, 1]-valued, so the potential
     stays within [0, total table count]."""
-    if f.codomain == "sym":
-        return (f.values == np.arange(f.s)[:, None]).astype(np.float64)
-    return f.as_real()[None]
+    return _indicators(f) if f.codomain == "sym" else f.as_real()[None]
 
 
 def _noise_op(probs: np.ndarray, rho: float) -> np.ndarray:

@@ -80,3 +80,24 @@ def cell_influence_tables_moveaxis(stack, n, s, J, nu, rho):
         infs[:, F.index(coord)] = (
             stab - _stab_cells_moveaxis(H, ops, w_free)).reshape(T, C)
     return w_cells, stab.reshape(T, C), infs, F
+
+
+def cell_averages_pointwise(values, n, s, J, entries, probs):
+    """Reference for funcspace._cell_averages, point by point: each point x
+    adds values[..., x] to the cell of its digits at sorted J, weighted by
+    probs[x_c] at every star c outside J and dropped when a fixed entry
+    outside J differs from x_c."""
+    Js = sorted(J)
+    out = np.zeros(values.shape[:-1] + (s ** len(Js),))
+    for code in range(s ** n):
+        x = fs.decode_point(code, n, s)
+        w = 1.0
+        for c in range(n):
+            if c in Js:
+                continue
+            if entries[c] is None:
+                w *= float(probs[x[c]])
+            elif x[c] != entries[c]:
+                w = 0.0
+        out[..., fs.encode_point([x[j] for j in Js], s)] += w * values[..., code]
+    return out

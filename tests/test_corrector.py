@@ -357,8 +357,7 @@ def test_restricted_cell_expectations_against_value_distribution():
     marg = fs.Measure.bernoulli(0.35)
     entries = [None] * n
     entries[0], entries[4] = 1, 0  # coordinates 2, 5 stay free (stars)
-    rho = fs.PartialAssignment(entries, 2)
-    E = co._restricted_cell_expectations(f, J, rho, marg)
+    E = fs._cell_averages(f.as_real(), n, 2, J, entries, marg)
     for c in range(4):
         cell = fs.decode_point(c, 2, 2)
         merged = list(entries)
@@ -375,8 +374,7 @@ def test_restricted_value_probs_against_value_distribution():
     f = fs.from_values(n, s, "sym", rng.integers(0, s, s ** n))
     marg = fs.Measure([0.5, 0.2, 0.3])
     entries = [None, 1, None, None]  # coordinate 3 is a star
-    rho = fs.PartialAssignment(entries, s)
-    probs = co._restricted_value_probs(f, J, rho, marg)
+    probs = fs._cell_averages(fs._indicators(f), n, s, J, entries, marg)
     for c in range(s ** 2):
         cell = fs.decode_point(c, 2, s)
         merged = list(entries)
@@ -455,9 +453,10 @@ def test_round_eta_zero_keeps_unless_deterministic():
     n = 5
     P = pr.full_predicate(1, 2)
     f = fs.from_values(n, 2, "bit", _rng(3).integers(0, 2, 2 ** n))
-    rho = [fs.PartialAssignment([None] * n, 2)]  # everything is a star
+    rho = pt.ColumnRestriction([(None,)] * n, 2)  # everything is a star
     out = co.round_general_cell([f], (0,), rho, 0.0, P)
-    E = co._restricted_cell_expectations(f, (0,), rho[0], P.marginal_measure(0))
+    E = fs._cell_averages(f.as_real(), n, 2, (0,), [None] * n,
+                          P.marginal_measure(0))
     for c in range(2):
         if 0.0 < E[c] < 1.0:
             assert out.decisions[0][c] == "kept"
@@ -469,7 +468,7 @@ def test_round_starless_rows_always_fix():
     n = 4
     P = pr.full_predicate(1, 2)
     f = fs.from_values(n, 2, "bit", _rng(4).integers(0, 2, 2 ** n))
-    rho = [fs.PartialAssignment([None, 1, 0, 1], 2)]  # no stars off the junta
+    rho = pt.ColumnRestriction([(None,), (1,), (0,), (1,)], 2)  # no stars
     out = co.round_general_cell([f], (0,), rho, 0.1, P)
     assert all(d in ("fixed-0", "fixed-1") for d in out.decisions[0])
     # fixed to the actual restricted values
@@ -481,7 +480,7 @@ def test_round_balanced_cell_is_kept():
     n = 3
     P = pr.full_predicate(1, 2)
     f = fs.character(n, (1,))  # expectation 1/2 in every cell of (0,)
-    rho = [fs.PartialAssignment([None] * n, 2)]
+    rho = pt.ColumnRestriction([(None,)] * n, 2)
     out = co.round_general_cell([f], (0,), rho, 0.1, P)
     assert out.decisions[0] == ("kept", "kept")
     assert out.gs[0].equals(f)
@@ -490,9 +489,39 @@ def test_round_balanced_cell_is_kept():
 def test_round_eta_range_checked():
     P = pr.full_predicate(1, 2)
     f = fs.constant(3, 0)
-    rho = [fs.PartialAssignment([None] * 3, 2)]
+    rho = pt.ColumnRestriction([(None,)] * 3, 2)
     with pytest.raises(DomainError):
         co.round_general_cell([f], (0,), rho, 0.5, P)
+
+
+@pytest.mark.parametrize("rho", [
+    [fs.PartialAssignment([None] * 3, 2)],     # the list form is gone
+    pt.ColumnRestriction([(None,)] * 4, 2),    # another n
+    pt.ColumnRestriction([(None, None)] * 3, 2),  # two rows for one function
+])
+def test_round_refuses_a_restriction_off_the_functions(rho):
+    P = pr.full_predicate(1, 2)
+    with pytest.raises(DomainError, match="ColumnRestriction"):
+        co.round_general_cell([fs.constant(3, 0)], (0,), rho, 0.1, P)
+
+
+@pytest.mark.parametrize("J", [(7,), (-1,), (0.5,)])
+def test_round_checks_the_junta_coordinates(J):
+    # these raised a bare IndexError or ValueError from the cell layout
+    P = pr.full_predicate(1, 2)
+    rho = pt.ColumnRestriction([(None,)] * 3, 2)
+    with pytest.raises(DomainError, match="coordinate"):
+        co.round_general_cell([fs.dictator(3, 0)], J, rho, 0.1, P)
+
+
+def test_round_reads_a_repeated_junta_coordinate_once():
+    P = pr.full_predicate(1, 2)
+    f = fs.from_values(3, 2, "bit", _rng(5).integers(0, 2, 8))
+    rho = pt.ColumnRestriction([(None,)] * 3, 2)
+    once = co.round_general_cell([f], (2, 0), rho, 0.1, P)
+    twice = co.round_general_cell([f], (0, 2, 0), rho, 0.1, P)
+    assert once.decisions == twice.decisions and len(once.decisions[0]) == 4
+    assert once.gs[0].equals(twice.gs[0])
 
 
 # -- monotone correction -----------------------------------------------------------
@@ -924,3 +953,22 @@ def test_fractional_p_validation():
         co.correct_fractional_nand(z, z, p=0.5, eps=0.1, d=1, tau=0.1)
     with pytest.raises(DomainError):
         co.correct_fractional_nand(z, z, p=0.0, eps=0.1, d=1, tau=0.1)
+
+
+# -- eps of the pipelines ----------------------------------------------------------
+
+_D4 = fs.dictator(4, 0)
+
+
+@pytest.mark.parametrize("eps", [math.nan, 0.0, -0.1, math.inf])
+@pytest.mark.parametrize("pipeline", [
+    lambda eps: co.correct_monotone(pr.nand_predicate(2), [_D4] * 2, eps,
+                                    2, 0.2),
+    lambda eps: co.correct_general(pr.nand_predicate(2), [_D4] * 2, eps),
+    lambda eps: co.correct_alphabet(pr.nand_predicate(2), [_D4] * 2, eps),
+    lambda eps: co.correct_fractional_nand(_D4, _D4, 0.25, eps, 2, 0.2),
+], ids=["monotone", "general", "alphabet", "fractional"])
+def test_pipelines_refuse_eps_by_name(pipeline, eps):
+    # eps = nan used to reach the eta check, whose message names eta
+    with pytest.raises(DomainError, match="eps must be positive"):
+        pipeline(eps)

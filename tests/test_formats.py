@@ -179,6 +179,15 @@ def test_line_words_must_be_the_format_words(config_dir, kind, text):
         _parse(kind, text, config_dir)
 
 
+# each of these used to parse to a binary bit table whatever the header said
+@pytest.mark.parametrize("s, c, body", [
+    (3, "sym", "and"), (3, "real", "char S=1"), (2, "real", "dictator i=1"),
+    (2, "sym", "or")])
+def test_the_header_names_what_the_constructor_builds(s, c, body):
+    with pytest.raises(ValidationError, match="header says"):
+        fs.parse_function(FN.format(n=2, s=s, c=c, body=body))
+
+
 def test_a_comment_runs_to_the_end_of_any_line():
     f = fs.parse_function("fn n=2 sigma=2 codomain=bit # xor\n"
                           "table 0 1 1 0  # index order\n")

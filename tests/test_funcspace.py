@@ -564,3 +564,56 @@ def test_layout_helpers_match_point_encoding(inst):
         c = fs.encode_point([x[i] for i in Js], s)
         p = fs.encode_point([x[i] for i in F], s)
         assert G[c, p] == f.values[k]
+
+
+# -- the restricted cell law ---------------------------------------------------
+
+
+@st.composite
+def _cell_law_cases(draw):
+    n, s = draw(st.integers(1, 5)), draw(st.sampled_from([2, 3]))
+    J = draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n))
+    entries = draw(st.lists(st.one_of(st.none(), st.integers(0, s - 1)),
+                            min_size=n, max_size=n))
+    raw = np.array(draw(st.lists(st.integers(1, 9), min_size=s, max_size=s)),
+                   dtype=float)
+    T = draw(st.integers(1, 3))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    values = np.random.default_rng(seed).random((T, s ** n))
+    return n, s, J, entries, fs.Measure(raw / raw.sum()), values
+
+
+@settings(max_examples=150, deadline=None)
+@given(_cell_law_cases())
+def test_cell_averages_match_pointwise_reference(case):
+    n, s, J, entries, marginal, values = case
+    got = fs._cell_averages(values, n, s, J, entries, marginal)
+    want = oracles.cell_averages_pointwise(values, n, s, J, entries,
+                                           marginal.probs)
+    assert got.shape == want.shape == (len(values), s ** len(J))
+    assert np.allclose(got, want, rtol=0, atol=1e-12)
+    # a lone table gives the same cells as its row of the stack
+    assert np.array_equal(
+        fs._cell_averages(values[0], n, s, J, entries, marginal), got[0])
+
+
+def test_cell_law_of_a_point_mass_is_the_value_there():
+    # a row that fixes every coordinate leaves one point: no marginal
+    # weight enters, and the law is exactly the indicator of f's value
+    f = fs.from_values(3, 3, "sym", np.random.default_rng(5).integers(0, 3, 27))
+    marginal = fs.Measure([0.2, 0.3, 0.5])
+    for code in range(27):
+        x = fs.decode_point(code, 3, 3)
+        law = pt.restricted_value_distribution(
+            f, fs.PartialAssignment(x, 3), marginal)
+        assert np.array_equal(law, np.eye(3)[f.eval(x)])
+        assert fs._cell_averages(f.as_real(), 3, 3, (), x, marginal)[0] \
+            == f.eval(x)
+
+
+def test_indicators_stack_one_row_per_symbol():
+    f = fs.from_values(2, 3, "sym", [0, 1, 2, 2, 1, 0, 0, 0, 1])
+    ind = fs._indicators(f)
+    assert ind.shape == (3, 9) and ind.dtype == np.float64
+    assert np.array_equal(ind.argmax(axis=0), f.values)
+    assert np.array_equal(ind.sum(axis=0), np.ones(9))

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import efron_stein as es
 import oracles
-from polymorph.errors import UnsupportedError, ValidationError
+from polymorph.errors import DomainError, UnsupportedError, ValidationError
 from polymorph import funcspace as fs
 from polymorph import harmonics as hm
 
@@ -397,3 +397,28 @@ def test_decomposition_matches_tensordot_reference(s, n, codomain, seed):
                   got.reconstruct()),
                  (want.coeffs, want.norm2_by_mask, want.level_norm2,
                   want_recon), s)
+
+
+@pytest.mark.parametrize("rho", [np.nan, np.inf, -np.inf, 5.0, -2.0,
+                                 1.0 + 1e-9])
+@pytest.mark.parametrize("call", [
+    lambda f, nu, rho: hm.noise_stability(f, rho, nu),
+    lambda f, nu, rho: hm.noisy_influence(f, 0, rho, nu),
+    lambda f, nu, rho: hm.Decomposition(f, nu).stability(rho),
+    lambda f, nu, rho: hm.Decomposition(f, nu).noisy_influence(0, rho),
+], ids=["noise_stability", "noisy_influence", "stability", "influence"])
+def test_rho_outside_the_unit_interval_is_refused(call, rho):
+    # nan used to come back as nan, inf as a numpy warning, and rho = 5 or
+    # -2 as an influence of 1.25 or a stability of -0.25
+    f, nu = fs.dictator(3, 0), fs.ProductMeasure.uniform(3)
+    with pytest.raises(DomainError, match="rho"):
+        call(f, nu, rho)
+
+
+def test_rho_endpoints_are_accepted():
+    # a dictator has energy 1/4 on the empty set and 1/4 on {0}
+    dec = hm.Decomposition(fs.dictator(3, 0), fs.ProductMeasure.uniform(3))
+    assert dec.stability(1.0) == pytest.approx(0.5)
+    assert dec.stability(-1.0) == pytest.approx(0.0)
+    assert dec.noisy_influence(0, -1.0) == pytest.approx(-0.25)
+    assert dec.noisy_influence(0, 1) == pytest.approx(0.25)

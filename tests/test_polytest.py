@@ -387,6 +387,68 @@ def test_restriction_star_positions_and_assignments():
     assert a1.entries == (0, 0, None)
 
 
+@pytest.mark.parametrize("patterns", [
+    [(None, -1), (0, 1)],          # -1 would read np.eye(s)[-1]
+    [(None, 2), (0, 1)],           # symbol s
+    [(None, 0.5), (0, 1)],         # not an integer
+    [(None, 0), (0, 1, None)],     # rows of unequal length
+])
+def test_restriction_patterns_are_checked_when_built(patterns):
+    with pytest.raises(DomainError):
+        pt.ColumnRestriction(patterns, 2)
+
+
+@pytest.mark.parametrize("restriction", [
+    pt.ColumnRestriction([(None,)] * 3, 2),         # one entry: IndexError
+    pt.ColumnRestriction([(None, None, 0)] * 3, 2),  # a third entry: ignored
+    pt.ColumnRestriction([(None, None)] * 4, 2),    # another n
+    [fs.PartialAssignment([None] * 3, 2)] * 2,      # not a ColumnRestriction
+])
+def test_joint_value_probability_refuses_a_restriction_off_the_functions(
+        restriction):
+    P = pr.nand_predicate(2)
+    with pytest.raises(DomainError, match="ColumnRestriction"):
+        pt.joint_value_probability(P, [fs.dictator(3, 0)] * 2, (0, 0),
+                                   restriction=restriction)
+
+
+def test_restriction_stores_plain_symbols():
+    rho = pt.ColumnRestriction([(np.int64(1), None), (True, 0)], 2)
+    assert rho.patterns == ((1, None), (1, 0))
+    assert all(type(v) is int for p in rho.patterns for v in p if v is not None)
+
+
+def test_bench_engines_never_run_the_planner(monkeypatch):
+    # the benchmark checks the planner's answers against violation_exact
+    # (the odometer) and joint_output_distribution_contracted; were either
+    # to run _plan or the class pass, those checks would compare the
+    # planner with itself
+    calls = []
+
+    def counting(name):
+        real = getattr(pt, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return wrapper
+
+    for name in ("_plan", "_backward_by_classes"):
+        monkeypatch.setattr(pt, name, counting(name))
+    P = pr.nand_predicate(3)
+    rng = np.random.default_rng(7)
+    funcs = [fs.from_values(6, 2, "bit", rng.integers(0, 2, 64))
+             for _ in range(3)]
+    report = pt.violation_exact(P, funcs)
+    assert report.probability > 0 and report.counterexample is not None
+    pt.joint_output_distribution_contracted(P, funcs)
+    assert calls == []
+    # the counters do see the planner where it runs
+    assert pt.violation_probability(P, funcs) == pytest.approx(
+        report.probability, abs=1e-12)
+    assert calls == ["_plan", "_backward_by_classes"]
+
+
 def test_evaluate_columns_helper():
     funcs = [fs.and_all(2), fs.or_all(2)]
     cols = [(1, 0), (1, 1)]
