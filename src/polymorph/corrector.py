@@ -22,20 +22,21 @@ import math
 
 import numpy as np
 
-from .errors import DomainError, ResourceError, UnsupportedError, ValidationError
+from .errors import DomainError, UnsupportedError, ValidationError
 from .funcspace import (FunctionTable, ProductMeasure, _cell_averages,
                         _check_size, _coordinates, _digit_index, _digits,
-                        _indicators, _integer, _once_per_table, character,
-                        constant, decode_point, distance, from_values)
+                        _Frozen, _indicators, _integer, _measure,
+                        _once_per_table, _tables, character, constant,
+                        decode_point, distance, from_values)
 from .harmonics import _transform
-from .predicates import (Predicate, affine_relations, classify_short_relations,
-                         flexible_coordinates, maxterms, star_law)
+from .predicates import (Predicate, _predicate, affine_relations,
+                         classify_short_relations, flexible_coordinates,
+                         maxterms, star_law)
 from .polytest import (ColumnRestriction, Counterexample, _restriction_rows,
                        is_generalized_polymorphism)
 from .regularity import (RegularityCertificate, build_junta_lowdeg,
                          regular_cell_mask)
 
-DECODE_N_CAP = 20          # exhaustive character decoding: 2^n * 2 candidates
 JUNTA_SEED_CAP = 14        # cap on the junta seeded from decoded supports
 DISTANCE_BUDGET = 0.25     # per-function acceptance budget
 CHAIN_TOL = 1e-12          # symmetry / stochasticity tolerance for chains
@@ -172,26 +173,13 @@ def _attempt_rng(seed: int, attempt: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _require_tables(fs, m: int, codomains=("bit",)) -> tuple[int, int]:
-    if len(fs) != m:
-        raise DomainError(f"need {m} functions, got {len(fs)}")
-    n, s = fs[0].n, fs[0].s
-    for f in fs:
-        if f.n != n or f.s != s:
-            raise DomainError("functions disagree on domain")
-        if f.codomain not in codomains:
-            raise UnsupportedError(f"codomain {f.codomain!r} is not supported here")
-    return n, s
-
-
 def _iid_marginal(P: Predicate, j: int, n: int) -> ProductMeasure:
     return ProductMeasure.iid(P.marginal_measure(j), n)
 
 
 def _negate_table(f: FunctionTable) -> FunctionTable:
     """Flip all inputs and the output; an involution on binary tables."""
-    if f.s != 2 or f.codomain != "bit":
-        raise UnsupportedError("negation normalization needs binary tables")
+    _tables([f], s=2, codomains=("bit",))
     return from_values(f.n, 2, "bit", 1 - f.values[::-1])
 
 
@@ -241,7 +229,7 @@ def blr_decode_uniform(f: FunctionTable) -> BlrDecoding:
     delta-close to a character with delta below 1/4, that character is the
     unique winner and the reported distance equals delta.
     """
-    fit = nearest_character(f, ProductMeasure.uniform(f.n))
+    fit = nearest_character(f, ProductMeasure.uniform(_tables([f])[0]))
     return BlrDecoding(support=fit.support, offset=fit.offset,
                        distance=fit.distance,
                        max_coefficient=1.0 - 2.0 * fit.distance)
@@ -254,12 +242,10 @@ def nearest_character(f: FunctionTable, nu: ProductMeasure) -> CharacterFit:
     one weighted transform; exact ties go to the smallest sorted support,
     then to offset 0.
     """
+    _tables([f])
     if f.s != 2 or f.codomain != "bit":
         raise UnsupportedError("character decoding needs Boolean tables")
-    if nu.n != f.n or any(mu.s != 2 for mu in nu.measures):
-        raise DomainError("measure does not match the function domain")
-    if f.n > DECODE_N_CAP:
-        raise ResourceError(f"n = {f.n} exceeds the decoding cap {DECODE_N_CAP}")
+    _measure(nu, f.n, 2)
     n = f.n
     mats = [np.array([[p0, p1], [p0, -p1]])
             for p0, p1 in (mu.probs for mu in nu.measures)]
@@ -285,7 +271,8 @@ def peel_affine_relations(P: Predicate, fs, eps: float) -> PeelingResult:
     characters cannot satisfy it (mismatched supports or offsets), or a
     decoded character further than eps from its function.
     """
-    n, _ = _require_tables(fs, P.m)
+    _predicate(P)
+    n, _ = _tables(fs, P.m, codomains=("bit",))
     rels = affine_relations(P)
     if any(len(S) < 3 for S, _ in rels):
         raise ValidationError("P has affine relations of size < 3; "
@@ -346,7 +333,8 @@ def round_general_cell(fs, J, rho, eta: float, P: Predicate) -> RoundedCells:
     """
     if not 0.0 <= eta < 0.5:
         raise DomainError("eta must lie in [0, 1/2)")
-    n, s = _require_tables(fs, P.m)
+    _predicate(P)
+    n, s = _tables(fs, P.m, codomains=("bit",))
     if s != 2 or P.s != 2:
         raise UnsupportedError("cell rounding is defined for binary alphabets")
     rows = _restriction_rows(rho, P.m, n, s)
@@ -407,10 +395,9 @@ def correct_monotone(P: Predicate, fs, eps: float, d: int,
     the all-zero point, so f_j(0, ..., 0) = 1 is an immediate violation
     and rejects the run.  The output never exceeds the input pointwise.
     """
-    if P.s != 2:
-        raise UnsupportedError("monotone correction is defined for binary alphabets")
-    maxterms(P)  # raises unless P is monotone
-    n, _ = _require_tables(fs, P.m)
+    _predicate(P)
+    maxterms(P)  # raises unless P is binary and monotone
+    n, _ = _tables(fs, P.m, codomains=("bit",))
     if not 0 < eps < math.inf:  # phrased so that NaN fails it
         raise DomainError(f"eps must be positive and finite, got {eps!r}")
     consts = classify_short_relations(P).constants
@@ -540,9 +527,8 @@ def correct_general(P: Predicate, fs, eps: float, eta: float | None = None,
     diagnostics; symmetry between equal functions is reported when broken
     but not repaired.
     """
-    if P.s != 2:
-        raise UnsupportedError("general correction is defined for binary alphabets")
-    n, _ = _require_tables(fs, P.m)
+    _predicate(P)
+    n, _ = _tables(fs, P.m, codomains=("bit",))
     if not 0 < eps < math.inf:  # phrased so that NaN fails it
         raise DomainError(f"eps must be positive and finite, got {eps!r}")
     if eta is None:
@@ -655,14 +641,12 @@ def correct_alphabet(P: Predicate, fs, eps: float, eta: float | None = None,
     the survivor set is never empty.  Attempts are accepted exactly as in
     correct_general; the winner's check is the run's verdict.
     """
+    _predicate(P)
     flex = flexible_coordinates(P)
     bad = [fc.coordinate for fc in flex if not fc.flexible]
     if bad:
         raise ValidationError(f"coordinates {bad} are not flexible")
-    codoms = ("bit", "sym") if P.s == 2 else ("sym",)
-    n, s = _require_tables(fs, P.m, codomains=codoms)
-    if s != P.s:
-        raise DomainError("function alphabet does not match the predicate")
+    n, s = _tables(fs, P.m, P.s, ("bit", "sym") if P.s == 2 else ("sym",))
     if not 0 < eps < math.inf:  # phrased so that NaN fails it
         raise DomainError(f"eps must be positive and finite, got {eps!r}")
     if eta is None:
@@ -711,17 +695,20 @@ def correct_alphabet(P: Predicate, fs, eps: float, eta: float | None = None,
 
 # -- Markov-chain agreement ------------------------------------------------------
 
-class TransitionChain:
+class TransitionChain(_Frozen):
     """A product chain: one symmetric bistochastic factor per coordinate.
 
     factors are square matrices on a common state space with strictly
     positive entries; assignment[i] names the factor acting on coordinate
     i.  Symmetric bistochastic factors leave the uniform distribution
     invariant, so the stationary law of the product chain is uniform.
+    Immutable; it keeps read-only float copies of the factors.
     """
 
+    __slots__ = ("factors", "assignment", "size", "n")
+
     def __init__(self, factors, assignment):
-        factors = [np.asarray(M, dtype=float) for M in factors]
+        factors = [np.array(M, dtype=np.float64) for M in factors]
         if not factors:
             raise ValidationError("need at least one factor")
         size = factors[0].shape[0] if factors[0].ndim == 2 else 0
@@ -736,15 +723,16 @@ class TransitionChain:
                 raise ValidationError("factor rows do not sum to 1")
             if not M.min() > 0:
                 raise ValidationError("factor entries must be strictly positive")
+            M.flags.writeable = False
         assignment = tuple(_integer(t, "factor index") for t in assignment)
         if not assignment:
             raise ValidationError("need at least one coordinate")
         if any(not 0 <= t < len(factors) for t in assignment):
             raise ValidationError("assignment names a missing factor")
-        self.factors = tuple(factors)
-        self.assignment = assignment
-        self.size = size
-        self.n = len(assignment)
+        self._freeze(tuple(factors), assignment, size, len(assignment))
+
+    def __reduce__(self):
+        return TransitionChain, (self.factors, self.assignment)
 
     def lam(self) -> float:
         """Upper bound on the product chain's second eigenvalue: the largest
@@ -770,14 +758,13 @@ def markov_agreement(chain: TransitionChain, f: FunctionTable) -> AgreementRepor
     and the most likely value sigma of f under the uniform stationary law.
     The returned report certifies Pr[f != sigma] <= disagreement / (1 - lam).
     """
-    if f.s != chain.size or f.n != chain.n:
+    n, s = _tables([f], codomains=("bit", "sym"))
+    if not (isinstance(chain, TransitionChain)
+            and (chain.n, chain.size) == (n, s)):
         raise DomainError("function does not match the chain")
-    if f.codomain == "real":
-        raise UnsupportedError("agreement needs discrete outputs")
     lam = chain.lam()
     if lam >= 1.0:
         raise ValidationError("chain does not mix (lam >= 1)")
-    s, n = f.s, f.n
     total = s ** n
     agree = 0.0
     counts = np.bincount(f.values.astype(np.int64), minlength=s)
@@ -808,11 +795,10 @@ def friedgut_regev_lift(family, k: int, n: int | None = None) -> FunctionTable:
     """
     k = _integer(k, "k")
     if isinstance(family, FunctionTable):
-        if family.s != 2 or family.codomain != "bit":
-            raise UnsupportedError("family indicator must be a Boolean table")
-        if n is not None and n != family.n:
+        m, _ = _tables([family], s=2, codomains=("bit",))
+        if n is not None and n != m:
             raise DomainError("n disagrees with the family table")
-        n = family.n
+        n = m
         counts = family.values.astype(np.int64).copy()
     else:
         if n is None:
@@ -858,7 +844,7 @@ def correct_fractional_nand(f1: FunctionTable, f2: FunctionTable, p: float,
     if not 0 < eps < math.inf:  # phrased so that NaN fails it
         raise DomainError(f"eps must be positive and finite, got {eps!r}")
     fs = [f1, f2]
-    n, _ = _require_tables(fs, 2, codomains=("bit", "real"))
+    n, _ = _tables(fs, codomains=("bit", "real"))
     pf = Fraction(p)
     P = Predicate(2, 2, [(0, 0), (0, 1), (1, 0)], [1 - 2 * pf, pf, pf])
     cert, outs = _regular_heavy_cells(P, fs, (0, 1), d, tau, eps, "fixed-1")

@@ -19,7 +19,8 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import DomainError, ResourceError, ValidationError
+from .errors import (DomainError, ResourceError, UnsupportedError,
+                     ValidationError)
 
 NORM_TOL = 1e-12
 TABLE_CAP = 1 << 22   # max entries of a dense table
@@ -232,10 +233,11 @@ class ProductMeasure(_Frozen):
         measures = tuple(measures)
         if not measures:
             raise ValidationError("empty product measure")
-        s = measures[0].s
-        if any(m.s != s for m in measures):
-            raise ValidationError("mixed alphabet sizes in product measure")
-        self._freeze(measures, len(measures), s,
+        if not all(isinstance(m, Measure) and m.s == measures[0].s
+                   for m in measures):
+            raise ValidationError("product measure needs Measure entries on "
+                                  "one alphabet")
+        self._freeze(measures, len(measures), measures[0].s,
                      all(m.full_support for m in measures), None)
 
     def __reduce__(self):
@@ -496,12 +498,33 @@ def hybrid(n: int) -> FunctionTable:
 
 # -- metrics -----------------------------------------------------------------
 
+def _tables(fs, m=None, s=None, codomains=CODOMAINS) -> tuple:
+    """(n, s) of a list or tuple of FunctionTable on one Sigma^n, of m
+    tables over s symbols where given: the gate of every table argument.
+    A codomain outside codomains raises UnsupportedError, any other
+    mismatch DomainError."""
+    if not (isinstance(fs, (list, tuple)) and fs
+            and all(isinstance(f, FunctionTable) for f in fs)):
+        raise DomainError("need a nonempty list or tuple of FunctionTable")
+    n, s = fs[0].n, fs[0].s if s is None else s
+    if len(fs) != (m or len(fs)) or any((f.n, f.s) != (n, s) for f in fs):
+        raise DomainError(f"need {m or len(fs)} functions on {s}^{n}, got "
+                          f"{', '.join(f'{f.s}^{f.n}' for f in fs)}")
+    if any(f.codomain not in codomains for f in fs):
+        raise UnsupportedError(f"only {', '.join(codomains)} tables are "
+                               f"supported here, got {[f.codomain for f in fs]}")
+    return n, s
+
+
+def _measure(nu, n: int, s: int) -> None:
+    """The gate of every product-measure argument."""
+    if not isinstance(nu, ProductMeasure) or (nu.n, nu.s) != (n, s):
+        raise DomainError(f"measure must be a ProductMeasure on {s}^{n}")
+
+
 def distance(f: FunctionTable, g: FunctionTable, nu: ProductMeasure) -> float:
     """Pr_nu[f != g] for discrete codomains, E_nu|f - g| when either is real."""
-    if (f.n, f.s) != (g.n, g.s):
-        raise DomainError("functions live on different domains")
-    if nu.n != f.n or nu.s != f.s:
-        raise DomainError("measure does not match the domain")
+    _measure(nu, *_tables([f, g]))
     w = nu.weights()
     if f.codomain == "real" or g.codomain == "real":
         return float(np.dot(w, np.abs(f.as_real() - g.as_real())))
@@ -509,8 +532,7 @@ def distance(f: FunctionTable, g: FunctionTable, nu: ProductMeasure) -> float:
 
 
 def expectation(f: FunctionTable, nu: ProductMeasure) -> float:
-    if nu.n != f.n or nu.s != f.s:
-        raise DomainError("measure does not match the domain")
+    _measure(nu, *_tables([f]))
     return float(np.dot(nu.weights(), f.as_real()))
 
 

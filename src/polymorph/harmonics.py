@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DomainError, UnsupportedError, ValidationError
 from .funcspace import (FunctionTable, ProductMeasure, _coordinates, _digits,
-                        _integer, _kron)
+                        _integer, _kron, _measure, _tables)
 
 IDENTITY_TOL = 1e-9
 
@@ -65,13 +65,12 @@ class Decomposition:
     """The orthogonal decomposition of one bit or real function table."""
 
     def __init__(self, f: FunctionTable, nu: ProductMeasure):
+        self.n, self.s = _tables([f])
         if f.codomain == "sym":
             raise UnsupportedError(
                 "numeric harmonics need bit or real codomain; expand sym "
                 "functions into indicator tables first")
-        if nu.n != f.n or nu.s != f.s:
-            raise DomainError("measure does not match the function domain")
-        self.n, self.s = f.n, f.s
+        _measure(nu, self.n, self.s)
         self.nu = nu
         arr = f.as_real().reshape((1,) + (self.s,) * self.n)
         coeffs, E, self._bits = _energy(arr, nu.measures)

@@ -22,11 +22,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, ResourceError, UnsupportedError
-from .funcspace import (FunctionTable, PartialAssignment, _cell_averages,
-                        _check_size, _Frozen, _indicators, _integer,
-                        decode_point, encode_point)
-from .predicates import Predicate
+from .errors import DomainError, ResourceError
+from .funcspace import (FunctionTable, Measure, PartialAssignment,
+                        _cell_averages, _check_size, _coordinates, _Frozen,
+                        _indicators, _integer, _tables, decode_point,
+                        encode_point)
+from .predicates import Predicate, _predicate
 
 ODOMETER_CAP = 1 << 24
 CONTRACTION_CAP = 1 << 22
@@ -75,18 +76,10 @@ class ViolationReport:
 
 
 def _check_functions(P: Predicate, fs) -> tuple[int, int]:
+    """(n, s) of the (P, fs) arguments of the public checks and laws."""
+    _predicate(P)
     _check_size(P.m, P.s, "m")
-    if len(fs) != P.m:
-        raise DomainError(f"predicate has m={P.m}, got {len(fs)} functions")
-    n = fs[0].n
-    for f in fs:
-        if f.n != n:
-            raise DomainError("functions disagree on n")
-        if f.s != P.s:
-            raise DomainError("function alphabet does not match predicate")
-        if f.codomain == "real":
-            raise UnsupportedError("membership tests need discrete outputs")
-    return n, P.s
+    return _tables(fs, P.m, P.s, ("bit", "sym"))
 
 
 def _member_table(P: Predicate) -> np.ndarray:
@@ -243,8 +236,7 @@ def _contract(P: Predicate, fs, weights, trans, prefix=()):
     order.  After the last coordinate the classes are the values.  The
     caller admits the pre-merge buffer (_contraction_cells) first.
     """
-    n, s = _check_functions(P, fs)
-    m = P.m
+    n, s, m = fs[0].n, P.s, P.m
     reach = weights is None
     reduceat = np.logical_or.reduceat if reach else np.add.reduceat
     t = len(prefix)
@@ -299,7 +291,7 @@ def _transitions(P: Predicate, fs):
     Keys are the table bytes, never the object, so equal tables held by
     different objects share labels (README, "Which one runs")."""
     global _LABELLED
-    n, s = _check_functions(P, fs)
+    n, s = fs[0].n, P.s
     keys = [(n, s, f.values.dtype.str, f.values.tobytes()) for f in fs]
     # a published memo is never changed in place, so threads need no lock
     last, _LABELLED = _LABELLED, {}
@@ -349,7 +341,7 @@ def _plan(P: Predicate, fs, odometer: bool = True) -> _Plan:
     s^(n-k+1) prod_{j>=1} K_k^j cells, or sum_k |P| prod_j K_k^j tuples.
     A refused call empties _LABELLED, so its labels are not kept alive."""
     global _LABELLED
-    n, s = _check_functions(P, fs)
+    n, s = fs[0].n, P.s
     K = len(P)
     columns, c = K ** n, _digits_within(K, n, CHUNK)
     # the odometer's largest array: a function's rows, one per distinct
@@ -436,6 +428,7 @@ def _search_by_prefixes(P: Predicate, fs, alpha_code: int, trans) -> list:
 def joint_output_distribution_contracted(P: Predicate, fs) -> np.ndarray:
     """Exact joint output law by tensor contraction (no column scan), when
     its pre-merge buffer fits CONTRACTION_CAP."""
+    _check_functions(P, fs)
     trans, sizes = _transitions(P, fs)
     cells = _contraction_cells(P.s, sizes)
     if cells > CONTRACTION_CAP:
@@ -491,6 +484,7 @@ def is_generalized_polymorphism(P: Predicate, fs):
     the root holds the lowest reachable violating output alpha; a walk
     forward then takes, at each coordinate, the first member whose
     successor still holds alpha."""
+    _check_functions(P, fs)
     plan = _plan(P, fs, odometer=False)
     if plan.engine == "odometer":
         report = violation_exact(P, fs)
@@ -639,8 +633,9 @@ class ColumnRestriction(_Frozen):
         return len(self.patterns)
 
     def assignment_for(self, j: int) -> PartialAssignment:
-        return PartialAssignment(
-            [p[j] for p in self.patterns], s=self.s)
+        """Entry j of every pattern, for a coordinate j of the predicate."""
+        j, = _coordinates([j], len(self.patterns[0]) if self.patterns else 0)
+        return PartialAssignment([p[j] for p in self.patterns], s=self.s)
 
 
 def _restriction_rows(rho, m: int, n: int, s: int) -> list:
@@ -658,12 +653,12 @@ def restricted_value_distribution(f: FunctionTable, assignment: PartialAssignmen
     """Law of f(x) over the table's alphabet when free coordinates draw
     i.i.d. from the marginal: the restricted cell law of f's symbol
     indicators on the one cell of the empty junta."""
-    if f.codomain == "real":
-        raise UnsupportedError("value distributions need discrete outputs")
-    if (marginal.s, assignment.s, assignment.n) != (f.s, f.s, f.n):
-        raise DomainError(f"marginal and assignment alphabets ({marginal.s}, "
-                          f"{assignment.s}) and assignment length "
-                          f"{assignment.n} must match the table's {f.s}, {f.n}")
+    _tables([f], codomains=("bit", "sym"))
+    if not (isinstance(marginal, Measure)
+            and isinstance(assignment, PartialAssignment)
+            and (marginal.s, assignment.s, assignment.n) == (f.s, f.s, f.n)):
+        raise DomainError(f"need a Measure and a PartialAssignment of length "
+                          f"{f.n}, both on the table's alphabet of {f.s}")
     return _cell_averages(_indicators(f), f.n, f.s, (), assignment.entries,
                           marginal)[:, 0]
 

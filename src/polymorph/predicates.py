@@ -136,6 +136,12 @@ class Predicate(_Frozen):
         return f"Predicate(m={self.m}, s={self.s}, |P|={len(self.members)})"
 
 
+def _predicate(P) -> None:
+    """The gate of every predicate argument of the checks and pipelines."""
+    if not isinstance(P, Predicate):
+        raise DomainError(f"need a Predicate, got {type(P).__name__}")
+
+
 @dataclass(frozen=True, slots=True)
 class ValidationReport:
     m: int

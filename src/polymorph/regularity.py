@@ -18,8 +18,8 @@ import numpy as np
 
 from .errors import DomainError, ResourceError
 from .funcspace import (FunctionTable, ProductMeasure, _cell_view,
-                        _coordinates, _indicators, _integer, _kron,
-                        decode_point)
+                        _coordinates, _indicators, _integer, _kron, _measure,
+                        _tables, decode_point)
 from .harmonics import _energy
 
 CELL_CAP = 1 << 16
@@ -129,26 +129,19 @@ def _cell_influence_tables(stack, n, s, J, nu, rho):
     return w_cells, stab.reshape(T, C), infs, F
 
 
-def _check_inputs(fs, measures, rho) -> list:
-    if not fs:
-        raise DomainError("need at least one function")
-    n, s = fs[0].n, fs[0].s
-    for f in fs:
-        if (f.n, f.s) != (n, s):
-            raise DomainError("functions disagree on n or alphabet")
+def _check_inputs(fs, measures, rho) -> tuple:
+    n, s = _tables(fs)
     if isinstance(measures, ProductMeasure):
         measures = [measures] * len(fs)
-    measures = list(measures)
-    if len(measures) != len(fs):
+    if not (isinstance(measures, (list, tuple)) and len(measures) == len(fs)):
         raise DomainError("need one product measure per function")
     for nu in measures:
-        if nu.n != n or nu.s != s:
-            raise DomainError("measure does not match the functions")
+        _measure(nu, n, s)
         if not nu.full_support:
             raise DomainError("regularity needs full-support measures")
     if not (0 < rho < 1):
         raise DomainError("rho must lie strictly between 0 and 1")
-    return measures
+    return n, s, list(measures)
 
 
 def _stack_by_measure(fs, measures) -> tuple:
@@ -192,10 +185,10 @@ def _growth_pass(groups, rows, n, s, J, rho) -> tuple:
 def potential(fs, measures, rho: float, J) -> float:
     """Sum over functions of the cell-averaged noise stability under J,
     each function weighted by its own measure."""
-    measures = _check_inputs(fs, measures, rho)
+    n, s, measures = _check_inputs(fs, measures, rho)
     groups, rows = _stack_by_measure(fs, measures)
-    J = sorted(set(_coordinates(J, fs[0].n)))
-    return _growth_pass(groups, rows, fs[0].n, fs[0].s, J, rho)[1]
+    J = sorted(set(_coordinates(J, n)))
+    return _growth_pass(groups, rows, n, s, J, rho)[1]
 
 
 def build_junta_noisy(fs, measures, rho: float, tau: float, eps: float,
@@ -211,12 +204,11 @@ def build_junta_noisy(fs, measures, rho: float, tau: float, eps: float,
     ties to the lowest index.  A junta with more than CELL_CAP cells
     raises before its cells are built.
     """
-    measures = _check_inputs(fs, measures, rho)
+    n, s, measures = _check_inputs(fs, measures, rho)
     if not (0 < eps < 1):
         raise DomainError("eps must lie strictly between 0 and 1")
     if not tau > 0:  # also refuses NaN
         raise DomainError("tau must be positive")
-    n, s = fs[0].n, fs[0].s
     groups, rows = _stack_by_measure(fs, measures)
     coef = (1 - rho) / rho
     required = coef * eps * tau
@@ -282,10 +274,9 @@ def _cell_influences(f: FunctionTable, J, d: int, tau: float,
         raise DomainError("degree must be at least 1")
     if not tau > 0:  # also refuses NaN
         raise DomainError("tau must be positive")
-    n, s = f.n, f.s
+    n, s = _tables([f])
+    _measure(nu, n, s)
     J = sorted(set(_coordinates(J, n)))
-    if nu.n != n or nu.s != s:
-        raise DomainError("measure does not match the function domain")
     if len(J) >= n:
         return None
     if s ** len(J) > CELL_CAP:

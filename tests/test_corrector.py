@@ -216,6 +216,18 @@ def test_transition_chain_refuses_nan_entries(factor):
         co.TransitionChain([factor], [0, 0])
 
 
+def test_transition_chain_keeps_its_own_read_only_factors():
+    # the chain once kept the caller's array, so a NaN written after
+    # construction got past the symmetry, row-sum and positivity checks
+    M = np.full((2, 2), 0.5)
+    chain = co.TransitionChain([M], [0, 0])
+    M[0, 0] = np.nan
+    with pytest.raises(ValueError):
+        chain.factors[0][0, 0] = np.nan
+    assert chain.factors[0].tolist() == [[0.5, 0.5], [0.5, 0.5]]
+    assert co.markov_agreement(chain, fs.dictator(2, 0)).lam == 0.0
+
+
 def test_markov_agreement_constant_function():
     chain = co.TransitionChain([np.full((3, 3), 1 / 3)], [0, 0])
     rep = co.markov_agreement(chain, fs.constant(2, 1, s=3, codomain="sym"))

@@ -59,6 +59,14 @@ def test_measure_validation():
     assert m.probs.tolist() == [0.75, 0.25]
 
 
+def test_product_measure_refuses_entries_that_are_not_measures():
+    # a float entry once raised a bare AttributeError (float has no .s)
+    with pytest.raises(ValidationError):
+        fs.ProductMeasure([0.5, 0.5])
+    with pytest.raises(ValidationError):
+        fs.ProductMeasure([fs.Measure.uniform(2), None])
+
+
 def test_measure_keeps_its_own_read_only_copy():
     p = np.array([0.5, 0.5])
     m = fs.Measure(p)
@@ -100,8 +108,10 @@ def test_table_keeps_its_own_copy(codomain, raw):
 @pytest.mark.parametrize("obj, names", [
     (fs.dictator(3, 0), ("n", "s", "codomain", "values")),
     (fs.PartialAssignment([0, None, 1]), ("entries", "s")),
-    (pt.ColumnRestriction([(None, 0), (0, 1)], 2), ("patterns", "s"))],
-    ids=["table", "assignment", "restriction"])
+    (pt.ColumnRestriction([(None, 0), (0, 1)], 2), ("patterns", "s")),
+    (co.TransitionChain([np.full((2, 2), 0.5)], [0, 0]),
+     ("factors", "assignment", "size", "n"))],
+    ids=["table", "assignment", "restriction", "chain"])
 def test_value_types_refuse_attribute_writes(obj, names):
     for name in names + ("extra",):
         with pytest.raises(AttributeError):

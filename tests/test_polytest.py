@@ -387,6 +387,25 @@ def test_restriction_star_positions_and_assignments():
     assert a1.entries == (0, 0, None)
 
 
+@pytest.mark.parametrize("j", [-1, 2, 0.5])
+def test_assignment_for_refuses_a_function_outside_the_patterns(j):
+    # j = -1 once returned the last function's row, and j = 2 raised a
+    # bare IndexError
+    rho = pt.ColumnRestriction([(None, 0), (0, 0), (0, None)], s=2)
+    with pytest.raises(DomainError):
+        rho.assignment_for(j)
+
+
+@pytest.mark.parametrize("marginal", [
+    [0.5, 0.5], None, fs.ProductMeasure.uniform(1)])
+def test_restricted_value_distribution_refuses_a_marginal_that_is_no_measure(
+        marginal):
+    # a list once raised a bare AttributeError
+    with pytest.raises(DomainError):
+        pt.restricted_value_distribution(
+            fs.dictator(2, 0), fs.PartialAssignment([None, 1]), marginal)
+
+
 @pytest.mark.parametrize("patterns", [
     [(None, -1), (0, 1)],          # -1 would read np.eye(s)[-1]
     [(None, 2), (0, 1)],           # symbol s
